@@ -13,9 +13,8 @@ import sys
 from pathlib import Path
 
 from .figures import DEMO_IDS, FIGURE_IDS, build_demo, build_figure, write_artifact
-from .galilei import residual_report_csv
 from .group_algebra import parse_densities
-from .textio import fmt, write_csv_atomic, write_text_atomic
+from .textio import csv_table, fmt, write_text_atomic
 from .verify import run_checks
 
 DEFAULTS: dict[str, float | int] = {
@@ -23,7 +22,6 @@ DEFAULTS: dict[str, float | int] = {
     "a2": 2.5,
     "sigma": 1.0,
     "a0": 0.0,
-    "beta": 1.0,
     "temperature": 1.0,
     "mass": 1.0,
     "v0": 0.0,
@@ -34,7 +32,7 @@ DEFAULTS: dict[str, float | int] = {
 }
 
 _INT_KEYS = {"grid_n", "quad_order"}
-_POSITIVE_KEYS = {"alpha", "sigma", "beta", "temperature", "mass", "extent"}
+_POSITIVE_KEYS = {"alpha", "sigma", "temperature", "mass", "extent"}
 
 
 class ConfigError(ValueError):
@@ -138,36 +136,16 @@ def _effective_params(args: argparse.Namespace) -> tuple[dict, Path]:
 
 
 def _run_verify(params: dict, out_dir: Path, tolerance_scale: float) -> int:
-    results = run_checks(
-        grid_n=params["grid_n"],
-        extent=params["extent"],
-        quad_order=params["quad_order"],
-        figure_params={
-            "alpha": params["alpha"],
-            "a2": params["a2"],
-            "sigma": params["sigma"],
-            "a0": params["a0"],
-            "grid_n": params["grid_n"],
-            "extent": params["extent"],
-            "quad_order": params["quad_order"],
-        },
-        tolerance_scale=tolerance_scale,
-    )
+    figures = {figure_id: build_figure(figure_id, params) for figure_id in FIGURE_IDS}
+    results = run_checks(params, figures, tolerance_scale)
     rows = [
         [r.name, r.parameters, fmt(r.residual), fmt(r.tolerance), "pass" if r.passed else "fail"]
         for r in results
     ]
-    write_csv_atomic(
-        out_dir / "verify_report.csv",
-        ["check", "parameters", "residual", "tolerance", "status"],
-        rows,
-    )
-    galilei_rows = [
-        (r.name, r.parameters, r.residual) for r in results if r.name.startswith("galilei")
-    ]
-    write_text_atomic(out_dir / "galilei_residuals.csv", residual_report_csv(galilei_rows))
-    for figure_id in FIGURE_IDS:
-        write_artifact(build_figure(figure_id, params), out_dir)
+    header = ["check", "parameters", "residual", "tolerance", "status"]
+    write_text_atomic(out_dir / "verify_report.csv", csv_table(header, rows))
+    for artifact in figures.values():
+        write_artifact(artifact, out_dir)
 
     failed = [r for r in results if not r.passed]
     n_pass = len(results) - len(failed)

@@ -21,7 +21,7 @@ from . import group_algebra as ga
 from . import quantum_system as qs
 from . import thermal as th
 from .galilei import GalileiParams, boost_mixed
-from .textio import csv_table, fmt, write_metadata, write_text_atomic
+from .textio import columns_csv, csv_table, fmt, write_metadata, write_text_atomic
 
 FIGURE_IDS = ("a1a2", "a1a2diff", "gaussian-smear")
 DEMO_IDS = ("thermal", "galilei-boost", "semigroup")
@@ -67,17 +67,11 @@ def _gnuplot_script(name: str, labels: list[str]) -> str:
     )
 
 
-def _curves_csv(x: np.ndarray, curves: list[tuple[str, np.ndarray]]) -> str:
-    header = ["x"] + [label for label, _ in curves]
-    columns = [x] + [values for _, values in curves]
-    rows = ([fmt(col[i]) for col in columns] for i in range(x.size))
-    return csv_table(header, rows)
-
-
 def _figure_files(name: str, x, curves, metadata) -> Artifact:
+    labels = [label for label, _ in curves]
     files = (
-        (f"{name}.csv", _curves_csv(x, curves)),
-        (f"{name}.gp", _gnuplot_script(name, [label for label, _ in curves])),
+        (f"{name}.csv", columns_csv(["x"] + labels, [x] + [values for _, values in curves])),
+        (f"{name}.gp", _gnuplot_script(name, labels)),
     )
     return Artifact(name=name, files=files, metadata=metadata)
 
@@ -192,13 +186,11 @@ def _demo_thermal(params: dict) -> Artifact:
             "maxwell_boltzmann_gap": mb_gap,
         }
     )
-    overlay_rows = (
-        [fmt(p[i]), fmt(state.weights[i]), fmt(mb[i])] for i in range(p.size)
-    )
+    overlay = columns_csv(["p", "weight", "maxwell_boltzmann"], [p, state.weights, mb])
     files = (
         ("thermal_momentum.csv", th.momentum_mixture_csv(state)),
         ("thermal_energy.csv", th.energy_density_csv(e_grid, e_density)),
-        ("thermal_overlay.csv", csv_table(["p", "weight", "maxwell_boltzmann"], overlay_rows)),
+        ("thermal_overlay.csv", overlay),
     )
     return Artifact(name="thermal", files=files, metadata=metadata)
 
@@ -232,12 +224,10 @@ def _demo_galilei_boost(params: dict) -> Artifact:
             "thermal_reference_gap": gap,
         }
     )
-    overlay_rows = (
-        [fmt(q[i]), fmt(boosted.weights[i]), fmt(reference[i])] for i in range(q.size)
-    )
+    overlay = columns_csv(["p", "weight", "thermal_reference"], [q, boosted.weights, reference])
     files = (
         ("galilei_boost.csv", th.momentum_mixture_csv(boosted)),
-        ("galilei_boost_overlay.csv", csv_table(["p", "weight", "thermal_reference"], overlay_rows)),
+        ("galilei_boost_overlay.csv", overlay),
     )
     return Artifact(name="galilei_boost", files=files, metadata=metadata)
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from .analytic import norm_pdf
 from .errors import DomainError, GridMismatchError, NumericError, ResourceLimitError
 from . import group_algebra as ga
 from .quantum_system import PositionGrid, WaveFunction, _normalized
@@ -247,14 +248,11 @@ def boost_mixed(
     Pushes the velocity density through v -> p + m v onto the momentum grid
     spanned by ``v_grid`` (weights pick up the 1/m Jacobian) and renormalizes.
     Gaussian components are evaluated pointwise; Dirac components become
-    single-bin point masses. ``v_grid`` must hold all but 1e-12 of the mass.
+    single-bin point masses and must lie on the grid. ``v_grid`` must hold
+    all but 1e-12 of the mass.
     """
     v = np.asarray(v_grid, dtype=float)
-    if v.ndim != 1 or v.size < 3:
-        raise ValueError("v_grid must be a 1-D array with at least 3 points")
-    dv = v[1] - v[0]
-    if dv <= 0.0 or np.any(np.abs(np.diff(v) - dv) > 1e-9 * dv):
-        raise ValueError("v_grid must be uniform and increasing")
+    dv = ga.uniform_step(v, "v_grid")
     if ga.mass_within(rho_R, float(v[0]), float(v[-1])) < 1.0 - 1e-12:
         raise DomainError("v_grid truncates more than 1e-12 of the boost density")
 
@@ -264,11 +262,9 @@ def boost_mixed(
     weights = np.zeros_like(q)
     for w, comp in rho_R.components:
         if isinstance(comp, ga.DiracComponent):
-            idx = int(round((comp.location - v[0]) / dv))
-            idx = min(max(idx, 0), v.size - 1)
-            weights[idx] += w / dq
+            weights[ga.dirac_bin(comp.location, v, dv)] += w / dq
         else:
-            weights += (w / m) * ga._normal_pdf(v, comp.mean, comp.variance)
+            weights += (w / m) * norm_pdf(v, comp.mean, comp.variance)
 
     weights /= float(np.sum(weights)) * dq
     grid = MomentumGrid(
@@ -278,12 +274,3 @@ def boost_mixed(
     )
     return MomentumMixture(grid, weights)
 
-
-def residual_report_csv(rows: list[tuple[str, str, float]]) -> str:
-    """CSV export of residual checks with header ``check,parameter_set,residual``."""
-    from .textio import csv_table, fmt
-
-    return csv_table(
-        ["check", "parameter_set", "residual"],
-        ([name, parameter_set, fmt(residual)] for name, parameter_set, residual in rows),
-    )

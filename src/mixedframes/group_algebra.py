@@ -18,12 +18,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import NormalizationError, QuadratureError
+from .analytic import norm_pdf
+from .errors import DomainError, NormalizationError, QuadratureError
 
 WEIGHT_TOL = 1e-12
 MERGE_TOL = 1e-12
 MATCH_TOL = 1e-10
-SAMPLE_INTEGRAL_TOL = 1e-9
+SCAN_POINTS = 20001
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,10 @@ class GroupDensity:
     """Normalized probability density on the translation group.
 
     ``components`` is an ordered list of ``(weight, component)`` pairs with
-    positive weights summing to one. ``grid_samples``, when present, carries
-    the density sampled on a uniform grid of ``a`` values.
+    positive weights summing to one.
     """
 
     components: tuple[WeightedComponent, ...]
-    grid_samples: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         comps = tuple((float(w), c) for w, c in self.components)
@@ -80,19 +79,6 @@ class GroupDensity:
         total = math.fsum(w for w, _ in comps)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise NormalizationError(f"weights sum to {total!r}, expected 1")
-        if self.grid_samples is not None:
-            grid = np.asarray(self.grid_samples[0], dtype=float)
-            values = np.asarray(self.grid_samples[1], dtype=float)
-            if grid.shape != values.shape or grid.ndim != 1:
-                raise ValueError("grid_samples must be two equally shaped 1-D arrays")
-            if np.any(values < 0.0):
-                raise NormalizationError("sampled density values must be nonnegative")
-            area = float(np.trapezoid(values, grid))
-            if abs(area - 1.0) > SAMPLE_INTEGRAL_TOL:
-                raise NormalizationError(f"sampled density integrates to {area!r}")
-            grid.setflags(write=False)
-            values.setflags(write=False)
-            object.__setattr__(self, "grid_samples", (grid, values))
 
 
 def _canonical(components: Iterable[WeightedComponent]) -> tuple[WeightedComponent, ...]:
@@ -177,7 +163,7 @@ def evaluate(rho: GroupDensity, f: Callable[[float], float]) -> float:
         else:
             sd = math.sqrt(comp.variance)
             value, abserr, info, *tail = integrate.quad(
-                lambda a: f(a) * _normal_pdf(a, comp.mean, comp.variance),
+                lambda a: f(a) * norm_pdf(a, comp.mean, comp.variance),
                 comp.mean - 10.0 * sd,
                 comp.mean + 10.0 * sd,
                 epsrel=1e-10,
@@ -252,13 +238,7 @@ class CharacteristicFunction:
 def characteristic_function(rho: GroupDensity, dual_grid: np.ndarray) -> CharacteristicFunction:
     """Characteristic function of the density on a uniform dual grid."""
     p = np.asarray(dual_grid, dtype=float)
-    if p.ndim != 1 or p.size < 2:
-        raise ValueError("dual grid must be a 1-D array with at least two points")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("dual grid must be finite")
-    steps = np.diff(p)
-    if np.any(np.abs(steps - steps[0]) > 1e-9 * max(abs(steps[0]), 1e-300)):
-        raise ValueError("dual grid must be uniform")
+    uniform_step(p, "dual grid")
     return CharacteristicFunction(p, _chi(rho, p))
 
 
@@ -272,41 +252,35 @@ def _chi(rho: GroupDensity, p: np.ndarray) -> np.ndarray:
     return values
 
 
-def is_invertible(
-    rho: GroupDensity,
-    band: float,
-    floor: float,
-    scan_points: int = 20001,
-) -> tuple[bool, float | None]:
+def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, float | None]:
     """Banded invertibility test for the convolution semigroup.
 
     Returns ``(True, None)`` for a single Dirac component (unimodular
     characteristic function, decided analytically). Otherwise scans
-    ``|chi(p)|`` over ``|p| <= band`` and reports whether its infimum stays
-    at or above ``floor``, together with a refined argmin witness ``p*``
-    (the smallest ``|p|`` among equal minima).
+    ``|chi(p)|`` at ``SCAN_POINTS`` points over ``|p| <= band`` and reports
+    whether its infimum stays at or above ``floor``, together with a refined
+    argmin witness ``p*`` (the smallest ``|p|`` among equal minima).
     """
     if not (band > 0.0 and math.isfinite(band)):
         raise ValueError(f"band must be positive and finite, got {band}")
     if not 0.0 < floor < 1.0:
         raise ValueError(f"floor must lie in (0, 1), got {floor}")
-    comps = _canonical(rho.components)
-    if len(comps) == 1 and isinstance(comps[0][1], DiracComponent):
+    if is_pure(rho):
         return True, None
 
     def abs2(p: float | np.ndarray) -> float | np.ndarray:
         return np.abs(_chi(rho, np.asarray(p, dtype=float))) ** 2
 
-    grid = np.linspace(-band, band, scan_points)
+    grid = np.linspace(-band, band, SCAN_POINTS)
     vals = np.asarray(abs2(grid), dtype=float)
 
-    candidate_idx = [0, scan_points - 1]
+    candidate_idx = [0, SCAN_POINTS - 1]
     interior = np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
     candidate_idx.extend(int(i) for i in interior)
 
     refined: list[tuple[float, float]] = []
     for i in candidate_idx:
-        if i in (0, scan_points - 1):
+        if i in (0, SCAN_POINTS - 1):
             refined.append((float(vals[i]), float(grid[i])))
             continue
         res = optimize.minimize_scalar(
@@ -327,40 +301,27 @@ def is_pure(rho: GroupDensity) -> bool:
     return len(comps) == 1 and isinstance(comps[0][1], DiracComponent)
 
 
-def densities_close(rho1: GroupDensity, rho2: GroupDensity, tol: float = MATCH_TOL) -> bool:
-    """Equality of states as a canonical-form component match within ``tol``."""
+def density_gap(rho1: GroupDensity, rho2: GroupDensity) -> float:
+    """Worst parameter/weight mismatch between canonical forms (inf if shapes differ)."""
     c1 = _canonical(rho1.components)
     c2 = _canonical(rho2.components)
     if len(c1) != len(c2):
-        return False
+        return math.inf
+    gap = 0.0
     for (w1, a), (w2, b) in zip(c1, c2):
-        if type(a) is not type(b) or abs(w1 - w2) > tol:
-            return False
+        if type(a) is not type(b):
+            return math.inf
+        gap = max(gap, abs(w1 - w2))
         if isinstance(a, DiracComponent):
-            if abs(a.location - b.location) > tol:
-                return False
+            gap = max(gap, abs(a.location - b.location))
         else:
-            if abs(a.mean - b.mean) > tol or abs(a.variance - b.variance) > tol:
-                return False
-    return True
+            gap = max(gap, abs(a.mean - b.mean), abs(a.variance - b.variance))
+    return gap
 
 
-def density_mean(rho: GroupDensity) -> float:
-    """First moment of the density."""
-    return math.fsum(
-        w * (c.location if isinstance(c, DiracComponent) else c.mean)
-        for w, c in rho.components
-    )
-
-
-def density_variance(rho: GroupDensity) -> float:
-    """Second central moment of the density."""
-    mean = density_mean(rho)
-    second = math.fsum(
-        w * (c.location**2 if isinstance(c, DiracComponent) else c.mean**2 + c.variance)
-        for w, c in rho.components
-    )
-    return second - mean**2
+def densities_close(rho1: GroupDensity, rho2: GroupDensity, tol: float = MATCH_TOL) -> bool:
+    """Equality of states as a canonical-form component match within ``tol``."""
+    return density_gap(rho1, rho2) <= tol
 
 
 def mass_within(rho: GroupDensity, lo: float, hi: float) -> float:
@@ -380,64 +341,45 @@ def mass_within(rho: GroupDensity, lo: float, hi: float) -> float:
     return total
 
 
-def shift_density(rho: GroupDensity, offset: float) -> GroupDensity:
-    """Pushforward under a -> a + offset."""
-    offset = float(offset)
-    if not math.isfinite(offset):
-        raise ValueError("offset must be finite")
-    return convolve(rho, make_delta(offset))
+def uniform_step(grid: np.ndarray, what: str) -> float:
+    """Spacing of a finite, increasing, uniform 1-D grid of at least 3 points."""
+    if grid.ndim != 1 or grid.size < 3:
+        raise ValueError(f"{what} must be a 1-D array with at least 3 points")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"{what} must be finite")
+    step = grid[1] - grid[0]
+    if step <= 0.0 or np.any(np.abs(np.diff(grid) - step) > 1e-9 * step):
+        raise ValueError(f"{what} must be uniform and increasing")
+    return step
 
 
-def scale_density(rho: GroupDensity, factor: float) -> GroupDensity:
-    """Pushforward under a -> factor * a (factor nonzero)."""
-    factor = float(factor)
-    if factor == 0.0 or not math.isfinite(factor):
-        raise ValueError(f"scale factor must be nonzero and finite, got {factor}")
-    out: list[WeightedComponent] = []
-    for w, comp in rho.components:
-        if isinstance(comp, DiracComponent):
-            out.append((w, DiracComponent(factor * comp.location)))
-        else:
-            out.append((w, GaussianComponent(factor * comp.mean, factor**2 * comp.variance)))
-    return GroupDensity(_canonical(out))
-
-
-def _normal_pdf(a: float | np.ndarray, mean: float, variance: float) -> float | np.ndarray:
-    return np.exp(-((a - mean) ** 2) / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
+def dirac_bin(location: float, grid: np.ndarray, step: float) -> int:
+    """Index of the grid point nearest a Dirac location, which must lie on the grid."""
+    idx = int(round((location - grid[0]) / step))
+    if not 0 <= idx < grid.size:
+        raise DomainError(
+            f"Dirac location {location} lies outside the grid [{grid[0]}, {grid[-1]}]"
+        )
+    return idx
 
 
 def sample_on_grid(rho: GroupDensity, a_grid: np.ndarray) -> np.ndarray:
     """Sample the density on a uniform grid.
 
     Gaussian components are evaluated pointwise; each Dirac component becomes
-    a single-bin spike of height weight/spacing at the nearest grid point, so
-    the trapezoid-rule integral of the samples is one. Dirac locations must
-    fall strictly inside the grid.
+    a single-bin spike of height weight/spacing at the nearest grid point
+    (see :func:`dirac_bin`), so the rectangle-rule integral of the samples
+    is one.
     """
     grid = np.asarray(a_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 3:
-        raise ValueError("sampling grid must be a 1-D array with at least 3 points")
-    step = grid[1] - grid[0]
-    if step <= 0.0 or np.any(np.abs(np.diff(grid) - step) > 1e-9 * step):
-        raise ValueError("sampling grid must be uniform and increasing")
+    step = uniform_step(grid, "sampling grid")
     values = np.zeros_like(grid)
     for w, comp in rho.components:
         if isinstance(comp, DiracComponent):
-            idx = int(round((comp.location - grid[0]) / step))
-            if idx <= 0 or idx >= grid.size - 1:
-                raise ValueError(
-                    f"Dirac location {comp.location} is not strictly inside the grid"
-                )
-            values[idx] += w / step
+            values[dirac_bin(comp.location, grid, step)] += w / step
         else:
-            values += w * _normal_pdf(grid, comp.mean, comp.variance)
+            values += w * norm_pdf(grid, comp.mean, comp.variance)
     return values
-
-
-def sampled(rho: GroupDensity, a_grid: np.ndarray) -> GroupDensity:
-    """Return a copy of the density carrying grid samples."""
-    grid = np.asarray(a_grid, dtype=float)
-    return GroupDensity(rho.components, grid_samples=(grid, sample_on_grid(rho, grid)))
 
 
 def to_text(rho: GroupDensity) -> str:

@@ -24,6 +24,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .group_algebra import DiracComponent, GaussianComponent, GroupDensity
+from .textio import columns_csv
 
 NORM_TOL = 1e-9
 DENSITY_INTEGRAL_TOL = 1e-8
@@ -230,13 +231,6 @@ def position_density(state: PureMixture) -> PositionDensity:
     return PositionDensity(state.grid, values)
 
 
-def inner_product(psi1: WaveFunction, psi2: WaveFunction) -> complex:
-    """Grid inner product <psi1|psi2> (conjugate-linear in the first slot)."""
-    if psi1.grid != psi2.grid:
-        raise GridMismatchError("wavefunctions live on different grids")
-    return complex(np.vdot(psi1.amplitudes, psi2.amplitudes) * psi1.grid.spacing)
-
-
 def purity(state: PureMixture) -> float:
     """Tr rho^2 from the Gram matrix of pairwise term overlaps."""
     weights = np.array([w for w, _ in state.terms])
@@ -293,21 +287,13 @@ def density_distance(d1: PositionDensity, d2: PositionDensity) -> tuple[float, f
 
 def position_density_csv(density: PositionDensity) -> str:
     """CSV export with header ``x,density``, shortest-roundtrip floats."""
-    from .textio import csv_table, fmt
-
-    x = density.grid.points()
-    rows = ([fmt(x[i]), fmt(density.values[i])] for i in range(x.size))
-    return csv_table(["x", "density"], rows)
+    return columns_csv(["x", "density"], [density.grid.points(), density.values])
 
 
 def wavefunction_csv(psi: WaveFunction) -> str:
     """CSV export with header ``x,re,im``."""
-    from .textio import csv_table, fmt
-
-    x = psi.grid.points()
     amps = psi.amplitudes
-    rows = ([fmt(x[i]), fmt(amps[i].real), fmt(amps[i].imag)] for i in range(x.size))
-    return csv_table(["x", "re", "im"], rows)
+    return columns_csv(["x", "re", "im"], [psi.grid.points(), amps.real, amps.imag])
 
 
 def density_mean(density: PositionDensity) -> float:

@@ -38,16 +38,11 @@ def csv_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv_atomic(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    write_text_atomic(path, csv_table(header, rows))
-
-
-def write_columns_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+def columns_csv(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
     """CSV from parallel float columns, formatted with :func:`fmt`."""
     if len(header) != len(columns):
         raise ValueError("header and columns must have the same length")
-    rows = ([fmt(col[i]) for col in columns] for i in range(len(columns[0])))
-    write_csv_atomic(path, header, rows)
+    return csv_table(header, ([fmt(value) for value in row] for row in zip(*columns)))
 
 
 def write_metadata(path: Path, metadata: dict) -> None:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, NormalizationError
+from .errors import DomainError, NormalizationError
+from .textio import columns_csv
 
 GRID_NORM_TOL = 1e-9
 
@@ -208,29 +209,15 @@ def grid_purity_proxy(state: MomentumMixture) -> float:
     return float(np.sum(state.weights**2)) * state.grid.spacing
 
 
-def pointwise_gap(m1: MomentumMixture, m2: MomentumMixture) -> float:
-    """Maximum absolute weight difference between two states on one grid."""
-    if m1.grid != m2.grid:
-        raise GridMismatchError("momentum mixtures live on different grids")
-    return float(np.max(np.abs(m1.weights - m2.weights)))
-
-
 def momentum_mixture_csv(state: MomentumMixture) -> str:
     """CSV export with header ``p,weight``."""
-    from .textio import csv_table, fmt
-
-    p = state.grid.points()
-    rows = ([fmt(p[i]), fmt(state.weights[i])] for i in range(p.size))
-    return csv_table(["p", "weight"], rows)
+    return columns_csv(["p", "weight"], [state.grid.points(), state.weights])
 
 
 def energy_density_csv(E_grid: np.ndarray, values: np.ndarray) -> str:
     """CSV export with header ``E,density``."""
-    from .textio import csv_table, fmt
-
     E = np.asarray(E_grid, dtype=float)
     v = np.asarray(values, dtype=float)
     if E.shape != v.shape:
         raise ValueError("energy grid and values must have matching shapes")
-    rows = ([fmt(E[i]), fmt(v[i])] for i in range(E.size))
-    return csv_table(["E", "density"], rows)
+    return columns_csv(["E", "density"], [E, v])

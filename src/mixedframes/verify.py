@@ -16,7 +16,12 @@ from scipy import integrate
 from . import group_algebra as ga
 from . import quantum_system as qs
 from . import thermal as th
-from .figures import build_figure
+from .analytic import norm_pdf
+from .figures import Artifact
+
+# run_checks receives the figures it judges; this binding stays because
+# perfbench/selftest.py checks that tracing wraps verify.build_figure.
+from .figures import build_figure  # noqa: F401
 from .galilei import (
     GalileiParams,
     apply_boost_factored,
@@ -64,24 +69,6 @@ def _random_density(rng: np.random.Generator, max_components: int = 5) -> ga.Gro
     return ga.GroupDensity(tuple(comps))
 
 
-def _density_gap(rho1: ga.GroupDensity, rho2: ga.GroupDensity) -> float:
-    """Worst parameter/weight mismatch between canonical forms (inf if shapes differ)."""
-    c1 = ga._canonical(rho1.components)
-    c2 = ga._canonical(rho2.components)
-    if len(c1) != len(c2):
-        return math.inf
-    gap = 0.0
-    for (w1, a), (w2, b) in zip(c1, c2):
-        if type(a) is not type(b):
-            return math.inf
-        gap = max(gap, abs(w1 - w2))
-        if isinstance(a, ga.DiracComponent):
-            gap = max(gap, abs(a.location - b.location))
-        else:
-            gap = max(gap, abs(a.mean - b.mean), abs(a.variance - b.variance))
-    return gap
-
-
 def _weight_sum_error(rho: ga.GroupDensity) -> float:
     return abs(math.fsum(w for w, _ in rho.components) - 1.0)
 
@@ -108,14 +95,16 @@ def check_semigroup_laws(n_trials: int = 200) -> list[CheckResult]:
             _weight_sum_error(mixed),
             _weight_sum_error(ga.antipode(r1)),
         )
-        assoc = max(assoc, _density_gap(ga.convolve(prod, r3), ga.convolve(r1, ga.convolve(r2, r3))))
-        comm = max(comm, _density_gap(prod, ga.convolve(r2, r1)))
+        assoc = max(
+            assoc, ga.density_gap(ga.convolve(prod, r3), ga.convolve(r1, ga.convolve(r2, r3)))
+        )
+        comm = max(comm, ga.density_gap(prod, ga.convolve(r2, r1)))
         ident = max(
             ident,
-            _density_gap(ga.convolve(ga.make_delta(0.0), r1), r1),
-            _density_gap(ga.convolve(r1, ga.make_delta(0.0)), r1),
+            ga.density_gap(ga.convolve(ga.make_delta(0.0), r1), r1),
+            ga.density_gap(ga.convolve(r1, ga.make_delta(0.0)), r1),
         )
-        invol = max(invol, _density_gap(ga.antipode(ga.antipode(r1)), r1))
+        invol = max(invol, ga.density_gap(ga.antipode(ga.antipode(r1)), r1))
         chi12 = ga._chi(prod, p_grid)
         chi_morphism = max(
             chi_morphism,
@@ -143,7 +132,7 @@ def check_antipode_inverse() -> list[CheckResult]:
             (0.25, ga.DiracComponent(a2 - a1)),
         )
     )
-    three_term_gap = _density_gap(ga.convolve(two_point, ga.antipode(two_point)), expected)
+    three_term_gap = ga.density_gap(ga.convolve(two_point, ga.antipode(two_point)), expected)
 
     wrong = 0
     for _ in range(50):
@@ -458,9 +447,9 @@ def check_localization_inequality(grid_n: int = 4096, quad_order: int = 64) -> l
     ]
 
 
-def check_figures(params: dict) -> list[CheckResult]:
+def check_figures(params: dict, figures: dict[str, Artifact]) -> list[CheckResult]:
     out = []
-    fig1 = build_figure("a1a2", params)
+    fig1 = figures["a1a2"]
     out.append(
         CheckResult(
             "figure_a1a2_closed_form",
@@ -477,7 +466,7 @@ def check_figures(params: dict) -> list[CheckResult]:
             0.0,
         )
     )
-    fig2 = build_figure("a1a2diff", params)
+    fig2 = figures["a1a2diff"]
     out.append(
         CheckResult(
             "figure_a1a2diff_closed_form",
@@ -502,7 +491,7 @@ def check_figures(params: dict) -> list[CheckResult]:
             0.0,
         )
     )
-    fig3 = build_figure("gaussian-smear", params)
+    fig3 = figures["gaussian-smear"]
     out.append(
         CheckResult(
             "figure_smear_closed_form",
@@ -697,7 +686,7 @@ def check_boost_composition() -> list[CheckResult]:
     taps_j = np.arange(-(v_grid.size // 2), v_grid.size // 2 + 1)
     taps = np.zeros_like(taps_j, dtype=float)
     for w, comp in r1.components:
-        taps += (w / mass) * ga._normal_pdf(taps_j * dq / mass, comp.mean, comp.variance)
+        taps += (w / mass) * norm_pdf(taps_j * dq / mass, comp.mean, comp.variance)
     sequential = np.convolve(first.weights, taps, mode="same") * dq
     sequential /= float(np.sum(sequential)) * dq
     gap = float(np.max(np.abs(sequential - combined.weights)))
@@ -709,24 +698,16 @@ def check_boost_composition() -> list[CheckResult]:
 
 
 def run_checks(
-    grid_n: int = 4096,
-    extent: float = 40.0,
-    quad_order: int = 64,
-    figure_params: dict | None = None,
-    tolerance_scale: float = 1.0,
+    params: dict, figures: dict[str, Artifact], tolerance_scale: float = 1.0
 ) -> list[CheckResult]:
-    """Run every invariant suite; ``tolerance_scale`` exists for fault injection."""
+    """Run every invariant suite; ``tolerance_scale`` exists for fault injection.
+
+    ``params`` are the CLI's effective parameters and ``figures`` maps each
+    figure id to the artifact ``build_figure`` made from them, so the caller
+    writes the same artifacts that :func:`check_figures` judged.
+    """
+    grid_n, quad_order = params["grid_n"], params["quad_order"]
     galilei_n = min(max(grid_n // 4, 256), 1024)
-    if figure_params is None:
-        figure_params = {
-            "alpha": 0.75,
-            "a2": 2.5,
-            "sigma": 1.0,
-            "a0": 0.0,
-            "grid_n": grid_n,
-            "extent": extent,
-            "quad_order": quad_order,
-        }
     results: list[CheckResult] = []
     results.extend(check_semigroup_laws())
     results.extend(check_antipode_inverse())
@@ -738,7 +719,7 @@ def run_checks(
     results.extend(check_channel_composition())
     results.extend(check_state_normalization())
     results.extend(check_localization_inequality(grid_n, quad_order))
-    results.extend(check_figures(figure_params))
+    results.extend(check_figures(params, figures))
     results.extend(check_thermal_densities())
     results.extend(check_thermal_invariance())
     results.extend(check_galilei_operators(galilei_n))

@@ -62,9 +62,10 @@ class TestConfig:
         assert code == 2
         assert "alpha" in err
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["warp_factor", "beta"])
+    def test_unknown_config_key_rejected(self, tmp_path, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("warp_factor = 9\n")
+        cfg.write_text(f"{key} = 9\n")
         with pytest.raises(ConfigError):
             parse_config_file(cfg)
 
@@ -179,9 +180,8 @@ class TestVerifyCommand:
         named = err.split(":")[-1].strip()
         assert any(line.startswith(named + ",") for line in report[1:])
         assert all(line.endswith(",fail") or line.endswith(",pass") for line in report[1:])
-        residuals = (out / "galilei_residuals.csv").read_text().splitlines()
-        assert residuals[0] == "check,parameter_set,residual"
-        assert any(line.startswith("galilei_bch_sweep,") for line in residuals[1:])
+        assert any(line.startswith("galilei_bch_sweep,") for line in report[1:])
+        assert not (out / "galilei_residuals.csv").exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -28,7 +28,7 @@ from mixedframes.galilei import (
     momentum_bump,
     relative_boost_phase,
 )
-from mixedframes.group_algebra import _normal_pdf
+from mixedframes.analytic import norm_pdf
 from mixedframes.quantum_system import _normalized
 
 TWO_PI = 2.0 * math.pi
@@ -218,17 +218,7 @@ class TestBoostMixed:
         taps_j = np.arange(-(v_grid.size // 2), v_grid.size // 2 + 1)
         taps = np.zeros(taps_j.size)
         for w, comp in r1.components:
-            taps += (w / mass) * _normal_pdf(taps_j * dq / mass, comp.mean, comp.variance)
+            taps += (w / mass) * norm_pdf(taps_j * dq / mass, comp.mean, comp.variance)
         sequential = np.convolve(first.weights, taps, mode="same") * dq
         sequential /= float(np.sum(sequential)) * dq
         assert np.max(np.abs(sequential - combined.weights)) < 1e-8
-
-
-def test_residual_report_format():
-    from mixedframes.galilei import residual_report_csv
-
-    text = residual_report_csv([("k_p", "grid_n=1024", 1.5e-13), ("p_h", "grid_n=1024", 0.0)])
-    lines = text.splitlines()
-    assert lines[0] == "check,parameter_set,residual"
-    assert lines[1] == "k_p,grid_n=1024,1.5e-13"
-    assert lines[2] == "p_h,grid_n=1024,0.0"

@@ -6,10 +6,13 @@ from scipy import integrate
 
 from mixedframes import (
     DiracComponent,
+    DomainError,
+    GalileiParams,
     GaussianComponent,
     GroupDensity,
     NormalizationError,
     antipode,
+    boost_mixed,
     characteristic_function,
     convolve,
     densities_close,
@@ -23,7 +26,7 @@ from mixedframes import (
     sample_on_grid,
     to_text,
 )
-from mixedframes.group_algebra import parse_densities, sampled
+from mixedframes.group_algebra import parse_densities
 
 RNG = np.random.default_rng(42)
 
@@ -97,11 +100,47 @@ class TestMix:
         values = sample_on_grid(rho, grid)
         assert float(np.trapezoid(values, grid)) == pytest.approx(1.0, abs=1e-9)
 
-    def test_sampled_attaches_valid_samples(self):
-        rho = sampled(make_gaussian(0.0, 1.0), np.linspace(-12, 12, 2001))
-        assert rho.grid_samples is not None
-        with pytest.raises(NormalizationError):
-            GroupDensity(rho.components, grid_samples=(np.array([0.0, 1.0]), np.array([-1.0, 1.0])))
+
+def _bad_grids() -> dict[str, np.ndarray]:
+    grid = np.linspace(-5.0, 5.0, 11)
+    uneven, with_nan = grid.copy(), grid.copy()
+    uneven[4] += 0.3
+    with_nan[4] = np.nan
+    return {
+        "two_points": np.array([-5.0, 5.0]),
+        "decreasing": grid[::-1].copy(),
+        "non_uniform": uneven,
+        "nan_inside": with_nan,
+    }
+
+
+GRID_CONSUMERS = {
+    "characteristic_function": lambda rho, g: characteristic_function(rho, g),
+    "sample_on_grid": lambda rho, g: sample_on_grid(rho, g),
+    "boost_mixed": lambda rho, g: boost_mixed(rho, 0.0, GalileiParams(1.0, 0.0), g),
+}
+
+
+class TestGridRules:
+    """One uniform-grid validator and one Dirac-to-bin rule behind every grid consumer."""
+
+    @pytest.mark.parametrize("grid_name", sorted(_bad_grids()))
+    @pytest.mark.parametrize("consumer", sorted(GRID_CONSUMERS))
+    def test_bad_grid_rejected(self, consumer, grid_name):
+        # a narrow Gaussian keeps boost_mixed's truncation guard out of the way
+        with pytest.raises(ValueError):
+            GRID_CONSUMERS[consumer](make_gaussian(0.0, 0.01), _bad_grids()[grid_name])
+
+    @pytest.mark.parametrize("consumer", ["sample_on_grid", "boost_mixed"])
+    def test_dirac_on_edge_accepted_and_beyond_rejected(self, consumer):
+        grid = np.linspace(-5.0, 5.0, 11)
+        for edge in (grid[0], grid[-1]):
+            GRID_CONSUMERS[consumer](make_delta(edge), grid)
+        for beyond in (grid[0] - 1.0, grid[-1] + 1.0):
+            # light enough to pass the 1e-12 truncation guard of boost_mixed
+            rho = mix([(1.0 - 1e-13, make_delta(0.0)), (1e-13, make_delta(beyond))])
+            with pytest.raises(DomainError):
+                GRID_CONSUMERS[consumer](rho, grid)
 
 
 class TestEvaluate:
