@@ -213,7 +213,7 @@ def _demo_galilei_boost(params: dict) -> Artifact:
     q = boosted.grid.points()
     p_prime = p0 + mass * v0
     reference = th.maxwell_boltzmann_density(q - p_prime, temperature, mass, constants)
-    reference = reference / (float(np.sum(reference)) * boosted.grid.spacing)
+    reference = reference / boosted.grid.integrate(reference)
     gap = float(np.max(np.abs(boosted.weights - reference)))
 
     metadata = _echo(params, "demo", "galilei-boost")

@@ -32,10 +32,6 @@ from .thermal import MomentumGrid, MomentumMixture
 DENSE_SIZE_CAP = 2048
 TWO_PI = 2.0 * math.pi
 
-# A boost density is a group density over the velocity parameter; boosts in
-# 1+1 dimensions compose additively in v, so the translation algebra applies.
-BoostDensity = ga.GroupDensity
-
 
 @dataclass(frozen=True)
 class GalileiParams:
@@ -123,10 +119,6 @@ def build_operators(grid: PositionGrid, params: GalileiParams) -> OperatorGrid:
     return OperatorGrid(grid, params)
 
 
-def _grid_norm(amps: np.ndarray, dx: float) -> float:
-    return math.sqrt(float(np.sum(np.abs(amps) ** 2)) * dx)
-
-
 def commutator_residuals(
     ops: OperatorGrid, test_states: list[WaveFunction]
 ) -> dict[str, float]:
@@ -141,7 +133,6 @@ def commutator_residuals(
         raise ValueError("at least one test state is required")
     m = ops.params.mass
     hbar = ops.params.hbar
-    dx = ops.grid.spacing
 
     checks = {
         "x_p": lambda f: ops.apply_x(ops.apply_p(f)) - ops.apply_p(ops.apply_x(f)) - 1j * hbar * f,
@@ -157,7 +148,7 @@ def commutator_residuals(
             if psi.grid != ops.grid:
                 raise GridMismatchError("test state grid does not match the operators")
             amps = psi.amplitudes
-            worst = max(worst, _grid_norm(bracket(amps), dx) / _grid_norm(amps, dx))
+            worst = max(worst, ops.grid.norm(bracket(amps)) / ops.grid.norm(amps))
         residuals[name] = worst
     return residuals
 
@@ -200,16 +191,14 @@ def bch_residual(
     if not np.all(np.isfinite(lhs)):
         raise NumericError("matrix exponential did not converge")
     rhs = apply_boost_factored(v, psi, params).amplitudes
-    return _grid_norm(lhs - rhs, psi.grid.spacing)
+    return psi.grid.norm(lhs - rhs)
 
 
-def momentum_bump(
-    grid: PositionGrid, p_center: float, params: GalileiParams, rel_width: float = 0.05
-) -> WaveFunction:
-    """Normalizable stand-in for a momentum eigenstate: a narrow spectral bump."""
+def momentum_bump(grid: PositionGrid, p_center: float, params: GalileiParams) -> WaveFunction:
+    """Normalizable stand-in for a momentum eigenstate: a spectral bump 5% of the band wide."""
     k = grid.wavenumbers()
     k_max = math.pi / grid.spacing
-    width = rel_width * k_max
+    width = 0.05 * k_max
     k_center = p_center / params.hbar
     if abs(k_center) > 0.5 * k_max:
         raise DomainError(f"bump momentum {p_center} is outside half the spectral band")

@@ -82,44 +82,31 @@ class GroupDensity:
 
 
 def _canonical(components: Iterable[WeightedComponent]) -> tuple[WeightedComponent, ...]:
-    """Merge near-identical components and sort into a canonical order."""
-    diracs: list[list[float]] = []
-    gaussians: list[list[float]] = []
-    for w, comp in components:
-        if isinstance(comp, DiracComponent):
-            diracs.append([w, comp.location])
-        else:
-            gaussians.append([w, comp.mean, comp.variance])
+    """Merge near-identical components and sort into a canonical order.
 
-    merged_d: list[list[float]] = []
-    for w, loc in sorted(diracs, key=lambda e: e[1]):
-        if merged_d and abs(loc - merged_d[-1][1]) < MERGE_TOL:
-            prev_w, prev_loc = merged_d[-1]
+    A Dirac is keyed ``(0, location, 0.0)`` and a Gaussian ``(1, mean, variance)``.
+    The sort keeps ties in input order; neighbours of one kind whose other two
+    keys differ by less than ``MERGE_TOL`` merge into their weighted average,
+    which stays between them, so the output is sorted too.
+    """
+    entries = [
+        (0, c.location, 0.0, w) if isinstance(c, DiracComponent) else (1, c.mean, c.variance, w)
+        for w, c in components
+    ]
+    merged: list[tuple[int, float, float, float]] = []
+    for kind, loc, var, w in sorted(entries, key=lambda e: e[:3]):
+        prev_kind, prev_loc, prev_var, prev_w = merged[-1] if merged else (-1, 0.0, 0.0, 0.0)
+        if kind == prev_kind and abs(loc - prev_loc) < MERGE_TOL and abs(var - prev_var) < MERGE_TOL:
             total = prev_w + w
-            merged_d[-1] = [total, (prev_w * prev_loc + w * loc) / total]
+            # incremental mean: exact for equal values, never leaves [prev, new]
+            merged[-1] = (kind, prev_loc + w * (loc - prev_loc) / total,
+                          prev_var + w * (var - prev_var) / total, total)
         else:
-            merged_d.append([w, loc])
-
-    merged_g: list[list[float]] = []
-    for w, mean, var in sorted(gaussians, key=lambda e: (e[1], e[2])):
-        if (
-            merged_g
-            and abs(mean - merged_g[-1][1]) < MERGE_TOL
-            and abs(var - merged_g[-1][2]) < MERGE_TOL
-        ):
-            prev_w, prev_mean, prev_var = merged_g[-1]
-            total = prev_w + w
-            merged_g[-1] = [
-                total,
-                (prev_w * prev_mean + w * mean) / total,
-                (prev_w * prev_var + w * var) / total,
-            ]
-        else:
-            merged_g.append([w, mean, var])
-
-    out: list[WeightedComponent] = [(w, DiracComponent(loc + 0.0)) for w, loc in merged_d]
-    out.extend((w, GaussianComponent(mean + 0.0, var)) for w, mean, var in merged_g)
-    return tuple(out)
+            merged.append((kind, loc, var, w))
+    return tuple(
+        (w, DiracComponent(loc + 0.0) if kind == 0 else GaussianComponent(loc + 0.0, var))
+        for kind, loc, var, w in merged
+    )
 
 
 def make_delta(a0: float) -> GroupDensity:

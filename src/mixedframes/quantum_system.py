@@ -63,6 +63,14 @@ class PositionGrid:
     def wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
 
+    def integrate(self, values: np.ndarray) -> float:
+        """Integral over the box: on a periodic grid the trapezoid rule is sum * dx."""
+        return float(np.sum(values)) * self.spacing
+
+    def norm(self, amps: np.ndarray) -> float:
+        """Grid L2 norm of complex amplitudes."""
+        return math.sqrt(self.integrate(np.abs(amps) ** 2))
+
 
 @dataclass(frozen=True)
 class WaveFunction:
@@ -75,14 +83,14 @@ class WaveFunction:
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (self.grid.n_points,):
             raise ValueError("amplitudes must match the grid size")
-        nrm = math.sqrt(float(np.sum(np.abs(amps) ** 2)) * self.grid.spacing)
+        nrm = self.grid.norm(amps)
         if abs(nrm - 1.0) > NORM_TOL:
             raise NormalizationError(f"wavefunction norm is {nrm!r}, expected 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.amplitudes) ** 2)) * self.grid.spacing)
+        return self.grid.norm(self.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,7 @@ class PositionDensity:
             raise ValueError("values must match the grid size")
         if np.any(values < -1e-12):
             raise NormalizationError("density values must be nonnegative")
-        area = float(np.trapezoid(values, dx=self.grid.spacing))
+        area = self.grid.integrate(values)
         if abs(area - 1.0) > DENSITY_INTEGRAL_TOL:
             raise NormalizationError(f"density integrates to {area!r}, expected 1")
         values.setflags(write=False)
@@ -133,7 +141,7 @@ class PositionDensity:
 
 
 def _normalized(grid: PositionGrid, amps: np.ndarray) -> WaveFunction:
-    nrm = math.sqrt(float(np.sum(np.abs(amps) ** 2)) * grid.spacing)
+    nrm = grid.norm(amps)
     if nrm < 1e-150:
         raise DomainError("amplitudes vanish; cannot normalize")
     return WaveFunction(grid, amps / nrm)
@@ -178,6 +186,8 @@ def act_pure(a: float, state: PureMixture) -> PureMixture:
 
 def _gaussian_comb(comp: GaussianComponent, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform node comb discretizing a Gaussian smearing component."""
+    if order < 16:
+        raise DomainError(f"quad_order must be >= 16 for Gaussian components, got {order}")
     sd = math.sqrt(comp.variance)
     nodes = comp.mean + sd * np.linspace(-COMB_HALF_WIDTH, COMB_HALF_WIDTH, order)
     weights = np.exp(-((nodes - comp.mean) ** 2) / (2.0 * comp.variance))
@@ -202,10 +212,6 @@ def act_mixed(
         if isinstance(comp, DiracComponent):
             offsets.append((w, comp.location))
         else:
-            if quad_order < 16:
-                raise DomainError(
-                    f"quad_order must be >= 16 for Gaussian components, got {quad_order}"
-                )
             nodes, node_weights = _gaussian_comb(comp, quad_order)
             offsets.extend(zip(w * node_weights, nodes))
 
@@ -268,8 +274,6 @@ def coherently_translated(
     is a pure state, unlike the output of :func:`act_mixed`, and its density
     is always narrower than the channel output for the same smearing width.
     """
-    if quad_order < 16:
-        raise DomainError(f"quad_order must be >= 16, got {quad_order}")
     nodes, weights = _gaussian_comb(smear, quad_order)
     amps = np.zeros(psi.grid.n_points, dtype=complex)
     for w, a in zip(weights, nodes):
@@ -278,11 +282,11 @@ def coherently_translated(
 
 
 def density_distance(d1: PositionDensity, d2: PositionDensity) -> tuple[float, float]:
-    """Sup-norm and trapezoid L1 distance between two densities."""
+    """Sup-norm and L1 distance between two densities."""
     if d1.grid != d2.grid:
         raise GridMismatchError("densities live on different grids")
     gap = np.abs(d1.values - d2.values)
-    return float(gap.max()), float(np.trapezoid(gap, dx=d1.grid.spacing))
+    return float(gap.max()), d1.grid.integrate(gap)
 
 
 def position_density_csv(density: PositionDensity) -> str:
@@ -299,11 +303,11 @@ def wavefunction_csv(psi: WaveFunction) -> str:
 def density_mean(density: PositionDensity) -> float:
     """First moment of a position density."""
     x = density.grid.points()
-    return float(np.trapezoid(x * density.values, dx=density.grid.spacing))
+    return density.grid.integrate(x * density.values)
 
 
 def density_variance(density: PositionDensity) -> float:
     """Second central moment of a position density."""
     x = density.grid.points()
     mean = density_mean(density)
-    return float(np.trapezoid((x - mean) ** 2 * density.values, dx=density.grid.spacing))
+    return density.grid.integrate((x - mean) ** 2 * density.values)

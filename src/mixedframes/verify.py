@@ -16,7 +16,7 @@ from scipy import integrate
 from . import group_algebra as ga
 from . import quantum_system as qs
 from . import thermal as th
-from .analytic import norm_pdf
+from .analytic import norm_pdf, superposition_density
 from .figures import Artifact
 
 # run_checks receives the figures it judges; this binding stays because
@@ -35,6 +35,10 @@ from .galilei import (
 )
 
 RNG_SEED = 20250811
+SEMIGROUP_TRIALS = 200
+PURITY_PAIRS = 100
+DENSE_ORACLE_CASES = 10
+NORMALIZATION_CASES = 20
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,8 @@ class CheckResult:
         return self.residual <= self.tolerance
 
 
-def _random_density(rng: np.random.Generator, max_components: int = 5) -> ga.GroupDensity:
-    n = int(rng.integers(1, max_components + 1))
+def _random_density(rng: np.random.Generator) -> ga.GroupDensity:
+    n = int(rng.integers(1, 6))  # one to five components
     weights = rng.random(n) + 0.1
     weights /= weights.sum()
     comps = []
@@ -77,13 +81,13 @@ def _weight_sum_error(rho: ga.GroupDensity) -> float:
 # group_algebra checks
 
 
-def check_semigroup_laws(n_trials: int = 200) -> list[CheckResult]:
+def check_semigroup_laws() -> list[CheckResult]:
     rng = np.random.default_rng(RNG_SEED)
     norm_err = 0.0
     assoc = comm = ident = invol = 0.0
     chi_morphism = 0.0
     p_grid = np.linspace(-8.0, 8.0, 161)
-    for _ in range(n_trials):
+    for _ in range(SEMIGROUP_TRIALS):
         r1 = _random_density(rng)
         r2 = _random_density(rng)
         r3 = _random_density(rng)
@@ -110,7 +114,7 @@ def check_semigroup_laws(n_trials: int = 200) -> list[CheckResult]:
             chi_morphism,
             float(np.max(np.abs(chi12 - ga._chi(r1, p_grid) * ga._chi(r2, p_grid)))),
         )
-    trials = f"n={n_trials}"
+    trials = f"n={SEMIGROUP_TRIALS}"
     return [
         CheckResult("semigroup_normalization_closure", trials, norm_err, 1e-12),
         CheckResult("semigroup_associativity", trials, assoc, 1e-8),
@@ -298,10 +302,8 @@ def check_invertibility_classifier() -> list[CheckResult]:
 # quantum_system checks
 
 
-def _random_state(
-    rng: np.random.Generator, grid: qs.PositionGrid, max_terms: int = 3
-) -> qs.PureMixture:
-    n = int(rng.integers(1, max_terms + 1))
+def _random_state(rng: np.random.Generator, grid: qs.PositionGrid) -> qs.PureMixture:
+    n = int(rng.integers(1, 4))  # one to three packets
     weights = rng.random(n) + 0.2
     weights /= weights.sum()
     terms = []
@@ -312,8 +314,8 @@ def _random_state(
     return qs.PureMixture(grid, tuple(terms))
 
 
-def _random_smearing(rng: np.random.Generator, max_components: int = 3) -> ga.GroupDensity:
-    n = int(rng.integers(1, max_components + 1))
+def _random_smearing(rng: np.random.Generator) -> ga.GroupDensity:
+    n = int(rng.integers(1, 4))  # one to three components
     weights = rng.random(n) + 0.2
     weights /= weights.sum()
     comps = []
@@ -353,11 +355,11 @@ def check_channel_density_convolution(grid_n: int = 1024) -> list[CheckResult]:
     return [CheckResult("channel_density_convolution", f"grid_n={grid_n}", worst, 1e-6)]
 
 
-def check_purity_channel_law(n_pairs: int = 100) -> list[CheckResult]:
+def check_purity_channel_law() -> list[CheckResult]:
     rng = np.random.default_rng(RNG_SEED + 3)
     grid = qs.PositionGrid(512, 40.0)
     worst_increase = -math.inf
-    for _ in range(n_pairs):
+    for _ in range(PURITY_PAIRS):
         state = _random_state(rng, grid)
         rho = _random_smearing(rng)
         out = qs.act_mixed(rho, state, quad_order=24)
@@ -371,23 +373,23 @@ def check_purity_channel_law(n_pairs: int = 100) -> list[CheckResult]:
             delta_gap, abs(qs.purity(qs.act_mixed(rho, state, 24)) - qs.purity(state))
         )
     return [
-        CheckResult("purity_non_increase", f"n={n_pairs}", worst_increase, 1e-9),
+        CheckResult("purity_non_increase", f"n={PURITY_PAIRS}", worst_increase, 1e-9),
         CheckResult("purity_delta_equality", "n=20", delta_gap, 1e-10),
     ]
 
 
-def check_purity_dense_oracle(n_cases: int = 10) -> list[CheckResult]:
+def check_purity_dense_oracle() -> list[CheckResult]:
     rng = np.random.default_rng(RNG_SEED + 4)
     grid = qs.PositionGrid(256, 40.0)
     worst = 0.0
-    for _ in range(n_cases):
+    for _ in range(DENSE_ORACLE_CASES):
         state = _random_state(rng, grid)
         rho_matrix = np.zeros((grid.n_points, grid.n_points), dtype=complex)
         for w, psi in state.terms:
             rho_matrix += w * np.outer(psi.amplitudes, psi.amplitudes.conj()) * grid.spacing
         dense = float(np.real(np.trace(rho_matrix @ rho_matrix)))
         worst = max(worst, abs(qs.purity(state) - dense))
-    return [CheckResult("purity_dense_oracle", f"n={n_cases} grid_n=256", worst, 1e-8)]
+    return [CheckResult("purity_dense_oracle", f"n={DENSE_ORACLE_CASES} grid_n=256", worst, 1e-8)]
 
 
 def check_channel_composition() -> list[CheckResult]:
@@ -404,19 +406,19 @@ def check_channel_composition() -> list[CheckResult]:
     return [CheckResult("channel_composition", "two mixed smearings", sup, 1e-6)]
 
 
-def check_state_normalization(n_cases: int = 20) -> list[CheckResult]:
+def check_state_normalization() -> list[CheckResult]:
     rng = np.random.default_rng(RNG_SEED + 5)
     grid = qs.PositionGrid(512, 40.0)
     worst = 0.0
-    for _ in range(n_cases):
+    for _ in range(NORMALIZATION_CASES):
         state = _random_state(rng, grid)
         out = qs.act_mixed(_random_smearing(rng), state, quad_order=24)
         worst = max(worst, abs(math.fsum(w for w, _ in out.terms) - 1.0))
         for _, psi in out.terms[:3]:
             worst = max(worst, abs(psi.norm() - 1.0))
         dens = qs.position_density(out)
-        worst = max(worst, abs(float(np.trapezoid(dens.values, dx=grid.spacing)) - 1.0))
-    return [CheckResult("state_normalization", f"n={n_cases}", worst, 1e-8)]
+        worst = max(worst, abs(grid.integrate(dens.values) - 1.0))
+    return [CheckResult("state_normalization", f"n={NORMALIZATION_CASES}", worst, 1e-8)]
 
 
 def check_localization_inequality(grid_n: int = 4096, quad_order: int = 64) -> list[CheckResult]:
@@ -448,12 +450,14 @@ def check_localization_inequality(grid_n: int = 4096, quad_order: int = 64) -> l
 
 
 def check_figures(params: dict, figures: dict[str, Artifact]) -> list[CheckResult]:
+    alpha, a2 = params["alpha"], params["a2"]
+    pair = f"alpha={alpha} a2={a2}"
     out = []
     fig1 = figures["a1a2"]
     out.append(
         CheckResult(
             "figure_a1a2_closed_form",
-            "alpha=0.75 a2=2.5",
+            pair,
             max(fig1.metadata["sup_error_mixed"], fig1.metadata["sup_error_pure"]),
             1e-6,
         )
@@ -467,10 +471,12 @@ def check_figures(params: dict, figures: dict[str, Artifact]) -> list[CheckResul
         )
     )
     fig2 = figures["a1a2diff"]
+    # midpoint_x is the grid point nearest a2/2; the pure density vanishes only at a2/2 itself
+    node = superposition_density(fig2.metadata["midpoint_x"], alpha, a2, -1)
     out.append(
         CheckResult(
             "figure_a1a2diff_closed_form",
-            "alpha=0.75 a2=2.5",
+            pair,
             max(fig2.metadata["sup_error_mixed"], fig2.metadata["sup_error_pure"]),
             1e-6,
         )
@@ -479,7 +485,7 @@ def check_figures(params: dict, figures: dict[str, Artifact]) -> list[CheckResul
         CheckResult(
             "figure_a1a2diff_midpoint_zero",
             "pure difference at x=a2/2",
-            fig2.metadata["midpoint_pure"],
+            abs(fig2.metadata["midpoint_pure"] - float(node)),
             1e-10,
         )
     )
@@ -495,7 +501,7 @@ def check_figures(params: dict, figures: dict[str, Artifact]) -> list[CheckResul
     out.append(
         CheckResult(
             "figure_smear_closed_form",
-            f"alpha={params['alpha']} sigma={params['sigma']} a0={params['a0']}",
+            f"alpha={alpha} sigma={params['sigma']} a0={params['a0']}",
             max(fig3.metadata["sup_error_mixed"], fig3.metadata["sup_error_pure"]),
             1e-6,
         )

@@ -104,6 +104,11 @@ class TestFigureCommand:
         assert (out_a / "a1a2diff.csv").read_bytes() == (out_b / "a1a2diff.csv").read_bytes()
         assert (out_a / "a1a2diff.json").read_bytes() == (out_b / "a1a2diff.json").read_bytes()
 
+    def test_packet_across_box_seam(self, tmp_path, capsys):
+        # the packet at a2=18 wraps the edge of the 40-wide box
+        code, _, err = run_cli(["figure", "a1a2", "--a2", "18", "--out", str(tmp_path)], capsys)
+        assert code == 0, err
+
 
 class TestDemoCommand:
     def test_thermal_reports_tiny_mb_gap(self, tmp_path, capsys):
@@ -182,6 +187,21 @@ class TestVerifyCommand:
         assert all(line.endswith(",fail") or line.endswith(",pass") for line in report[1:])
         assert any(line.startswith("galilei_bch_sweep,") for line in report[1:])
         assert not (out / "galilei_residuals.csv").exists()
+
+    def test_off_grid_midpoint_and_row_labels(self, tmp_path, capsys):
+        # a2/2 = 1.5 is not a point of the 256-point grid
+        code, _, err = run_cli(
+            ["verify", "--grid-n", "256", "--alpha", "0.6", "--a2", "3.0", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0, err
+        rows = {
+            line.split(",")[0]: line.split(",")
+            for line in (tmp_path / "verify_report.csv").read_text().splitlines()[1:]
+        }
+        for name in ("figure_a1a2_closed_form", "figure_a1a2diff_closed_form"):
+            assert rows[name][1] == "alpha=0.6 a2=3.0"
+        assert float(rows["figure_a1a2diff_midpoint_zero"][2]) <= 1e-10
 
 
 def test_module_entry_point(tmp_path):
