@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def packet_density(x: np.ndarray, alpha: float, center: float = 0.0) -> np.ndarray:
     """Density of a Gaussian packet: normal with variance alpha^2."""
@@ -41,10 +43,10 @@ def superposition_density(x: np.ndarray, alpha: float, a2: float, sign: int = +1
     for both signs.
     """
     if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+        raise DomainError(f"sign must be +1 or -1, got {sign}")
     g0 = np.exp(-(x**2) / (4.0 * alpha**2))
     g2 = np.exp(-((x - a2) ** 2) / (4.0 * alpha**2))
-    overlap = math.exp(-(a2**2) / (8.0 * alpha**2))
+    overlap = math.exp(-(a2 * a2) / (8.0 * alpha**2))  # a2**2 would raise on overflow
     norm = 2.0 * math.sqrt(2.0 * math.pi) * alpha * (1.0 + sign * overlap)
     return (g2 + sign * g0) ** 2 / norm
 

@@ -3,6 +3,9 @@
 Parameter precedence is built-in defaults < config file < command-line
 flags. The output directory falls back to the MIXEDFRAME_OUT environment
 variable, then ./out.
+
+Exit codes: 0 on success, 1 when a ``verify`` check fails or a file cannot be
+read or written, 2 when the input is rejected (one line on stderr).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import os
 import sys
 from pathlib import Path
 
+from .errors import ResourceLimitError, finite, positive
 from .figures import DEMO_IDS, FIGURE_IDS, build_demo, build_figure, write_artifact
 from .group_algebra import parse_densities
 from .textio import csv_table, fmt, write_text_atomic
@@ -73,9 +77,9 @@ def _validate(params: dict) -> None:
         raise ConfigError(f"grid_n must be a power of two in [256, 8192], got {grid_n}")
     if params["quad_order"] < 16:
         raise ConfigError(f"quad_order must be at least 16, got {params['quad_order']}")
-    for key in _POSITIVE_KEYS:
-        if not params[key] > 0.0:
-            raise ConfigError(f"{key} must be positive, got {params[key]}")
+    for key in DEFAULTS:
+        if key not in _INT_KEYS:
+            (positive if key in _POSITIVE_KEYS else finite)(key, params[key])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,10 +164,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         params, out_dir = _effective_params(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "figure":
             written = write_artifact(build_figure(args.figure_id, params), out_dir)
         elif args.command == "demo":
@@ -172,11 +172,14 @@ def main(argv: list[str] | None = None) -> int:
                 try:
                     extra = parse_densities(Path(args.densities).read_text())
                 except ValueError as exc:
-                    print(f"config error: bad densities file: {exc}", file=sys.stderr)
-                    return 2
+                    raise ConfigError(f"bad densities file: {exc}") from exc
             written = write_artifact(build_demo(args.demo_id, params, extra), out_dir)
         else:
             return _run_verify(params, out_dir, args.tolerance_scale)
+    except (ValueError, ResourceLimitError) as exc:
+        # rejected input: configuration, parameters or a library domain check
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that raise them."""
+
+import math
+from typing import Sequence
 
 
 class NormalizationError(ValueError):
@@ -23,3 +26,32 @@ class NumericError(RuntimeError):
 
 class ResourceLimitError(RuntimeError):
     """An operation would exceed a configured size cap."""
+
+
+def finite(name: str, value: float) -> float:
+    """``float(value)``; raises :class:`DomainError` naming ``name`` if it is NaN or infinite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
+def positive(name: str, value: float) -> float:
+    """``float(value)``; raises :class:`DomainError` naming ``name`` unless it is finite and > 0."""
+    value = float(value)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def probability_weights(what: str, weights: Sequence[float], tol: float) -> None:
+    """Raise :class:`NormalizationError` unless ``weights`` is non-empty, every
+    weight is positive and finite, and their ``fsum`` is within ``tol`` of one."""
+    if not weights:
+        raise NormalizationError(f"{what} need at least one weight")
+    for w in weights:
+        if not (w > 0.0 and math.isfinite(w)):
+            raise NormalizationError(f"{what} must be positive and finite, got {w}")
+    total = math.fsum(weights)
+    if not abs(total - 1.0) <= tol:
+        raise NormalizationError(f"{what} sum to {total!r}, expected 1")

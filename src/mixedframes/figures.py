@@ -122,9 +122,11 @@ def build_figure(figure_id: str, params: dict) -> Artifact:
     sigma = params["sigma"]
     a0 = params["a0"]
     packet = qs.gaussian_wavepacket(grid, alpha)
-    rho = ga.make_gaussian(-a0, sigma**2)
+    # sigma * sigma overflows to inf, which the component rejects; sigma**2 would raise
+    smear = ga.GaussianComponent(-a0, sigma * sigma)
+    rho = ga.GroupDensity(((1.0, smear),))
     mixed = qs.position_density(qs.act_mixed(rho, qs.pure_state(packet), quad_order))
-    coherent = qs.coherently_translated(ga.GaussianComponent(-a0, sigma**2), packet, quad_order)
+    coherent = qs.coherently_translated(smear, packet, quad_order)
     pure = qs.position_density(qs.pure_state(coherent))
 
     mixed_ref = analytic.smeared_mixture_density(x, alpha, sigma, a0)
@@ -188,7 +190,6 @@ def _demo_thermal(params: dict) -> Artifact:
     )
     overlay = columns_csv(["p", "weight", "maxwell_boltzmann"], [p, state.weights, mb])
     files = (
-        ("thermal_momentum.csv", th.momentum_mixture_csv(state)),
         ("thermal_energy.csv", th.energy_density_csv(e_grid, e_density)),
         ("thermal_overlay.csv", overlay),
     )
@@ -225,10 +226,7 @@ def _demo_galilei_boost(params: dict) -> Artifact:
         }
     )
     overlay = columns_csv(["p", "weight", "thermal_reference"], [q, boosted.weights, reference])
-    files = (
-        ("galilei_boost.csv", th.momentum_mixture_csv(boosted)),
-        ("galilei_boost_overlay.csv", overlay),
-    )
+    files = (("galilei_boost_overlay.csv", overlay),)
     return Artifact(name="galilei_boost", files=files, metadata=metadata)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .analytic import norm_pdf
-from .errors import DomainError, GridMismatchError, NumericError, ResourceLimitError
+from .errors import DomainError, GridMismatchError, NumericError, ResourceLimitError, finite, positive
 from . import group_algebra as ga
 from .quantum_system import PositionGrid, WaveFunction, _normalized
 from .thermal import MomentumGrid, MomentumMixture
@@ -42,12 +42,9 @@ class GalileiParams:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        if not math.isfinite(self.time):
-            raise ValueError(f"time must be finite, got {self.time}")
-        if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        positive("mass", self.mass)
+        finite("time", self.time)
+        positive("hbar", self.hbar)
 
 
 @dataclass(frozen=True)
@@ -62,11 +59,12 @@ class MomentumEigenLabel:
 
 
 class OperatorGrid:
-    """Dense Hermitian position/momentum/Hamiltonian/boost matrices.
+    """Position, momentum, Hamiltonian and boost generators on a grid.
 
-    The dense matrices exist as verification oracles (size-capped); fast
-    spectral application methods are provided for state-level checks, where
-    dense matrix products would drown small residuals in roundoff.
+    Each generator has one realization, its spectral map ``apply_*``; state-level
+    checks use these, since dense products would drown small residuals in
+    roundoff. The dense boost generator ``k_op`` (size-capped) is built from its
+    map for the matrix-exponential oracle in :func:`bch_residual`.
     """
 
     def __init__(self, grid: PositionGrid, params: GalileiParams):
@@ -78,27 +76,20 @@ class OperatorGrid:
         self.params = params
         self._x = grid.points()
         self._k = grid.wavenumbers()
-        n = grid.n_points
-        fourier = np.fft.fft(np.eye(n), axis=0)
-        hbar = params.hbar
-        self.x_op = np.diag(self._x.astype(complex))
-        self.p_op = np.fft.ifft((hbar * self._k)[:, None] * fourier, axis=0)
-        self.h_op = np.fft.ifft(
-            ((hbar * self._k) ** 2 / (2.0 * params.mass))[:, None] * fourier, axis=0
-        )
-        self.k_op = params.mass * self.x_op - params.time * self.p_op
-        for op in (self.x_op, self.p_op, self.h_op, self.k_op):
-            op.setflags(write=False)
-        worst = max(self.hermiticity_residuals().values())
+        self.k_op = self._dense(self.apply_k)
+        self.k_op.setflags(write=False)
+        worst = _anti_hermitian(self.k_op)
         if worst > 1e-10:
             raise NumericError(f"operator assembly lost Hermiticity: residual {worst}")
 
+    def _dense(self, apply) -> np.ndarray:
+        """Matrix of a spectral map, which acts along the last axis: apply(I) is its transpose."""
+        return apply(np.eye(self.grid.n_points)).T
+
     def hermiticity_residuals(self) -> dict[str, float]:
-        """Frobenius norm of the anti-Hermitian part (bounds the spectral norm)."""
-        out = {}
-        for name, op in (("x", self.x_op), ("p", self.p_op), ("h", self.h_op), ("k", self.k_op)):
-            out[name] = float(np.linalg.norm(op - op.conj().T)) / 2.0
-        return out
+        """Anti-Hermitian part of each generator's dense matrix, built from its map."""
+        maps = {"x": self.apply_x, "p": self.apply_p, "h": self.apply_h, "k": self.apply_k}
+        return {name: _anti_hermitian(self._dense(apply)) for name, apply in maps.items()}
 
     def apply_x(self, amps: np.ndarray) -> np.ndarray:
         return self._x * amps
@@ -112,6 +103,11 @@ class OperatorGrid:
 
     def apply_k(self, amps: np.ndarray) -> np.ndarray:
         return self.params.mass * self.apply_x(amps) - self.params.time * self.apply_p(amps)
+
+
+def _anti_hermitian(op: np.ndarray) -> float:
+    """Frobenius norm of the anti-Hermitian part (bounds the spectral norm)."""
+    return float(np.linalg.norm(op - op.conj().T)) / 2.0
 
 
 def build_operators(grid: PositionGrid, params: GalileiParams) -> OperatorGrid:
@@ -159,8 +155,7 @@ def boost_pure_label(v: float, p: float, params: GalileiParams) -> MomentumEigen
     The recorded phase is -t (v p - m v^2 / 2) / hbar; see the module note
     on conventions for how it relates to the spectral grid realization.
     """
-    if not (math.isfinite(v) and math.isfinite(p)):
-        raise ValueError("boost velocity and momentum must be finite")
+    v, p = finite("boost velocity", v), finite("momentum", p)
     phase = -params.time * (v * p - params.mass * v**2 / 2.0) / params.hbar
     return MomentumEigenLabel(p + params.mass * v, phase)
 
@@ -175,9 +170,7 @@ def apply_boost_factored(v: float, psi: WaveFunction, params: GalileiParams) -> 
     return WaveFunction(psi.grid, amps)
 
 
-def bch_residual(
-    v: float, psi: WaveFunction, ops: OperatorGrid, params: GalileiParams
-) -> float:
+def bch_residual(v: float, psi: WaveFunction, ops: OperatorGrid) -> float:
     """Gap between the dense boost exponential and its factored form.
 
     The left side is expm(i v K / hbar) applied as a dense matrix; the right
@@ -186,6 +179,7 @@ def bch_residual(
     """
     if psi.grid != ops.grid:
         raise GridMismatchError("state grid does not match the operators")
+    params = ops.params
     unitary = expm(1j * v / params.hbar * ops.k_op)
     lhs = unitary @ psi.amplitudes
     if not np.all(np.isfinite(lhs)):

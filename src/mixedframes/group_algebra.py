@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from .analytic import norm_pdf
-from .errors import DomainError, NormalizationError, QuadratureError
+from .errors import DomainError, QuadratureError, finite, positive, probability_weights
 
 WEIGHT_TOL = 1e-12
 MERGE_TOL = 1e-12
@@ -34,8 +34,7 @@ class DiracComponent:
     location: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.location):
-            raise ValueError(f"Dirac location must be finite, got {self.location}")
+        finite("Dirac location", self.location)
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,8 @@ class GaussianComponent:
     variance: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise ValueError("Gaussian parameters must be finite")
-        if self.variance <= 0.0:
-            raise ValueError(f"Gaussian variance must be positive, got {self.variance}")
+        finite("Gaussian mean", self.mean)
+        positive("Gaussian variance", self.variance)
 
 
 Component = DiracComponent | GaussianComponent
@@ -69,16 +66,10 @@ class GroupDensity:
     def __post_init__(self) -> None:
         comps = tuple((float(w), c) for w, c in self.components)
         object.__setattr__(self, "components", comps)
-        if not comps:
-            raise NormalizationError("a density needs at least one component")
-        for w, comp in comps:
-            if not math.isfinite(w) or w <= 0.0:
-                raise NormalizationError(f"component weights must be positive, got {w}")
+        probability_weights("component weights", [w for w, _ in comps], WEIGHT_TOL)
+        for _, comp in comps:
             if not isinstance(comp, (DiracComponent, GaussianComponent)):
                 raise TypeError(f"unsupported component type {type(comp).__name__}")
-        total = math.fsum(w for w, _ in comps)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise NormalizationError(f"weights sum to {total!r}, expected 1")
 
 
 def _canonical(components: Iterable[WeightedComponent]) -> tuple[WeightedComponent, ...]:
@@ -111,10 +102,7 @@ def _canonical(components: Iterable[WeightedComponent]) -> tuple[WeightedCompone
 
 def make_delta(a0: float) -> GroupDensity:
     """Pure state: the point mass at group parameter ``a0``."""
-    a0 = float(a0)
-    if not math.isfinite(a0):
-        raise ValueError(f"delta location must be finite, got {a0}")
-    return GroupDensity(((1.0, DiracComponent(a0)),))
+    return GroupDensity(((1.0, DiracComponent(float(a0))),))
 
 
 def make_gaussian(mean: float, variance: float) -> GroupDensity:
@@ -125,14 +113,7 @@ def make_gaussian(mean: float, variance: float) -> GroupDensity:
 def mix(parts: Sequence[tuple[float, GroupDensity]]) -> GroupDensity:
     """Convex combination of densities; weights must sum to one."""
     parts = list(parts)
-    if not parts:
-        raise NormalizationError("cannot mix an empty list of states")
-    for w, _ in parts:
-        if not math.isfinite(w) or w <= 0.0:
-            raise NormalizationError(f"mixture weights must be positive, got {w}")
-    total = math.fsum(w for w, _ in parts)
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise NormalizationError(f"mixture weights sum to {total!r}, expected 1")
+    probability_weights("mixture weights", [w for w, _ in parts], WEIGHT_TOL)
     flattened = [(w * u, comp) for w, rho in parts for u, comp in rho.components]
     return GroupDensity(_canonical(flattened))
 
@@ -248,10 +229,9 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
     whether its infimum stays at or above ``floor``, together with a refined
     argmin witness ``p*`` (the smallest ``|p|`` among equal minima).
     """
-    if not (band > 0.0 and math.isfinite(band)):
-        raise ValueError(f"band must be positive and finite, got {band}")
+    positive("band", band)
     if not 0.0 < floor < 1.0:
-        raise ValueError(f"floor must lie in (0, 1), got {floor}")
+        raise DomainError(f"floor must lie in (0, 1), got {floor}")
     if is_pure(rho):
         return True, None
 
@@ -314,7 +294,7 @@ def densities_close(rho1: GroupDensity, rho2: GroupDensity, tol: float = MATCH_T
 def mass_within(rho: GroupDensity, lo: float, hi: float) -> float:
     """Probability mass of the density inside the closed interval [lo, hi]."""
     if hi < lo:
-        raise ValueError("interval must satisfy lo <= hi")
+        raise DomainError("interval must satisfy lo <= hi")
     total = 0.0
     for w, comp in rho.components:
         if isinstance(comp, DiracComponent):

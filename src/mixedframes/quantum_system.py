@@ -22,6 +22,9 @@ from .errors import (
     GridMismatchError,
     NormalizationError,
     ResourceLimitError,
+    finite,
+    positive,
+    probability_weights,
 )
 from .group_algebra import DiracComponent, GaussianComponent, GroupDensity
 from .textio import columns_csv
@@ -47,11 +50,9 @@ class PositionGrid:
     def __post_init__(self) -> None:
         n = int(self.n_points)
         object.__setattr__(self, "n_points", n)
-        object.__setattr__(self, "extent", float(self.extent))
+        object.__setattr__(self, "extent", positive("extent", self.extent))
         if n < 64 or n & (n - 1):
-            raise ValueError(f"n_points must be a power of two >= 64, got {n}")
-        if not (self.extent > 0.0 and math.isfinite(self.extent)):
-            raise ValueError(f"extent must be positive and finite, got {self.extent}")
+            raise DomainError(f"n_points must be a power of two >= 64, got {n}")
 
     @property
     def spacing(self) -> float:
@@ -84,7 +85,7 @@ class WaveFunction:
         if amps.shape != (self.grid.n_points,):
             raise ValueError("amplitudes must match the grid size")
         nrm = self.grid.norm(amps)
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:
             raise NormalizationError(f"wavefunction norm is {nrm!r}, expected 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -103,16 +104,9 @@ class PureMixture:
     def __post_init__(self) -> None:
         terms = tuple((float(w), psi) for w, psi in self.terms)
         object.__setattr__(self, "terms", terms)
-        if not terms:
-            raise NormalizationError("a mixture needs at least one term")
-        for w, psi in terms:
-            if not math.isfinite(w) or w <= 0.0:
-                raise NormalizationError(f"mixture weights must be positive, got {w}")
-            if psi.grid != self.grid:
-                raise GridMismatchError("all terms must share the mixture grid")
-        total = math.fsum(w for w, _ in terms)
-        if abs(total - 1.0) > NORM_TOL:
-            raise NormalizationError(f"mixture weights sum to {total!r}, expected 1")
+        probability_weights("mixture weights", [w for w, _ in terms], NORM_TOL)
+        if any(psi.grid != self.grid for _, psi in terms):
+            raise GridMismatchError("all terms must share the mixture grid")
 
 
 def pure_state(psi: WaveFunction) -> PureMixture:
@@ -131,10 +125,10 @@ class PositionDensity:
         values = np.array(self.values, dtype=float)
         if values.shape != (self.grid.n_points,):
             raise ValueError("values must match the grid size")
-        if np.any(values < -1e-12):
+        if not np.all(values >= -1e-12):
             raise NormalizationError("density values must be nonnegative")
         area = self.grid.integrate(values)
-        if abs(area - 1.0) > DENSITY_INTEGRAL_TOL:
+        if not abs(area - 1.0) <= DENSITY_INTEGRAL_TOL:
             raise NormalizationError(f"density integrates to {area!r}, expected 1")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -152,22 +146,20 @@ def gaussian_wavepacket(grid: PositionGrid, alpha: float, center: float = 0.0) -
 
     The position density of the packet is a Gaussian of variance alpha^2.
     """
-    alpha = float(alpha)
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    alpha = positive("alpha", alpha)
     if 8.0 * alpha >= grid.extent:
         raise DomainError(
             f"packet width {alpha} does not fit the box: need 8*alpha < extent={grid.extent}"
         )
+    # alpha * alpha underflows to 0 or overflows to inf (where alpha**2 would raise)
+    width = positive(f"4*alpha^2 (alpha={alpha})", 4.0 * alpha * alpha)
     x = grid.points()
-    return _normalized(grid, np.exp(-((x - center) ** 2) / (4.0 * alpha**2)).astype(complex))
+    return _normalized(grid, np.exp(-((x - center) ** 2) / width).astype(complex))
 
 
 def translate(psi: WaveFunction, a: float) -> WaveFunction:
     """Exact spectral translation: returns the state with values psi(x + a)."""
-    a = float(a)
-    if not math.isfinite(a):
-        raise DomainError(f"translation parameter must be finite, got {a}")
+    a = finite("translation parameter", a)
     if abs(a) >= 0.5 * psi.grid.extent:
         raise DomainError(
             f"|a|={abs(a)} is too large for the periodic box of extent {psi.grid.extent}"
@@ -250,10 +242,8 @@ def two_gaussian_superposition(
 ) -> WaveFunction:
     """Normalized sum or difference of Gaussians centered at 0 and a2."""
     if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    alpha = float(alpha)
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+        raise DomainError(f"sign must be +1 or -1, got {sign}")
+    alpha = positive("alpha", alpha)
     if sign == -1 and a2 == 0.0:
         raise DomainError("difference of coincident Gaussians is the zero function")
     x = grid.points()

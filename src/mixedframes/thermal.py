@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError
+from .errors import DomainError, NormalizationError, finite, positive
 from .textio import columns_csv
 
 GRID_NORM_TOL = 1e-9
@@ -28,10 +28,8 @@ class PhysicalConstants:
     k_boltzmann: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if not (self.k_boltzmann > 0.0 and math.isfinite(self.k_boltzmann)):
-            raise ValueError(f"k_boltzmann must be positive, got {self.k_boltzmann}")
+        positive("hbar", self.hbar)
+        positive("k_boltzmann", self.k_boltzmann)
 
 
 NATURAL_UNITS = PhysicalConstants()
@@ -46,10 +44,8 @@ class ThermalParameters:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self) -> None:
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        positive("beta", self.beta)
+        positive("mass", self.mass)
 
     @property
     def momentum_variance(self) -> float:
@@ -69,11 +65,9 @@ class MomentumGrid:
         n = int(self.n_points)
         object.__setattr__(self, "n_points", n)
         if n < 2:
-            raise ValueError(f"n_points must be at least 2, got {n}")
-        if not (self.p_max > 0.0 and math.isfinite(self.p_max)):
-            raise ValueError(f"p_max must be positive and finite, got {self.p_max}")
-        if not math.isfinite(self.center):
-            raise ValueError(f"center must be finite, got {self.center}")
+            raise DomainError(f"n_points must be at least 2, got {n}")
+        positive("p_max", self.p_max)
+        finite("center", self.center)
 
     @property
     def spacing(self) -> float:
@@ -100,10 +94,10 @@ class MomentumMixture:
         weights = np.array(self.weights, dtype=float)
         if weights.shape != (self.grid.n_points,):
             raise ValueError("weights must match the grid size")
-        if np.any(weights < 0.0):
+        if not np.all(weights >= 0.0):
             raise NormalizationError("weights must be nonnegative")
         total = self.grid.integrate(weights)
-        if abs(total - 1.0) > GRID_NORM_TOL:
+        if not abs(total - 1.0) <= GRID_NORM_TOL:
             raise NormalizationError(f"weights integrate to {total!r}, expected 1")
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
@@ -148,16 +142,12 @@ def energy_momentum_consistency(tp: ThermalParameters) -> float:
 
 def beta_of_temperature(T: float, constants: PhysicalConstants = NATURAL_UNITS) -> float:
     """beta = hbar / (k_B T)."""
-    if not (T > 0.0 and math.isfinite(T)):
-        raise DomainError(f"temperature must be positive and finite, got {T}")
-    return constants.hbar / (constants.k_boltzmann * T)
+    return constants.hbar / (constants.k_boltzmann * positive("temperature", T))
 
 
 def temperature_of_beta(beta: float, constants: PhysicalConstants = NATURAL_UNITS) -> float:
     """T = hbar / (k_B beta); inverse of :func:`beta_of_temperature`."""
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(f"beta must be positive and finite, got {beta}")
-    return constants.hbar / (constants.k_boltzmann * beta)
+    return constants.hbar / (constants.k_boltzmann * positive("beta", beta))
 
 
 def maxwell_boltzmann_density(
@@ -167,10 +157,9 @@ def maxwell_boltzmann_density(
     constants: PhysicalConstants = NATURAL_UNITS,
 ) -> np.ndarray:
     """1-D Maxwell-Boltzmann momentum distribution at temperature T."""
-    if not (T > 0.0 and math.isfinite(T)):
-        raise DomainError(f"temperature must be positive and finite, got {T}")
+    T, mass = positive("temperature", T), positive("mass", mass)
+    mkt = positive("m k_B T", mass * constants.k_boltzmann * T)  # the product can underflow
     p = np.asarray(p_grid, dtype=float)
-    mkt = mass * constants.k_boltzmann * T
     return np.sqrt(1.0 / (2.0 * np.pi * mkt)) * np.exp(-p * p / (2.0 * mkt))
 
 
@@ -197,8 +186,7 @@ def time_translate_diagonal(
     and cancel, so the result always equals the input; the cancellation is
     carried out numerically rather than assumed.
     """
-    if not math.isfinite(t0):
-        raise DomainError(f"t0 must be finite, got {t0}")
+    t0 = finite("t0", t0)
     p = state.grid.points()
     energies = p**2 / (2.0 * tp.mass)
     phases = np.exp(1j * energies * t0 / tp.constants.hbar)
@@ -209,11 +197,6 @@ def time_translate_diagonal(
 def grid_purity_proxy(state: MomentumMixture) -> float:
     """Sum of squared weights times the grid spacing; increases with beta."""
     return state.grid.integrate(state.weights**2)
-
-
-def momentum_mixture_csv(state: MomentumMixture) -> str:
-    """CSV export with header ``p,weight``."""
-    return columns_csv(["p", "weight"], [state.grid.points(), state.weights])
 
 
 def energy_density_csv(E_grid: np.ndarray, values: np.ndarray) -> str:

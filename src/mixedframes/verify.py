@@ -617,7 +617,7 @@ def check_bch_sweep(grid_n: int = 1024) -> list[CheckResult]:
             params = GalileiParams(mass=mass, time=time, hbar=1.0)
             ops = build_operators(grid, params)
             for v in (-2.0, -1.0, 0.3, 1.2):
-                worst = max(worst, bch_residual(v, psi, ops, params))
+                worst = max(worst, bch_residual(v, psi, ops))
     return [
         CheckResult(
             "galilei_bch_sweep", f"grid_n={grid_n} 36 parameter triples", worst, 1e-6

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from mixedframes import cli
 from mixedframes.cli import ConfigError, DEFAULTS, main, parse_config_file
+from mixedframes.errors import NumericError
 
 FAST = ["--grid-n", "256"]
 
@@ -76,6 +78,43 @@ class TestConfig:
             parse_config_file(cfg)
 
 
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["figure", "a1a2", "--alpha", "100"], "alpha"),
+            (["figure", "a1a2", "--extent", "inf"], "extent"),
+            (["figure", "gaussian-smear", "--sigma", "5"], "extent"),
+            (["figure", "gaussian-smear", "--quad-order", "100000"], "terms"),
+            (["demo", "thermal", "--temperature", "inf"], "temperature"),
+            (["figure", "a1a2", "--a2", "nan"], "a2"),
+            (["demo", "galilei-boost", "--v0", "nan"], "v0"),
+            (["demo", "semigroup", "--a2", "inf"], "a2"),
+            (["figure", "a1a2", "--alpha=1e-300"], "alpha"),
+            (["figure", "gaussian-smear", "--sigma=1e300"], "variance"),
+        ],
+    )
+    def test_rejected_input_exits_2_with_one_line(self, tmp_path, capsys, argv, named):
+        code, _, err = run_cli(argv + FAST + ["--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and named in err
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run_cli(["figure", "a1a2", "--out", str(blocker / "out")] + FAST, capsys)
+        assert code == 1
+        assert err.startswith("io error")
+
+    def test_internal_fault_still_raises(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise NumericError("kernel did not converge")
+
+        monkeypatch.setattr(cli, "build_figure", broken)
+        with pytest.raises(NumericError):
+            main(["figure", "a1a2", "--out", str(tmp_path)])
+
+
 class TestFigureCommand:
     def test_writes_csv_gp_json(self, tmp_path, capsys):
         out = tmp_path / "figs"
@@ -119,7 +158,7 @@ class TestDemoCommand:
         assert code == 0
         meta = json.loads((out / "thermal.json").read_text())
         assert meta["maxwell_boltzmann_gap"] <= 1e-12
-        assert (out / "thermal_momentum.csv").read_text().splitlines()[0] == "p,weight"
+        assert not (out / "thermal_momentum.csv").exists()
         assert (out / "thermal_energy.csv").read_text().splitlines()[0] == "E,density"
         assert (
             out / "thermal_overlay.csv"
@@ -134,7 +173,9 @@ class TestDemoCommand:
         meta = json.loads((out / "galilei_boost.json").read_text())
         assert meta["p_prime"] == 0.0
         assert meta["thermal_reference_gap"] <= 1e-9
-        assert (out / "galilei_boost.csv").read_text().splitlines()[0] == "p,weight"
+        assert not (out / "galilei_boost.csv").exists()
+        header = (out / "galilei_boost_overlay.csv").read_text().splitlines()[0]
+        assert header == "p,weight,thermal_reference"
 
     def test_semigroup_table_contains_three_term_row(self, tmp_path, capsys):
         out = tmp_path / "demo"

@@ -1,11 +1,18 @@
-"""Property-based tests of the component merge and of the periodic quadrature."""
+"""Property-based tests of the component merge, the periodic quadrature, the
+scalar input checks and the command line."""
 
+import io
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from mixedframes import group_algebra as ga
+from mixedframes.cli import DEFAULTS, main
+from mixedframes.errors import DomainError, finite, positive
+from mixedframes.figures import DEMO_IDS, FIGURE_IDS
 from mixedframes.quantum_system import (
     PositionGrid,
     gaussian_wavepacket,
@@ -113,3 +120,54 @@ def test_translated_packet_keeps_its_mass_across_the_seam(a, alpha):
     density = position_density(pure_state(translate(packet, a)))
     assert SEAM_GRID.integrate(density.values) == pytest.approx(1.0, abs=1e-12)
 
+
+@given(st.floats())
+def test_scalar_checks_accept_exactly_their_domain(x):
+    for check, accepted in ((finite, math.isfinite(x)), (positive, math.isfinite(x) and x > 0)):
+        if accepted:
+            assert check("x", x) == x
+        else:
+            with pytest.raises(DomainError, match="^x must be"):
+                check("x", x)
+
+
+COMMANDS = [("figure", f) for f in FIGURE_IDS] + [("demo", d) for d in DEMO_IDS]
+FLOAT_FLAGS = [key for key in DEFAULTS if key not in ("grid_n", "quad_order")]
+EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, -1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(COMMANDS),
+    # Up to three flags per run; the rest keep their defaults. With moderate
+    # values in the mix, most runs pass validation and reach the compute.
+    st.dictionaries(
+        st.sampled_from(FLOAT_FLAGS),
+        st.sampled_from(EXTREMES) | st.floats() | st.floats(-30.0, 30.0),
+        max_size=3,
+    ),
+)
+@example(("figure", "a1a2"), {"alpha": 100.0})
+@example(("figure", "a1a2"), {"extent": math.inf})
+@example(("figure", "gaussian-smear"), {"sigma": 5.0})
+@example(("figure", "gaussian-smear"), {"quad_order": 100000})
+@example(("demo", "thermal"), {"temperature": math.inf})
+@example(("figure", "a1a2"), {"a2": math.nan})
+@example(("demo", "galilei-boost"), {"v0": math.nan})
+@example(("demo", "semigroup"), {"a2": math.inf})
+@example(("figure", "a1a2"), {"alpha": 1e-300})
+@example(("figure", "gaussian-smear"), {"sigma": 1e300})
+# tracebacks the fuzzing found: alpha**2 and a2**2 overflowing, m k_B T underflowing
+@example(("figure", "a1a2"), {"extent": 1e300, "alpha": 1.3407807929942597e154})
+@example(("figure", "a1a2"), {"extent": 1e300, "a2": 1.3407807929942597e154})
+@example(("demo", "galilei-boost"), {"temperature": 1e-300, "mass": 1e-300})
+def test_cli_exits_0_or_2_on_any_float_flag(command, values):
+    flags = [f"--{k.replace('_', '-')}={v!r}" for k, v in values.items()]
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, redirect_stdout(io.StringIO()):
+        with redirect_stderr(stderr):
+            code = main([*command, "--grid-n=256", *flags, "--out", out])
+    event(f"exit {code}")
+    assert code in (0, 2)
+    if code == 2:
+        assert stderr.getvalue().count("\n") == 1

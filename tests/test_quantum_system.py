@@ -7,8 +7,11 @@ from mixedframes import (
     DomainError,
     GaussianComponent,
     GridMismatchError,
+    NormalizationError,
+    PositionDensity,
     PositionGrid,
     ResourceLimitError,
+    WaveFunction,
     act_mixed,
     act_pure,
     coherently_translated,
@@ -65,6 +68,16 @@ class TestWavepacket:
         grid = PositionGrid(256, 10.0)
         with pytest.raises(DomainError):
             gaussian_wavepacket(grid, 1.3)
+
+
+    def test_underflowing_width_rejected(self, grid):
+        # alpha**2 underflows to zero; the packet was all NaN
+        with pytest.raises(DomainError):
+            gaussian_wavepacket(grid, 1e-300)
+
+    def test_nan_amplitudes_rejected(self, grid):
+        with pytest.raises(NormalizationError):
+            WaveFunction(grid, np.full(grid.n_points, np.nan))
 
 
 class TestTranslate:
@@ -182,6 +195,11 @@ class TestPositionDensity:
         psi = gaussian_wavepacket(fine_grid, alpha)
         dens = position_density(act_mixed(make_gaussian(0.0, sigma**2), pure_state(psi), 64))
         assert density_variance(dens) == pytest.approx(sigma**2 + alpha**2, abs=1e-6)
+
+
+    def test_nan_values_rejected(self, grid):
+        with pytest.raises(NormalizationError):
+            PositionDensity(grid, np.full(grid.n_points, np.nan))
 
 
 class TestPurity:

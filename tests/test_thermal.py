@@ -7,6 +7,8 @@ from scipy import integrate
 from mixedframes import (
     DomainError,
     MomentumGrid,
+    MomentumMixture,
+    NormalizationError,
     PhysicalConstants,
     ThermalParameters,
     beta_of_temperature,
@@ -127,6 +129,8 @@ class TestTemperatureDictionary:
             beta_of_temperature(0.0)
         with pytest.raises(DomainError):
             temperature_of_beta(-1.0)
+        with pytest.raises(DomainError):
+            ThermalParameters(-1.0, 1.0)
 
 
 class TestThermalState:
@@ -134,6 +138,11 @@ class TestThermalState:
         tp = ThermalParameters(1.0, 1.0)
         with pytest.raises(DomainError):
             thermal_state(tp, MomentumGrid(801, 2.0))
+
+    def test_nan_weights_rejected(self):
+        grid = MomentumGrid(801, 8.0)
+        with pytest.raises(NormalizationError):
+            MomentumMixture(grid, np.full(grid.n_points, np.nan))
 
     def test_weights_even_and_normalized(self):
         tp = ThermalParameters(1.0, 1.0)
@@ -177,15 +186,6 @@ class TestTimeTranslation:
 
 
 class TestCsvExports:
-    def test_momentum_mixture_export(self):
-        from mixedframes.thermal import momentum_mixture_csv
-
-        tp = ThermalParameters(1.0, 1.0)
-        grid = MomentumGrid(401, 8.5 * math.sqrt(tp.momentum_variance))
-        lines = momentum_mixture_csv(thermal_state(tp, grid)).splitlines()
-        assert lines[0] == "p,weight"
-        assert len(lines) == 402
-
     def test_energy_density_export(self):
         from mixedframes.thermal import energy_density_csv
 
