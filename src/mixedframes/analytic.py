@@ -46,8 +46,10 @@ def superposition_density(x: np.ndarray, alpha: float, a2: float, sign: int = +1
         raise DomainError(f"sign must be +1 or -1, got {sign}")
     g0 = np.exp(-(x**2) / (4.0 * alpha**2))
     g2 = np.exp(-((x - a2) ** 2) / (4.0 * alpha**2))
-    overlap = math.exp(-(a2 * a2) / (8.0 * alpha**2))  # a2**2 would raise on overflow
-    norm = 2.0 * math.sqrt(2.0 * math.pi) * alpha * (1.0 + sign * overlap)
+    exponent = -(a2 * a2) / (8.0 * alpha**2)  # a2**2 would raise on overflow
+    # 1 - exp(x) cancels to exactly 0 once |x| is below machine epsilon; expm1 does not
+    overlap_term = 1.0 + math.exp(exponent) if sign == +1 else -math.expm1(exponent)
+    norm = 2.0 * math.sqrt(2.0 * math.pi) * alpha * overlap_term
     return (g2 + sign * g0) ** 2 / norm
 
 

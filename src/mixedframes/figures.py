@@ -20,6 +20,7 @@ from . import analytic
 from . import group_algebra as ga
 from . import quantum_system as qs
 from . import thermal as th
+from .errors import DomainError
 from .galilei import GalileiParams, boost_mixed
 from .textio import columns_csv, csv_table, fmt, write_metadata, write_text_atomic
 
@@ -93,9 +94,14 @@ def build_figure(figure_id: str, params: dict) -> Artifact:
     quad_order = params["quad_order"]
     name = figure_id
     metadata = _echo(params, "figure", figure_id)
+    half_box = grid.extent / 2.0
+    if alpha < grid.spacing:
+        raise DomainError(f"alpha={alpha!r} must be at least extent/grid_n={grid.spacing!r}")
 
     if figure_id in ("a1a2", "a1a2diff"):
         a2 = params["a2"]
+        if abs(a2) >= half_box:
+            raise DomainError(f"|a2|={abs(a2)!r} must be below extent/2={half_box!r}")
         sign = +1 if figure_id == "a1a2" else -1
         packet = qs.gaussian_wavepacket(grid, alpha)
         rho = ga.mix([(0.5, ga.make_delta(0.0)), (0.5, ga.make_delta(-a2))])
@@ -121,9 +127,13 @@ def build_figure(figure_id: str, params: dict) -> Artifact:
 
     sigma = params["sigma"]
     a0 = params["a0"]
-    packet = qs.gaussian_wavepacket(grid, alpha)
     # sigma * sigma overflows to inf, which the component rejects; sigma**2 would raise
     smear = ga.GaussianComponent(-a0, sigma * sigma)
+    if abs(a0) + qs.COMB_HALF_WIDTH * sigma >= half_box:
+        raise DomainError(
+            f"sigma={sigma!r}: |a0| + {qs.COMB_HALF_WIDTH:g} sigma must be < extent/2={half_box!r}"
+        )
+    packet = qs.gaussian_wavepacket(grid, alpha)
     rho = ga.GroupDensity(((1.0, smear),))
     mixed = qs.position_density(qs.act_mixed(rho, qs.pure_state(packet), quad_order))
     coherent = qs.coherently_translated(smear, packet, quad_order)

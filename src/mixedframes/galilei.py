@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .analytic import norm_pdf
 from .errors import DomainError, GridMismatchError, NumericError, ResourceLimitError, finite, positive
 from . import group_algebra as ga
 from .quantum_system import PositionGrid, WaveFunction, _normalized
@@ -230,25 +229,18 @@ def boost_mixed(
 
     Pushes the velocity density through v -> p + m v onto the momentum grid
     spanned by ``v_grid`` (weights pick up the 1/m Jacobian) and renormalizes.
-    Gaussian components are evaluated pointwise; Dirac components become
-    single-bin point masses and must lie on the grid. ``v_grid`` must hold
-    all but 1e-12 of the mass.
+    The density is sampled by :func:`group_algebra.sample_on_grid`, so Dirac
+    components must lie on the grid. ``v_grid`` must hold all but 1e-12 of
+    the mass.
     """
     v = np.asarray(v_grid, dtype=float)
-    dv = ga.uniform_step(v, "v_grid")
+    m = params.mass
+    weights = ga.sample_on_grid(rho_R, v) / m
     if ga.mass_within(rho_R, float(v[0]), float(v[-1])) < 1.0 - 1e-12:
         raise DomainError("v_grid truncates more than 1e-12 of the boost density")
 
-    m = params.mass
     q = p + m * v
-    dq = m * dv
-    weights = np.zeros_like(q)
-    for w, comp in rho_R.components:
-        if isinstance(comp, ga.DiracComponent):
-            weights[ga.dirac_bin(comp.location, v, dv)] += w / dq
-        else:
-            weights += (w / m) * norm_pdf(v, comp.mean, comp.variance)
-
+    dq = m * (v[1] - v[0])
     weights /= float(np.sum(weights)) * dq
     grid = MomentumGrid(
         n_points=q.size,

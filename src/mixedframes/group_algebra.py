@@ -72,21 +72,31 @@ class GroupDensity:
                 raise TypeError(f"unsupported component type {type(comp).__name__}")
 
 
+def _moments(c: Component) -> tuple[float, float]:
+    """``(location, variance)`` of a component; a Dirac has variance 0.0."""
+    return (c.location, 0.0) if isinstance(c, DiracComponent) else (c.mean, c.variance)
+
+
+def _component(location: float, variance: float) -> Component:
+    """Inverse of :func:`_moments`: a Dirac when the variance is 0.0."""
+    return DiracComponent(location) if variance == 0.0 else GaussianComponent(location, variance)
+
+
 def _canonical(components: Iterable[WeightedComponent]) -> tuple[WeightedComponent, ...]:
     """Merge near-identical components and sort into a canonical order.
 
-    A Dirac is keyed ``(0, location, 0.0)`` and a Gaussian ``(1, mean, variance)``.
-    The sort keeps ties in input order; neighbours of one kind whose other two
-    keys differ by less than ``MERGE_TOL`` merge into their weighted average,
-    which stays between them, so the output is sorted too.
+    A component is keyed ``(is_gaussian, location, variance)``. The sort keeps
+    ties in input order; neighbours of one kind whose other two keys differ by
+    less than ``MERGE_TOL`` merge into their weighted average, which stays
+    between them, so the output is sorted too.
     """
-    entries = [
-        (0, c.location, 0.0, w) if isinstance(c, DiracComponent) else (1, c.mean, c.variance, w)
-        for w, c in components
-    ]
-    merged: list[tuple[int, float, float, float]] = []
+    entries = []
+    for w, c in components:
+        loc, var = _moments(c)
+        entries.append((var > 0.0, loc, var, w))
+    merged: list[tuple[bool, float, float, float]] = []
     for kind, loc, var, w in sorted(entries, key=lambda e: e[:3]):
-        prev_kind, prev_loc, prev_var, prev_w = merged[-1] if merged else (-1, 0.0, 0.0, 0.0)
+        prev_kind, prev_loc, prev_var, prev_w = merged[-1] if merged else (None, 0.0, 0.0, 0.0)
         if kind == prev_kind and abs(loc - prev_loc) < MERGE_TOL and abs(var - prev_var) < MERGE_TOL:
             total = prev_w + w
             # incremental mean: exact for equal values, never leaves [prev, new]
@@ -94,10 +104,7 @@ def _canonical(components: Iterable[WeightedComponent]) -> tuple[WeightedCompone
                           prev_var + w * (var - prev_var) / total, total)
         else:
             merged.append((kind, loc, var, w))
-    return tuple(
-        (w, DiracComponent(loc + 0.0) if kind == 0 else GaussianComponent(loc + 0.0, var))
-        for kind, loc, var, w in merged
-    )
+    return tuple((w, _component(loc + 0.0, var)) for _, loc, var, w in merged)
 
 
 def make_delta(a0: float) -> GroupDensity:
@@ -148,36 +155,19 @@ def evaluate(rho: GroupDensity, f: Callable[[float], float]) -> float:
 def convolve(rho1: GroupDensity, rho2: GroupDensity) -> GroupDensity:
     """Convolution product of two group states.
 
-    Closed-form rules: locations add, Gaussian variances add, and mixtures
-    distribute bilinearly with weight products.
+    Closed-form rules: locations add, variances add (a Dirac has variance 0),
+    and mixtures distribute bilinearly with weight products.
     """
-    out: list[WeightedComponent] = []
-    for w1, c1 in rho1.components:
-        for w2, c2 in rho2.components:
-            out.append((w1 * w2, _convolve_pair(c1, c2)))
+    m1 = [(w, *_moments(c)) for w, c in rho1.components]
+    m2 = [(w, *_moments(c)) for w, c in rho2.components]
+    out = [(w1 * w2, _component(l1 + l2, v1 + v2)) for w1, l1, v1 in m1 for w2, l2, v2 in m2]
     return GroupDensity(_canonical(out))
-
-
-def _convolve_pair(c1: Component, c2: Component) -> Component:
-    if isinstance(c1, DiracComponent) and isinstance(c2, DiracComponent):
-        return DiracComponent(c1.location + c2.location)
-    if isinstance(c1, DiracComponent):
-        assert isinstance(c2, GaussianComponent)
-        return GaussianComponent(c2.mean + c1.location, c2.variance)
-    if isinstance(c2, DiracComponent):
-        return GaussianComponent(c1.mean + c2.location, c1.variance)
-    return GaussianComponent(c1.mean + c2.mean, c1.variance + c2.variance)
 
 
 def antipode(rho: GroupDensity) -> GroupDensity:
     """Reflection a -> -a; inverts pure states, and only those."""
-    out: list[WeightedComponent] = []
-    for w, comp in rho.components:
-        if isinstance(comp, DiracComponent):
-            out.append((w, DiracComponent(-comp.location)))
-        else:
-            out.append((w, GaussianComponent(-comp.mean, comp.variance)))
-    return GroupDensity(_canonical(out))
+    moments = [(w, *_moments(c)) for w, c in rho.components]
+    return GroupDensity(_canonical([(w, _component(-loc, var)) for w, loc, var in moments]))
 
 
 @dataclass(frozen=True)
@@ -278,11 +268,8 @@ def density_gap(rho1: GroupDensity, rho2: GroupDensity) -> float:
     for (w1, a), (w2, b) in zip(c1, c2):
         if type(a) is not type(b):
             return math.inf
-        gap = max(gap, abs(w1 - w2))
-        if isinstance(a, DiracComponent):
-            gap = max(gap, abs(a.location - b.location))
-        else:
-            gap = max(gap, abs(a.mean - b.mean), abs(a.variance - b.variance))
+        (l1, v1), (l2, v2) = _moments(a), _moments(b)
+        gap = max(gap, abs(w1 - w2), abs(l1 - l2), abs(v1 - v2))
     return gap
 
 
@@ -320,30 +307,25 @@ def uniform_step(grid: np.ndarray, what: str) -> float:
     return step
 
 
-def dirac_bin(location: float, grid: np.ndarray, step: float) -> int:
-    """Index of the grid point nearest a Dirac location, which must lie on the grid."""
-    idx = int(round((location - grid[0]) / step))
-    if not 0 <= idx < grid.size:
-        raise DomainError(
-            f"Dirac location {location} lies outside the grid [{grid[0]}, {grid[-1]}]"
-        )
-    return idx
-
-
 def sample_on_grid(rho: GroupDensity, a_grid: np.ndarray) -> np.ndarray:
     """Sample the density on a uniform grid.
 
     Gaussian components are evaluated pointwise; each Dirac component becomes
-    a single-bin spike of height weight/spacing at the nearest grid point
-    (see :func:`dirac_bin`), so the rectangle-rule integral of the samples
-    is one.
+    a single-bin spike of height weight/spacing at the nearest grid point, so
+    the rectangle-rule integral of the samples is one. A Dirac off the grid
+    raises :class:`DomainError`.
     """
     grid = np.asarray(a_grid, dtype=float)
     step = uniform_step(grid, "sampling grid")
     values = np.zeros_like(grid)
     for w, comp in rho.components:
         if isinstance(comp, DiracComponent):
-            values[dirac_bin(comp.location, grid, step)] += w / step
+            idx = int(round((comp.location - grid[0]) / step))
+            if not 0 <= idx < grid.size:
+                raise DomainError(
+                    f"Dirac location {comp.location} lies outside the grid [{grid[0]}, {grid[-1]}]"
+                )
+            values[idx] += w / step
         else:
             values += w * norm_pdf(grid, comp.mean, comp.variance)
     return values

@@ -114,7 +114,11 @@ def energy_smearing_density(tp: ThermalParameters, E_grid: np.ndarray) -> np.nda
     if np.any(E <= 0.0) or not np.all(np.isfinite(E)):
         raise DomainError("energies must be strictly positive and finite")
     hbar = tp.constants.hbar
-    return np.sqrt(tp.beta / (np.pi * E * hbar)) * np.exp(-E * tp.beta / hbar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = np.sqrt(tp.beta / (np.pi * E * hbar)) * np.exp(-E * tp.beta / hbar)
+    if not np.all(np.isfinite(density)):  # the peak sqrt(beta / E) near E = 0 overflowed
+        raise DomainError(f"energy density overflows at beta={tp.beta!r}: temperature too low")
+    return density
 
 
 def momentum_smearing_density(tp: ThermalParameters, p_grid: np.ndarray) -> np.ndarray:

@@ -53,24 +53,25 @@ class CheckResult:
         return self.residual <= self.tolerance
 
 
-def _random_density(rng: np.random.Generator) -> ga.GroupDensity:
-    n = int(rng.integers(1, 6))  # one to five components
-    weights = rng.random(n) + 0.1
+def _random_density(
+    rng: np.random.Generator, max_terms=5, weight_floor=0.1, dirac_span=3.0, variances=(0.05, 2.0)
+) -> ga.GroupDensity:
+    """Mixture of one to ``max_terms`` components, each a Dirac or a Gaussian with even odds."""
+    n = int(rng.integers(1, max_terms + 1))
+    weights = rng.random(n) + weight_floor
     weights /= weights.sum()
     comps = []
     for w in weights:
         if rng.random() < 0.5:
-            comps.append((float(w), ga.DiracComponent(float(rng.uniform(-3.0, 3.0)))))
+            comps.append((float(w), ga.DiracComponent(float(rng.uniform(-dirac_span, dirac_span)))))
         else:
-            comps.append(
-                (
-                    float(w),
-                    ga.GaussianComponent(
-                        float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.05, 2.0))
-                    ),
-                )
-            )
+            mean = float(rng.uniform(-3.0, 3.0))
+            comps.append((float(w), ga.GaussianComponent(mean, float(rng.uniform(*variances)))))
     return ga.GroupDensity(tuple(comps))
+
+
+# the channel checks smear with at most three components and narrower Gaussians
+SMEARING_RANGES = (3, 0.2, 4.0, (0.04, 1.0))
 
 
 def _weight_sum_error(rho: ga.GroupDensity) -> float:
@@ -314,26 +315,6 @@ def _random_state(rng: np.random.Generator, grid: qs.PositionGrid) -> qs.PureMix
     return qs.PureMixture(grid, tuple(terms))
 
 
-def _random_smearing(rng: np.random.Generator) -> ga.GroupDensity:
-    n = int(rng.integers(1, 4))  # one to three components
-    weights = rng.random(n) + 0.2
-    weights /= weights.sum()
-    comps = []
-    for w in weights:
-        if rng.random() < 0.5:
-            comps.append((float(w), ga.DiracComponent(float(rng.uniform(-4.0, 4.0)))))
-        else:
-            comps.append(
-                (
-                    float(w),
-                    ga.GaussianComponent(
-                        float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.04, 1.0))
-                    ),
-                )
-            )
-    return ga.GroupDensity(tuple(comps))
-
-
 def check_channel_density_convolution(grid_n: int = 1024) -> list[CheckResult]:
     """Channel output density equals (reflected rho) convolved with |psi|^2."""
     grid = qs.PositionGrid(grid_n, 40.0)
@@ -361,7 +342,7 @@ def check_purity_channel_law() -> list[CheckResult]:
     worst_increase = -math.inf
     for _ in range(PURITY_PAIRS):
         state = _random_state(rng, grid)
-        rho = _random_smearing(rng)
+        rho = _random_density(rng, *SMEARING_RANGES)
         out = qs.act_mixed(rho, state, quad_order=24)
         worst_increase = max(worst_increase, qs.purity(out) - qs.purity(state))
 
@@ -412,7 +393,7 @@ def check_state_normalization() -> list[CheckResult]:
     worst = 0.0
     for _ in range(NORMALIZATION_CASES):
         state = _random_state(rng, grid)
-        out = qs.act_mixed(_random_smearing(rng), state, quad_order=24)
+        out = qs.act_mixed(_random_density(rng, *SMEARING_RANGES), state, quad_order=24)
         worst = max(worst, abs(math.fsum(w for w, _ in out.terms) - 1.0))
         for _, psi in out.terms[:3]:
             worst = max(worst, abs(psi.norm() - 1.0))

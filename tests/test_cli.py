@@ -84,7 +84,7 @@ class TestErrorContract:
         [
             (["figure", "a1a2", "--alpha", "100"], "alpha"),
             (["figure", "a1a2", "--extent", "inf"], "extent"),
-            (["figure", "gaussian-smear", "--sigma", "5"], "extent"),
+            (["figure", "gaussian-smear", "--sigma", "5"], "sigma"),
             (["figure", "gaussian-smear", "--quad-order", "100000"], "terms"),
             (["demo", "thermal", "--temperature", "inf"], "temperature"),
             (["figure", "a1a2", "--a2", "nan"], "a2"),

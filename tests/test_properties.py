@@ -2,9 +2,11 @@
 scalar input checks and the command line."""
 
 import io
+import json
 import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
@@ -107,6 +109,42 @@ def test_canonical_merges_just_inside_the_tolerance():
     assert len(ga._canonical(pair(1.01 * TOL))) == 2
 
 
+def _single(component):
+    return ga.GroupDensity(((1.0, component),))
+
+
+locations = st.floats(-1e6, 1e6)
+single_components = st.builds(ga.DiracComponent, locations) | st.builds(
+    ga.GaussianComponent, locations, st.floats(1e-6, 1e6)
+)
+
+
+@given(single_components, single_components)
+def test_convolve_follows_the_kind_rules(c1, c2):
+    ((w, got),) = ga.convolve(_single(c1), _single(c2)).components
+    dirac1, dirac2 = isinstance(c1, ga.DiracComponent), isinstance(c2, ga.DiracComponent)
+    if dirac1 and dirac2:
+        expected = ga.DiracComponent(c1.location + c2.location)
+    elif dirac1:
+        expected = ga.GaussianComponent(c2.mean + c1.location, c2.variance)
+    elif dirac2:
+        expected = ga.GaussianComponent(c1.mean + c2.location, c1.variance)
+    else:
+        expected = ga.GaussianComponent(c1.mean + c2.mean, c1.variance + c2.variance)
+    assert w == 1.0
+    assert got == expected
+
+
+@given(single_components)
+def test_antipode_negates_the_location_and_keeps_kind_and_variance(c):
+    ((w, got),) = ga.antipode(_single(c)).components
+    assert w == 1.0
+    if isinstance(c, ga.DiracComponent):
+        assert got == ga.DiracComponent(-c.location)
+    else:
+        assert got == ga.GaussianComponent(-c.mean, c.variance)
+
+
 SEAM_GRID = PositionGrid(1024, 40.0)
 
 
@@ -161,13 +199,34 @@ EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, -1e300)
 @example(("figure", "a1a2"), {"extent": 1e300, "alpha": 1.3407807929942597e154})
 @example(("figure", "a1a2"), {"extent": 1e300, "a2": 1.3407807929942597e154})
 @example(("demo", "galilei-boost"), {"temperature": 1e-300, "mass": 1e-300})
+# exit 0 with non-finite output: an overflowing energy density, a closed-form
+# normalizer that cancels to 0, a packet on one grid point
+@example(("demo", "thermal"), {"temperature": 1e-261})
+@example(("figure", "a1a2diff"), {"a2": 1e-9})
+@example(("figure", "gaussian-smear"), {"extent": 1e300})
 def test_cli_exits_0_or_2_on_any_float_flag(command, values):
     flags = [f"--{k.replace('_', '-')}={v!r}" for k, v in values.items()]
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as out, redirect_stdout(io.StringIO()):
         with redirect_stderr(stderr):
             code = main([*command, "--grid-n=256", *flags, "--out", out])
-    event(f"exit {code}")
-    assert code in (0, 2)
-    if code == 2:
-        assert stderr.getvalue().count("\n") == 1
+        event(f"exit {code}")
+        assert code in (0, 2)
+        if code == 2:
+            assert stderr.getvalue().count("\n") == 1
+        else:
+            _assert_outputs_finite(Path(out))
+
+
+def _assert_outputs_finite(out_dir):
+    """Every CSV cell that parses as a float, and every JSON number, is finite."""
+    for path in out_dir.glob("*.csv"):
+        for cell in path.read_text().replace("\n", ",").split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), f"{path.name}: {cell}"
+    for path in out_dir.glob("*.json"):
+        # NaN, Infinity and -Infinity are the JSON constants a non-finite float becomes
+        json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{path.name}: {c}"))
