@@ -172,10 +172,29 @@ def build_demo(
     return _demo_semigroup(params, extra_densities or [])
 
 
+# The thermal demos square momenta and velocities out to 8.5 standard deviations,
+# invert their variances and reach energies of 12 k_B T, so each scale they are
+# built from (m k_B T, k_B T, k_B T / m) keeps this margin from the float range.
+THERMAL_SCALE_RANGE = (1e-300, 1e300)
+
+
+def _check_thermal_scales(params: dict, *scales: tuple[str, float]) -> None:
+    """Reject a temperature and mass that put a demo's scale out of float range."""
+    lo, hi = THERMAL_SCALE_RANGE
+    for name, value in scales:
+        if not lo <= value <= hi:
+            raise DomainError(
+                f"temperature={params['temperature']!r} and mass={params['mass']!r} give "
+                f"{name} = {value!r}, outside [{lo!r}, {hi!r}]"
+            )
+
+
 def _demo_thermal(params: dict) -> Artifact:
     temperature = params["temperature"]
     mass = params["mass"]
     constants = th.NATURAL_UNITS
+    kt = constants.k_boltzmann * temperature
+    _check_thermal_scales(params, ("m k_B T", mass * kt), ("k_B T", kt))
     beta = th.beta_of_temperature(temperature, constants)
     tp = th.ThermalParameters(beta, mass, constants)
 
@@ -212,6 +231,8 @@ def _demo_galilei_boost(params: dict) -> Artifact:
     v0 = params["v0"]
     p0 = params["p"]
     constants = th.NATURAL_UNITS
+    kt = constants.k_boltzmann * temperature
+    _check_thermal_scales(params, ("m k_B T", mass * kt), ("k_B T / m", kt / mass))
     beta = th.beta_of_temperature(temperature, constants)
     tp = th.ThermalParameters(beta, mass, constants)
     gp = GalileiParams(mass=mass, time=0.0, hbar=constants.hbar)

@@ -239,13 +239,14 @@ def boost_mixed(
     if ga.mass_within(rho_R, float(v[0]), float(v[-1])) < 1.0 - 1e-12:
         raise DomainError("v_grid truncates more than 1e-12 of the boost density")
 
-    q = p + m * v
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = p + m * v
+    if not (np.all(np.isfinite(q)) and np.all(np.diff(q) > 0.0)):
+        raise DomainError(f"p={p!r} and mass={m!r} leave no increasing, finite momenta p + m*v")
     dq = m * (v[1] - v[0])
     weights /= float(np.sum(weights)) * dq
-    grid = MomentumGrid(
-        n_points=q.size,
-        p_max=(q[-1] - q[0]) / 2.0,
-        center=float((q[0] + q[-1]) / 2.0),
-    )
+    # halves first: q[0] + q[-1] can overflow where each half cannot
+    grid = MomentumGrid(n_points=q.size, p_max=q[-1] / 2.0 - q[0] / 2.0,
+                        center=float(q[0] / 2.0 + q[-1] / 2.0))
     return MomentumMixture(grid, weights)
 

@@ -3,7 +3,9 @@
 A state is a probability density over the group parameter ``a``, stored
 symbolically as a finite mixture of point masses (Dirac) and Gaussians.
 The mixture family is closed under the convolution product, so products,
-the identity ``delta_0`` and the reflection ``a -> -a`` are all exact.
+the identity ``delta_0`` and the reflection ``a -> -a`` are all exact: they
+merge only identical components. The one tolerance is in the comparison,
+:func:`density_gap`, which matches components that rounding has moved apart.
 Pure states (single Dirac components) are invertible under convolution;
 everything else only forms a semigroup, which the banded characteristic-
 function test below makes decidable.
@@ -22,7 +24,6 @@ from .analytic import norm_pdf
 from .errors import DomainError, QuadratureError, finite, positive, probability_weights
 
 WEIGHT_TOL = 1e-12
-MERGE_TOL = 1e-12
 MATCH_TOL = 1e-10
 SCAN_POINTS = 20001
 
@@ -83,28 +84,19 @@ def _component(location: float, variance: float) -> Component:
 
 
 def _canonical(components: Iterable[WeightedComponent]) -> tuple[WeightedComponent, ...]:
-    """Merge near-identical components and sort into a canonical order.
+    """Sum the weights of identical components and sort into a canonical order.
 
-    A component is keyed ``(is_gaussian, location, variance)``. The sort keeps
-    ties in input order; neighbours of one kind whose other two keys differ by
-    less than ``MERGE_TOL`` merge into their weighted average, which stays
-    between them, so the output is sorted too.
+    A component is keyed ``(is_gaussian, location, variance)``, with ``-0.0``
+    read as ``0.0``. Only equal keys merge, so canonicalisation commutes
+    exactly with :func:`convolve`, :func:`antipode` and :func:`mix`; components
+    that differ in the last bit stay apart for :func:`density_gap` to match.
     """
-    entries = []
+    weights: dict[tuple[bool, float, float], float] = {}
     for w, c in components:
         loc, var = _moments(c)
-        entries.append((var > 0.0, loc, var, w))
-    merged: list[tuple[bool, float, float, float]] = []
-    for kind, loc, var, w in sorted(entries, key=lambda e: e[:3]):
-        prev_kind, prev_loc, prev_var, prev_w = merged[-1] if merged else (None, 0.0, 0.0, 0.0)
-        if kind == prev_kind and abs(loc - prev_loc) < MERGE_TOL and abs(var - prev_var) < MERGE_TOL:
-            total = prev_w + w
-            # incremental mean: exact for equal values, never leaves [prev, new]
-            merged[-1] = (kind, prev_loc + w * (loc - prev_loc) / total,
-                          prev_var + w * (var - prev_var) / total, total)
-        else:
-            merged.append((kind, loc, var, w))
-    return tuple((w, _component(loc + 0.0, var)) for _, loc, var, w in merged)
+        key = (var > 0.0, loc + 0.0, var)
+        weights[key] = weights.get(key, 0.0) + w
+    return tuple((w, _component(loc, var)) for (_, loc, var), w in sorted(weights.items()))
 
 
 def make_delta(a0: float) -> GroupDensity:
@@ -224,6 +216,8 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
         raise DomainError(f"floor must lie in (0, 1), got {floor}")
     if is_pure(rho):
         return True, None
+    far = max(abs(_moments(c)[0]) for _, c in rho.components)
+    finite(f"phase location*p at location {far!r} and band {band!r}", far * band)
 
     def abs2(p: float | np.ndarray) -> float | np.ndarray:
         return np.abs(_chi(rho, np.asarray(p, dtype=float))) ** 2
@@ -253,29 +247,65 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
 
 
 def is_pure(rho: GroupDensity) -> bool:
-    """True iff the state is a single point mass after simplification."""
+    """True iff the state is exactly one distinct point mass.
+
+    Two Diracs merge only at identical locations; a pair that rounding has
+    split is not pure, however close.
+    """
     comps = _canonical(rho.components)
     return len(comps) == 1 and isinstance(comps[0][1], DiracComponent)
 
 
-def density_gap(rho1: GroupDensity, rho2: GroupDensity) -> float:
-    """Worst parameter/weight mismatch between canonical forms (inf if shapes differ)."""
-    c1 = _canonical(rho1.components)
-    c2 = _canonical(rho2.components)
-    if len(c1) != len(c2):
-        return math.inf
+def _chains(entries: list[tuple], i: int, tol: float) -> list[list[tuple]]:
+    """Sort entries by field ``i`` and split where neighbours differ by more than ``tol``."""
+    chains: list[list[tuple]] = []
+    for e in sorted(entries, key=lambda e: e[i]):
+        if chains and e[i] - chains[-1][-1][i] <= tol:
+            chains[-1].append(e)
+        else:
+            chains.append([e])
+    return chains
+
+
+def _side_summary(cluster: list[tuple], side: int) -> tuple[float, float, float]:
+    """Total weight, weighted-mean location and variance of one side's members."""
+    members = [(w, loc, var) for s, _, loc, var, w in cluster if s == side]
+    if not members:
+        return 0.0, 0.0, 0.0
+    total = math.fsum(w for w, _, _ in members)
+    return (total, math.fsum(w * loc for w, loc, _ in members) / total,
+            math.fsum(w * var for w, _, var in members) / total)
+
+
+def density_gap(rho1: GroupDensity, rho2: GroupDensity, tol: float = MATCH_TOL) -> float:
+    """Distance between two states that tolerates rounding in their parameters.
+
+    Both sides' components are pooled and, for each kind, chained within
+    ``tol`` first by location and then by variance. In each cluster the gap
+    is the larger of the two sides' weight difference and the differences of
+    their weighted-mean location and variance; a cluster that one side lacks
+    counts with its full weight. The result is the largest cluster gap: zero
+    for a state against itself, symmetric, and covariant under
+    :func:`antipode` and translation.
+    """
+    pooled = [(side, var > 0.0, loc, var, w)
+              for side, rho in enumerate((rho1, rho2))
+              for w, c in rho.components for loc, var in (_moments(c),)]
     gap = 0.0
-    for (w1, a), (w2, b) in zip(c1, c2):
-        if type(a) is not type(b):
-            return math.inf
-        (l1, v1), (l2, v2) = _moments(a), _moments(b)
-        gap = max(gap, abs(w1 - w2), abs(l1 - l2), abs(v1 - v2))
+    for same_kind in _chains(pooled, 1, 0.0):  # kinds never chain together
+        for near in _chains(same_kind, 2, tol):
+            for cluster in _chains(near, 3, tol):
+                (w1, l1, v1), (w2, l2, v2) = (_side_summary(cluster, side) for side in (0, 1))
+                if w1 == 0.0 or w2 == 0.0:
+                    gap = max(gap, w1 + w2)
+                else:
+                    gap = max(gap, abs(w1 - w2), abs(l1 - l2), abs(v1 - v2))
     return gap
 
 
 def densities_close(rho1: GroupDensity, rho2: GroupDensity, tol: float = MATCH_TOL) -> bool:
-    """Equality of states as a canonical-form component match within ``tol``."""
-    return density_gap(rho1, rho2) <= tol
+    """Equality of states up to ``tol``: :func:`density_gap` within ``tol``."""
+    return density_gap(rho1, rho2, tol) <= tol
 
 
 def mass_within(rho: GroupDensity, lo: float, hi: float) -> float:

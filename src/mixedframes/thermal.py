@@ -162,7 +162,8 @@ def maxwell_boltzmann_density(
 ) -> np.ndarray:
     """1-D Maxwell-Boltzmann momentum distribution at temperature T."""
     T, mass = positive("temperature", T), positive("mass", mass)
-    mkt = positive("m k_B T", mass * constants.k_boltzmann * T)  # the product can underflow
+    mkt = mass * constants.k_boltzmann * T
+    positive("2 pi m k_B T", 2.0 * np.pi * mkt)  # the product can underflow or overflow
     p = np.asarray(p_grid, dtype=float)
     return np.sqrt(1.0 / (2.0 * np.pi * mkt)) * np.exp(-p * p / (2.0 * mkt))
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -92,12 +93,24 @@ class TestErrorContract:
             (["demo", "semigroup", "--a2", "inf"], "a2"),
             (["figure", "a1a2", "--alpha=1e-300"], "alpha"),
             (["figure", "gaussian-smear", "--sigma=1e300"], "variance"),
+            # overflows that printed numpy warnings or wrote NaN before
+            (["demo", "galilei-boost", "--mass=1.7e308"], "mass"),
+            (["demo", "galilei-boost", "--p=1.7e308"], "p=1.7e+308"),
+            (["demo", "galilei-boost", "--p=-1.7e308"], "p=-1.7e+308"),
+            (["demo", "galilei-boost", "--temperature=1.7e308"], "temperature"),
+            (["demo", "thermal", "--temperature=1.7e308"], "temperature"),
+            (["demo", "thermal", "--mass=1.7e308"], "mass"),
+            (["demo", "semigroup", "--a0=1.7e308"], "location 1.7e+308"),
+            (["demo", "semigroup", "--a0=-1.7e308"], "location 1.7e+308"),
         ],
     )
     def test_rejected_input_exits_2_with_one_line(self, tmp_path, capsys, argv, named):
-        code, _, err = run_cli(argv + FAST + ["--out", str(tmp_path)], capsys)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(argv + FAST + ["--out", str(tmp_path)], capsys)
         assert code == 2
         assert err.count("\n") == 1 and named in err
+        assert not [str(w.message) for w in caught]
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"

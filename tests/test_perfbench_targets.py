@@ -1,8 +1,11 @@
-"""The benchmark tracer's targets must name real functions.
+"""The benchmark's names for program functions must resolve.
 
 ``perfbench/tracer.py`` skips a target that does not resolve without an
 error, so a renamed or deleted function would silently drop out of the
-per-layer metrics. This test makes that a failure instead.
+per-layer metrics. ``perfbench/selftest.py`` also names the bindings it
+expects wrapped and the calls it counts in ``verify``; that self-test is
+run by hand, so a missing name would otherwise surface late. These tests
+make each case a failure instead.
 """
 
 import importlib
@@ -12,20 +15,33 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
+def _load(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("tracer")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
 
 
-def test_every_tracer_target_resolves():
+def _unresolved(names):
+    """The ``module.attr`` names that are not callables of a loaded mixedframes module."""
     import mixedframes.cli  # noqa: F401  (loads every module the CLI binds)
 
-    missing = [
-        f"{module}.{attr}"
-        for module, attr, _, _ in _load_tracer().TARGETS
-        if not callable(getattr(sys.modules.get(f"mixedframes.{module}"), attr, None))
+    return [
+        name
+        for name in names
+        if not callable(getattr(sys.modules.get(f"mixedframes.{name.split('.')[0]}"),
+                                name.split(".")[1], None))
     ]
+
+
+def test_every_tracer_target_resolves():
+    missing = _unresolved(f"{module}.{attr}" for module, attr, _, _ in _load("tracer").TARGETS)
     assert not missing, f"tracer targets that do not resolve: {missing}"
+
+
+def test_every_selftest_binding_and_counted_call_resolves():
+    selftest = _load("selftest")
+    names = [*selftest.IMPORTED_BINDINGS, *selftest.EXPECTED_VERIFY_CALLS]
+    missing = _unresolved(names)
+    assert not missing, f"self-test names that do not resolve: {missing}"
