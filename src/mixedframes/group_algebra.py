@@ -198,7 +198,10 @@ def _chi(rho: GroupDensity, p: np.ndarray) -> np.ndarray:
         if isinstance(comp, DiracComponent):
             values += w * np.exp(-1j * comp.location * p)
         else:
-            values += w * np.exp(-1j * comp.mean * p - 0.5 * comp.variance * p * p)
+            # a decay that overflows to inf gives exp(-inf) = 0, the right value
+            with np.errstate(over="ignore"):
+                decay = 0.5 * comp.variance * p * p
+            values += w * np.exp(-1j * comp.mean * p - decay)
     return values
 
 

@@ -215,6 +215,21 @@ class TestDemoCommand:
         assert "loaded_0_antipode" in table
         assert "loaded_1_antipode" in table
 
+    def test_semigroup_with_overflowing_decay_prints_no_warning(self, tmp_path, capsys):
+        # the band reaches 1e6, where variance * p^2 overflows for var=1e300
+        density_file = tmp_path / "states.txt"
+        density_file.write_text(
+            "gauss weight=0.5 mean=0.0 var=1e-10\ngauss weight=0.5 mean=0.0 var=1e300\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(
+                ["demo", "semigroup", "--densities", str(density_file), "--out", str(tmp_path)],
+                capsys,
+            )
+        assert code == 0 and err == ""
+        assert not [str(w.message) for w in caught]
+
     def test_semigroup_rejects_bad_densities_file(self, tmp_path, capsys):
         density_file = tmp_path / "states.txt"
         density_file.write_text("wobble weight=1.0\n")

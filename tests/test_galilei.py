@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from mixedframes import (
     DomainError,
@@ -24,6 +25,7 @@ from mixedframes import (
     thermal_state,
 )
 from mixedframes.galilei import (
+    apply_boost_exponential,
     apply_boost_factored,
     momentum_bump,
     relative_boost_phase,
@@ -47,14 +49,14 @@ class TestOperators:
         assert max(ops.hermiticity_residuals().values()) < 1e-10
 
     def test_size_cap(self):
-        grid = PositionGrid(4096, 40.0)
+        ops = build_operators(PositionGrid(4096, 40.0), GalileiParams(1.0, 0.0))
         with pytest.raises(ResourceLimitError):
-            build_operators(grid, GalileiParams(1.0, 0.0))
+            ops.hermiticity_residuals()
 
     def test_dense_matches_spectral_application(self, ops_setup):
         grid, _, ops = ops_setup
         psi = gaussian_wavepacket(grid, 1.0, 0.5)
-        dense = ops.k_op @ psi.amplitudes
+        dense = ops._dense(ops.apply_k) @ psi.amplitudes
         fast = ops.apply_k(psi.amplitudes)
         assert np.max(np.abs(dense - fast)) < 1e-9
 
@@ -124,6 +126,29 @@ class TestBCH:
                 ops = build_operators(grid, params)
                 for v in (-2.0, 1.2):
                     assert bch_residual(v, psi, ops) < 1e-6
+
+    def test_default_grid_size(self):
+        grid = PositionGrid(4096, 40.0)
+        ops = build_operators(grid, GalileiParams(mass=2.0, time=1.0, hbar=1.0))
+        assert bch_residual(-2.0, gaussian_wavepacket(grid, 1.0), ops) <= 1e-6
+
+    def test_exponential_matches_dense_matrix_exponential(self):
+        grid = PositionGrid(256, 40.0)
+        psi = gaussian_wavepacket(grid, 1.0)
+        for mass in (0.5, 1.0, 2.0):
+            for time in (0.0, 0.5, 1.0):
+                ops = build_operators(grid, GalileiParams(mass=mass, time=time, hbar=1.0))
+                k_dense = ops._dense(ops.apply_k)
+                for v in (-2.0, -1.0, 0.3, 1.2):
+                    dense = expm(1j * v * k_dense) @ psi.amplitudes
+                    series = apply_boost_exponential(v, psi, ops).amplitudes
+                    assert grid.norm(series - dense) <= 1e-12
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, 1e308])
+    def test_nonfinite_phase_rejected(self, ops_setup, v):
+        grid, _, ops = ops_setup
+        with pytest.raises(DomainError, match="not finite"):
+            bch_residual(v, gaussian_wavepacket(grid, 1.0), ops)
 
 
 class TestFringePhase:

@@ -1,6 +1,6 @@
 """Property-based tests of the component merge, the semigroup laws, the
-channel's purity law, the periodic quadrature, the scalar input checks and
-the command line."""
+channel's purity law, the periodic quadrature, the boost exponential, the
+scalar input checks and the command line."""
 
 import io
 import json
@@ -17,6 +17,12 @@ from mixedframes import group_algebra as ga
 from mixedframes.cli import DEFAULTS, main
 from mixedframes.errors import DomainError, finite, positive
 from mixedframes.figures import DEMO_IDS, FIGURE_IDS
+from mixedframes.galilei import (
+    GalileiParams,
+    apply_boost_exponential,
+    apply_boost_factored,
+    build_operators,
+)
 from mixedframes.quantum_system import (
     PositionGrid,
     PureMixture,
@@ -262,6 +268,21 @@ def test_translated_packet_keeps_its_mass_across_the_seam(a, alpha):
     packet = gaussian_wavepacket(SEAM_GRID, alpha)
     density = position_density(pure_state(translate(packet, a)))
     assert SEAM_GRID.integrate(density.values) == pytest.approx(1.0, abs=1e-12)
+
+
+BOOST_GRID = PositionGrid(256, 40.0)
+BOOST_PACKET = gaussian_wavepacket(BOOST_GRID, 1.0)
+
+
+# the sweep box of verify's galilei_bch_sweep row, with its 1e-6 bound
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.5, 2.0), st.floats(0.0, 1.0), st.floats(-2.0, 2.0))
+def test_boost_exponential_is_unitary_and_factorizes(mass, time, v):
+    params = GalileiParams(mass=mass, time=time, hbar=1.0)
+    boosted = apply_boost_exponential(v, BOOST_PACKET, build_operators(BOOST_GRID, params))
+    assert boosted.norm() == pytest.approx(1.0, abs=1e-12)
+    factored = apply_boost_factored(v, BOOST_PACKET, params)
+    assert BOOST_GRID.norm(boosted.amplitudes - factored.amplitudes) <= 1e-6
 
 
 @given(st.floats())
