@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# perfbench/tracer.py and perfbench/selftest.py name galilei.expm; nothing here calls it.
-from scipy.linalg import expm  # noqa: F401
 
 from .errors import DomainError, GridMismatchError, ResourceLimitError, finite, positive
 from . import group_algebra as ga
@@ -33,6 +31,15 @@ from .thermal import MomentumGrid, MomentumMixture
 
 DENSE_SIZE_CAP = 2048
 TWO_PI = 2.0 * math.pi
+
+
+# The boost oracle needs no dense exponential. expm stays for the dense cross-check
+# test and because perfbench/tracer.py and perfbench/selftest.py trace galilei.expm;
+# scipy loads on the first call, so importing the package loads no scipy module.
+def expm(a: np.ndarray) -> np.ndarray:
+    from scipy.linalg import expm as dense_expm
+
+    return dense_expm(a)
 
 
 @dataclass(frozen=True)
@@ -190,17 +197,26 @@ def apply_boost_exponential(v: float, psi: WaveFunction, ops: OperatorGrid) -> W
     each Chebyshev term T_n(y) psi costs one ``apply_k`` by the three-term
     recurrence. The series stops at the first n > |z| with |J_n(z)| < 1e-17,
     past which the Bessel coefficients decay faster than geometrically.
-    """
-    from scipy.special import jv
 
+    A momentum kick |m v| / hbar beyond the grid band max|k| raises
+    :class:`DomainError` before the series starts: the kicked state does not
+    fit the grid, so the identity has no meaning there, and the series
+    length grows with |v|.
+    """
     if psi.grid != ops.grid:
         raise GridMismatchError("state grid does not match the operators")
     m, t, hbar = ops.params.mass, ops.params.time, ops.params.hbar
-    radius = m * float(np.max(np.abs(ops._x))) + abs(t) * hbar * float(np.max(np.abs(ops._k)))
+    k_max = float(np.max(np.abs(ops._k)))
+    radius = m * float(np.max(np.abs(ops._x))) + abs(t) * hbar * k_max
     with np.errstate(over="ignore", invalid="ignore"):
         z = v * radius / hbar
     if not math.isfinite(z):
         raise DomainError(f"boost phase v*R/hbar is not finite for v={v!r} and R={radius!r}")
+    if abs(m * v) / hbar > k_max:
+        raise DomainError(
+            f"boost momentum |m*v|/hbar for v={v!r} and mass={m!r} exceeds the grid band {k_max!r}"
+        )
+    from scipy.special import jv
 
     prev, curr = None, psi.amplitudes
     total = jv(0, z) * curr

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .analytic import norm_pdf
 from .errors import DomainError, QuadratureError, finite, positive, probability_weights
@@ -26,6 +25,8 @@ from .errors import DomainError, QuadratureError, finite, positive, probability_
 WEIGHT_TOL = 1e-12
 MATCH_TOL = 1e-10
 SCAN_POINTS = 20001
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_MAX_STEPS = 200  # each step shrinks a bracket by GOLDEN; 200 steps by 1e-42
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,8 @@ def evaluate(rho: GroupDensity, f: Callable[[float], float]) -> float:
     Dirac components evaluate ``f`` pointwise; Gaussian components use
     adaptive quadrature over mean +- 10 sigma at relative tolerance 1e-10.
     """
+    from scipy import integrate
+
     total = 0.0
     for w, comp in rho.components:
         if isinstance(comp, DiracComponent):
@@ -209,10 +212,21 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
     """Banded invertibility test for the convolution semigroup.
 
     Returns ``(True, None)`` for a single Dirac component (unimodular
-    characteristic function, decided analytically). Otherwise scans
-    ``|chi(p)|`` at ``SCAN_POINTS`` points over ``|p| <= band`` and reports
-    whether its infimum stays at or above ``floor``, together with a refined
-    argmin witness ``p*`` (the smallest ``|p|`` among equal minima).
+    characteristic function, decided analytically). Otherwise reports
+    whether the infimum of ``|chi(p)|`` over ``|p| <= band`` stays at or
+    above ``floor``, together with a nonnegative argmin witness ``p*``.
+
+    ``|chi(-p)| = |chi(p)|`` for a real density, so only ``0 <= p <= band``
+    is scanned, at ``(SCAN_POINTS + 1) // 2`` points: the spacing of a
+    ``SCAN_POINTS``-point scan of the full range. The candidates are the two
+    ends and every interior sample no larger than its neighbours. Each
+    interior candidate's bracket ``[p[i-1], p[i+1]]`` is refined by golden-
+    section search (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973), all brackets at once on numpy arrays, until every
+    bracket ``[a, b]`` is narrower than ``1e-10 + 4 eps b`` or
+    ``GOLDEN_MAX_STEPS`` steps have run. The relative term lets brackets stop
+    at large ``p``, where the float spacing exceeds 1e-10. The witness is the
+    smallest ``p`` among the candidates within 1e-9 of the least ``|chi|``.
     """
     positive("band", band)
     if not 0.0 < floor < 1.0:
@@ -221,32 +235,38 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
         return True, None
     far = max(abs(_moments(c)[0]) for _, c in rho.components)
     finite(f"phase location*p at location {far!r} and band {band!r}", far * band)
+    least, witness = _min_modulus(rho, band)
+    return least >= floor, witness
 
-    def abs2(p: float | np.ndarray) -> float | np.ndarray:
-        return np.abs(_chi(rho, np.asarray(p, dtype=float))) ** 2
 
-    grid = np.linspace(-band, band, SCAN_POINTS)
-    vals = np.asarray(abs2(grid), dtype=float)
+def _min_modulus(rho: GroupDensity, band: float) -> tuple[float, float]:
+    """Least ``|chi|`` over ``0 <= p <= band`` and its witness; see :func:`is_invertible`."""
 
-    candidate_idx = [0, SCAN_POINTS - 1]
+    def abs2(p: np.ndarray) -> np.ndarray:
+        return np.abs(_chi(rho, p)) ** 2
+
+    grid = np.linspace(0.0, band, (SCAN_POINTS + 1) // 2)
+    vals = abs2(grid)
     interior = np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
-    candidate_idx.extend(int(i) for i in interior)
-
-    refined: list[tuple[float, float]] = []
-    for i in candidate_idx:
-        if i in (0, SCAN_POINTS - 1):
-            refined.append((float(vals[i]), float(grid[i])))
-            continue
-        res = optimize.minimize_scalar(
-            lambda p: float(abs2(p)), bounds=(grid[i - 1], grid[i + 1]), method="bounded",
-            options={"xatol": 1e-10},
-        )
-        refined.append((float(res.fun), float(res.x)))
-
-    best = min(v for v, _ in refined)
-    ties = [p for v, p in refined if math.sqrt(max(v, 0.0)) <= math.sqrt(max(best, 0.0)) + 1e-9]
-    witness = min(ties, key=lambda p: (abs(p), -p))
-    return math.sqrt(max(best, 0.0)) >= floor, witness
+    # golden section on every bracket [a, b] at once, with probes a < c < d < b
+    a, b = grid[interior - 1], grid[interior + 1]
+    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    fc, fd = abs2(c), abs2(d)
+    eps4 = 4.0 * np.finfo(float).eps
+    for _ in range(GOLDEN_MAX_STEPS):
+        if np.all(b - a < 1e-10 + eps4 * b):
+            break
+        left = fc < fd  # the minimum lies in [a, d]; otherwise in [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        probe = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        f_probe = abs2(probe)
+        c, fc = np.where(left, probe, kept), np.where(left, f_probe, f_kept)
+        d, fd = np.where(left, kept, probe), np.where(left, f_kept, f_probe)
+    points = np.concatenate(([grid[0], grid[-1]], np.where(fc <= fd, c, d)))
+    moduli = np.sqrt(np.maximum(np.concatenate(([vals[0], vals[-1]], np.minimum(fc, fd))), 0.0))
+    least = float(np.min(moduli))
+    return least, float(np.min(points[moduli <= least + 1e-9]))
 
 
 def is_pure(rho: GroupDensity) -> bool:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import group_algebra as ga
 from . import quantum_system as qs
@@ -187,6 +186,8 @@ def _double_integral(r1: ga.GroupDensity, r2: ga.GroupDensity, f) -> float:
 
 def _pair_integral(c1, c2, f) -> float:
     """Integral of rho1(a) rho2(a') f(a + a') for one component pair."""
+    from scipy import integrate
+
     if isinstance(c1, ga.GaussianComponent) and isinstance(c2, ga.GaussianComponent):
         sd1 = math.sqrt(c1.variance)
 
@@ -505,6 +506,8 @@ def _thermal_parameter_sets() -> list[th.ThermalParameters]:
 
 
 def check_thermal_densities() -> list[CheckResult]:
+    from scipy import integrate
+
     norm_err = 0.0
     for tp in _thermal_parameter_sets():
         # substitute u = sqrt(E): the transformed integrand is smooth at zero

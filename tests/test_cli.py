@@ -282,3 +282,31 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "a1a2.csv").exists()
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+import mixedframes
+from mixedframes.cli import main
+for argv in (["figure", "a1a2"], ["demo", "semigroup"]):
+    assert main([*argv, "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+from scipy.linalg import expm
+from mixedframes.galilei import expm as galilei_expm
+a = np.array([[0.0, 1.5, 0.0], [-1.5, 0.2j, 0.3], [0.0, -0.3, -1.0]])
+print(float(np.max(np.abs(galilei_expm(a) - expm(a)))))
+"""
+
+
+def test_package_and_figure_commands_load_no_scipy(tmp_path):
+    # a fresh interpreter, so that modules pytest or other tests imported do not count
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded, gap = result.stdout.splitlines()[-2:]  # after the paths main prints
+    assert loaded == "[]"
+    assert float(gap) == 0.0

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from mixedframes import (
     DomainError,
@@ -27,6 +26,7 @@ from mixedframes import (
 from mixedframes.galilei import (
     apply_boost_exponential,
     apply_boost_factored,
+    expm,
     momentum_bump,
     relative_boost_phase,
 )
@@ -143,6 +143,14 @@ class TestBCH:
                     dense = expm(1j * v * k_dense) @ psi.amplitudes
                     series = apply_boost_exponential(v, psi, ops).amplitudes
                     assert grid.norm(series - dense) <= 1e-12
+
+    def test_kick_beyond_the_grid_band_rejected_before_the_series(self):
+        grid = PositionGrid(1024, 40.0)
+        ops = build_operators(grid, GalileiParams(mass=1.0, time=1.0, hbar=1.0))
+        # the series would take about |z| = 1e6 terms, each one apply_k
+        ops.apply_k = lambda amps: pytest.fail("the series started")
+        with pytest.raises(DomainError, match=r"v=10000\.0 and mass=1\.0"):
+            apply_boost_exponential(1e4, gaussian_wavepacket(grid, 1.0), ops)
 
     @pytest.mark.parametrize("v", [math.nan, math.inf, 1e308])
     def test_nonfinite_phase_rejected(self, ops_setup, v):

@@ -1,6 +1,6 @@
 """Property-based tests of the component merge, the semigroup laws, the
-channel's purity law, the periodic quadrature, the boost exponential, the
-scalar input checks and the command line."""
+invertibility scan, the channel's purity law, the periodic quadrature, the
+boost exponential, the scalar input checks and the command line."""
 
 import io
 import json
@@ -10,8 +10,10 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from mixedframes import group_algebra as ga
 from mixedframes.cli import DEFAULTS, main
@@ -200,6 +202,60 @@ def _normalize(weighted):
 
 
 @st.composite
+def scanned_densities(draw):
+    """A band up to 1e6 and a Dirac/Gaussian mixture whose |chi| the scan resolves.
+
+    Locations lie on a lattice of spacing ``unit``, so the phase moves at most
+    0.015 rad per scan step and |chi| has slope at most 1.5; variances put the
+    Gaussian decay at p = band between exp(-0.005) and exp(-25).
+    """
+    band = 10.0 ** draw(st.floats(-1.0, 6.0))
+    unit = min(draw(st.floats(1.0, 50.0)) / band, 0.5)
+    raw = []
+    for _ in range(draw(st.integers(2, 4))):
+        location = unit * draw(st.integers(-3, 3))
+        if draw(st.booleans()):
+            comp = ga.DiracComponent(location)
+        else:
+            comp = ga.GaussianComponent(location, draw(st.floats(1e-2, 50.0)) / band**2)
+        raw.append((draw(st.floats(0.05, 1.0)), comp))
+    total = math.fsum(w for w, _ in raw)
+    return band, ga.GroupDensity(tuple((w / total, c) for w, c in raw))
+
+
+def _symmetric_scan_minimum(rho, band):
+    """Reference min |chi| over |p| <= band: a SCAN_POINTS scan of [-band, band]
+    and one bounded Brent search (scipy) per local minimum of the scan."""
+
+    def abs2(p):
+        return np.abs(ga._chi(rho, np.asarray(p, dtype=float))) ** 2
+
+    grid = np.linspace(-band, band, ga.SCAN_POINTS)
+    vals = abs2(grid)
+    best = min(vals[0], vals[-1])
+    for i in np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1:
+        res = minimize_scalar(lambda p: float(abs2(p)), bounds=(grid[i - 1], grid[i + 1]),
+                              method="bounded", options={"xatol": 1e-10})
+        best = min(best, res.fun)
+    return math.sqrt(max(best, 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scanned_densities(), st.floats(1e-3, 0.999))
+def test_golden_section_scan_matches_the_brent_reference(case, floor):
+    band, rho = case
+    assume(not ga.is_pure(rho))
+    verdict, witness = ga.is_invertible(rho, band, floor)  # returning guards the stopping rule
+    least, _ = ga._min_modulus(rho, band)
+    reference = _symmetric_scan_minimum(rho, band)
+    assert abs(least - reference) <= 1e-9
+    if abs(reference - floor) > 1e-9:
+        assert verdict == (reference >= floor)
+    assert 0.0 <= witness <= band
+    assert abs(abs(ga._chi(rho, np.array([witness])))[0] - least) <= 1e-9
+
+
+@st.composite
 def channel_inputs(draw):
     """A mixture of one to three packets and a smearing density of one to three components."""
     terms = [
@@ -340,6 +396,10 @@ EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, -1e300)
 @example(("demo", "thermal"), {"mass": 1.7e308})
 @example(("demo", "semigroup"), {"a0": 1.7e308})
 @example(("demo", "semigroup"), {"a0": -1.7e308})
+# a Dirac gap <= 1e-9 leaves |chi|^2 flat, so every scan point is a tied local
+# minimum to refine (15-18 s with one scalar search per minimum)
+@example(("demo", "semigroup"), {"a2": 1e-9})
+@example(("demo", "semigroup"), {"a2": 1e-12})
 def test_cli_exits_0_or_2_on_any_float_flag(command, values):
     flags = [f"--{k.replace('_', '-')}={v!r}" for k, v in values.items()]
     stderr = io.StringIO()
