@@ -12,7 +12,6 @@ from .errors import (
     DomainError,
     GridMismatchError,
     NormalizationError,
-    NumericError,
     QuadratureError,
     ResourceLimitError,
 )
@@ -41,7 +40,6 @@ from .quantum_system import (
     PureMixture,
     WaveFunction,
     act_mixed,
-    act_pure,
     coherently_translated,
     density_distance,
     gaussian_wavepacket,

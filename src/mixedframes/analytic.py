@@ -17,11 +17,6 @@ import numpy as np
 from .errors import DomainError
 
 
-def packet_density(x: np.ndarray, alpha: float, center: float = 0.0) -> np.ndarray:
-    """Density of a Gaussian packet: normal with variance alpha^2."""
-    return norm_pdf(x, center, alpha**2)
-
-
 def norm_pdf(x: np.ndarray, mean: float, variance: float) -> np.ndarray:
     return np.exp(-((x - mean) ** 2) / (2.0 * variance)) / math.sqrt(
         2.0 * math.pi * variance

@@ -20,10 +20,6 @@ class QuadratureError(RuntimeError):
     """A numerical integration did not converge to the requested tolerance."""
 
 
-class NumericError(RuntimeError):
-    """A numerical kernel (e.g. a matrix exponential) failed to converge."""
-
-
 class ResourceLimitError(RuntimeError):
     """An operation would exceed a configured size cap."""
 

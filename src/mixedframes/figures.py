@@ -219,7 +219,7 @@ def _demo_thermal(params: dict) -> Artifact:
     )
     overlay = columns_csv(["p", "weight", "maxwell_boltzmann"], [p, state.weights, mb])
     files = (
-        ("thermal_energy.csv", th.energy_density_csv(e_grid, e_density)),
+        ("thermal_energy.csv", columns_csv(["E", "density"], [e_grid, e_density])),
         ("thermal_overlay.csv", overlay),
     )
     return Artifact(name="thermal", files=files, metadata=metadata)

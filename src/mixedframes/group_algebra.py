@@ -300,13 +300,13 @@ def _side_summary(cluster: list[tuple], side: int) -> tuple[float, float, float]
             math.fsum(w * var for w, _, var in members) / total)
 
 
-def density_gap(rho1: GroupDensity, rho2: GroupDensity, tol: float = MATCH_TOL) -> float:
+def density_gap(rho1: GroupDensity, rho2: GroupDensity) -> float:
     """Distance between two states that tolerates rounding in their parameters.
 
     Both sides' components are pooled and, for each kind, chained within
-    ``tol`` first by location and then by variance. In each cluster the gap
-    is the larger of the two sides' weight difference and the differences of
-    their weighted-mean location and variance; a cluster that one side lacks
+    ``MATCH_TOL`` first by location and then by variance. In each cluster the
+    gap is the larger of the two sides' weight difference and the differences
+    of their weighted-mean location and variance; a cluster that one side lacks
     counts with its full weight. The result is the largest cluster gap: zero
     for a state against itself, symmetric, and covariant under
     :func:`antipode` and translation.
@@ -316,8 +316,8 @@ def density_gap(rho1: GroupDensity, rho2: GroupDensity, tol: float = MATCH_TOL) 
               for w, c in rho.components for loc, var in (_moments(c),)]
     gap = 0.0
     for same_kind in _chains(pooled, 1, 0.0):  # kinds never chain together
-        for near in _chains(same_kind, 2, tol):
-            for cluster in _chains(near, 3, tol):
+        for near in _chains(same_kind, 2, MATCH_TOL):
+            for cluster in _chains(near, 3, MATCH_TOL):
                 (w1, l1, v1), (w2, l2, v2) = (_side_summary(cluster, side) for side in (0, 1))
                 if w1 == 0.0 or w2 == 0.0:
                     gap = max(gap, w1 + w2)
@@ -326,9 +326,9 @@ def density_gap(rho1: GroupDensity, rho2: GroupDensity, tol: float = MATCH_TOL) 
     return gap
 
 
-def densities_close(rho1: GroupDensity, rho2: GroupDensity, tol: float = MATCH_TOL) -> bool:
-    """Equality of states up to ``tol``: :func:`density_gap` within ``tol``."""
-    return density_gap(rho1, rho2, tol) <= tol
+def densities_close(rho1: GroupDensity, rho2: GroupDensity) -> bool:
+    """Equality of states up to rounding: :func:`density_gap` within ``MATCH_TOL``."""
+    return density_gap(rho1, rho2) <= MATCH_TOL
 
 
 def mass_within(rho: GroupDensity, lo: float, hi: float) -> float:
@@ -369,11 +369,14 @@ def sample_on_grid(rho: GroupDensity, a_grid: np.ndarray) -> np.ndarray:
     raises :class:`DomainError`.
     """
     grid = np.asarray(a_grid, dtype=float)
-    step = uniform_step(grid, "sampling grid")
+    step = float(uniform_step(grid, "sampling grid"))
     values = np.zeros_like(grid)
     for w, comp in rho.components:
         if isinstance(comp, DiracComponent):
-            idx = int(round((comp.location - grid[0]) / step))
+            # range-check in Python floats first, which do not warn on overflow:
+            # (location - grid[0]) / step overflows for a far Dirac on a fine grid
+            inside = float(grid[0]) - step <= comp.location <= float(grid[-1]) + step
+            idx = int(round((comp.location - grid[0]) / step)) if inside else -1
             if not 0 <= idx < grid.size:
                 raise DomainError(
                     f"Dirac location {comp.location} lies outside the grid [{grid[0]}, {grid[-1]}]"

@@ -32,7 +32,7 @@ from .textio import columns_csv
 NORM_TOL = 1e-9
 DENSITY_INTEGRAL_TOL = 1e-8
 DEFAULT_QUAD_ORDER = 64
-DEFAULT_TERM_CAP = 4096
+TERM_CAP = 4096
 
 # Half-width, in standard deviations, of the node comb used to discretize
 # Gaussian smearing. 8 sigma truncates below 1.3e-15 of the mass and keeps
@@ -171,11 +171,6 @@ def translate(psi: WaveFunction, a: float) -> WaveFunction:
     return WaveFunction(psi.grid, shifted)
 
 
-def act_pure(a: float, state: PureMixture) -> PureMixture:
-    """Sharp translation channel: translate every term, weights unchanged."""
-    return PureMixture(state.grid, tuple((w, translate(psi, a)) for w, psi in state.terms))
-
-
 def _gaussian_comb(comp: GaussianComponent, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform node comb discretizing a Gaussian smearing component."""
     if order < 16:
@@ -187,18 +182,24 @@ def _gaussian_comb(comp: GaussianComponent, order: int) -> tuple[np.ndarray, np.
 
 
 def act_mixed(
-    rho_R: GroupDensity,
-    state: PureMixture,
-    quad_order: int = DEFAULT_QUAD_ORDER,
-    term_cap: int = DEFAULT_TERM_CAP,
+    rho_R: GroupDensity, state: PureMixture, quad_order: int = DEFAULT_QUAD_ORDER
 ) -> PureMixture:
     """Mixed translation channel: average of unitary translations under rho_R.
 
     Dirac components contribute one translated copy per input term; Gaussian
     components are discretized by ``quad_order`` nodes on a uniform comb over
     mean +- 8 sigma with Gaussian weights, which keeps the position-density
-    error of the discretization below 1e-8 at the default order.
+    error of the discretization below 1e-8 at the default order. A sharp
+    translation is the Dirac case, ``act_mixed(make_delta(a), state)``. The
+    output size is checked against ``TERM_CAP`` before any comb is built.
     """
+    n_offsets = sum(1 if isinstance(c, DiracComponent) else quad_order for _, c in rho_R.components)
+    n_out = n_offsets * len(state.terms)
+    if n_out > TERM_CAP:
+        raise ResourceLimitError(
+            f"mixed translation would produce {n_out} terms, cap is {TERM_CAP}"
+        )
+
     offsets: list[tuple[float, float]] = []
     for w, comp in rho_R.components:
         if isinstance(comp, DiracComponent):
@@ -206,12 +207,6 @@ def act_mixed(
         else:
             nodes, node_weights = _gaussian_comb(comp, quad_order)
             offsets.extend(zip(w * node_weights, nodes))
-
-    n_out = len(offsets) * len(state.terms)
-    if n_out > term_cap:
-        raise ResourceLimitError(
-            f"mixed translation would produce {n_out} terms, cap is {term_cap}"
-        )
 
     new_terms: list[tuple[float, WaveFunction]] = []
     for wa, a in offsets:
@@ -282,12 +277,6 @@ def density_distance(d1: PositionDensity, d2: PositionDensity) -> tuple[float, f
 def position_density_csv(density: PositionDensity) -> str:
     """CSV export with header ``x,density``, shortest-roundtrip floats."""
     return columns_csv(["x", "density"], [density.grid.points(), density.values])
-
-
-def wavefunction_csv(psi: WaveFunction) -> str:
-    """CSV export with header ``x,re,im``."""
-    amps = psi.amplitudes
-    return columns_csv(["x", "re", "im"], [psi.grid.points(), amps.real, amps.imag])
 
 
 def density_mean(density: PositionDensity) -> float:

@@ -39,9 +39,11 @@ def csv_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
 
 
 def columns_csv(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
-    """CSV from parallel float columns, formatted with :func:`fmt`."""
+    """CSV from parallel float columns of equal length, formatted with :func:`fmt`."""
     if len(header) != len(columns):
         raise ValueError("header and columns must have the same length")
+    if any(len(column) != len(columns[0]) for column in columns):
+        raise ValueError("every column must have the length of the first")
     return csv_table(header, ([fmt(value) for value in row] for row in zip(*columns)))
 
 

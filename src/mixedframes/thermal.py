@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NormalizationError, finite, positive
-from .textio import columns_csv
 
 GRID_NORM_TOL = 1e-9
 
@@ -202,12 +201,3 @@ def time_translate_diagonal(
 def grid_purity_proxy(state: MomentumMixture) -> float:
     """Sum of squared weights times the grid spacing; increases with beta."""
     return state.grid.integrate(state.weights**2)
-
-
-def energy_density_csv(E_grid: np.ndarray, values: np.ndarray) -> str:
-    """CSV export with header ``E,density``."""
-    E = np.asarray(E_grid, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if E.shape != v.shape:
-        raise ValueError("energy grid and values must have matching shapes")
-    return columns_csv(["E", "density"], [E, v])

@@ -212,10 +212,3 @@ def test_criterion_9_verify_determinism(tmp_path, capsys):
     ok = code_a == 0 and code_b == 0 and identical
     with capsys.disabled():
         _report("9 determinism", ok, clock, f"exit=({code_a},{code_b}) identical={identical}")
-
-
-def test_verify_fault_injection_self_test(tmp_path, capsys):
-    code = main(["verify", "--grid-n", "256", "--tolerance-scale", "0", "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code != 0
-    assert "first failing check" in err

@@ -7,7 +7,9 @@ import pytest
 
 from mixedframes import cli
 from mixedframes.cli import ConfigError, DEFAULTS, main, parse_config_file
-from mixedframes.errors import NumericError
+from mixedframes.errors import QuadratureError
+from mixedframes.figures import FIGURE_IDS, build_figure
+from mixedframes.verify import check_figures
 
 FAST = ["--grid-n", "256"]
 
@@ -121,10 +123,10 @@ class TestErrorContract:
 
     def test_internal_fault_still_raises(self, tmp_path, monkeypatch):
         def broken(*args):
-            raise NumericError("kernel did not converge")
+            raise QuadratureError("quadrature did not converge")
 
         monkeypatch.setattr(cli, "build_figure", broken)
-        with pytest.raises(NumericError):
+        with pytest.raises(QuadratureError):
             main(["figure", "a1a2", "--out", str(tmp_path)])
 
 
@@ -257,20 +259,16 @@ class TestVerifyCommand:
         assert any(line.startswith("galilei_bch_sweep,") for line in report[1:])
         assert not (out / "galilei_residuals.csv").exists()
 
-    def test_off_grid_midpoint_and_row_labels(self, tmp_path, capsys):
-        # a2/2 = 1.5 is not a point of the 256-point grid
-        code, _, err = run_cli(
-            ["verify", "--grid-n", "256", "--alpha", "0.6", "--a2", "3.0", "--out", str(tmp_path)],
-            capsys,
-        )
-        assert code == 0, err
-        rows = {
-            line.split(",")[0]: line.split(",")
-            for line in (tmp_path / "verify_report.csv").read_text().splitlines()[1:]
-        }
+    def test_off_grid_midpoint_and_row_labels(self):
+        # a2/2 = 1.5 is not a point of the 256-point grid; only the figure rows
+        # of verify depend on alpha and a2
+        params = {**DEFAULTS, "grid_n": 256, "alpha": 0.6, "a2": 3.0}
+        figures = {figure_id: build_figure(figure_id, params) for figure_id in FIGURE_IDS}
+        rows = {r.name: r for r in check_figures(params, figures)}
+        assert all(r.passed for r in rows.values()), [r for r in rows.values() if not r.passed]
         for name in ("figure_a1a2_closed_form", "figure_a1a2diff_closed_form"):
-            assert rows[name][1] == "alpha=0.6 a2=3.0"
-        assert float(rows["figure_a1a2diff_midpoint_zero"][2]) <= 1e-10
+            assert rows[name].parameters == "alpha=0.6 a2=3.0"
+        assert rows["figure_a1a2diff_midpoint_zero"].residual <= 1e-10
 
 
 def test_module_entry_point(tmp_path):

@@ -13,7 +13,6 @@ from mixedframes import (
     ResourceLimitError,
     WaveFunction,
     act_mixed,
-    act_pure,
     coherently_translated,
     convolve,
     density_distance,
@@ -27,7 +26,7 @@ from mixedframes import (
     translate,
     two_gaussian_superposition,
 )
-from mixedframes import analytic
+from mixedframes import analytic, quantum_system
 from mixedframes.group_algebra import antipode, sample_on_grid
 from mixedframes.quantum_system import density_mean, density_variance
 
@@ -90,7 +89,7 @@ class TestTranslate:
         shifted = position_density(pure_state(translate(psi, 2.5)))
         x = fine_grid.points()
         assert x[np.argmax(shifted.values)] == pytest.approx(-2.5, abs=fine_grid.spacing)
-        assert np.max(np.abs(shifted.values - analytic.packet_density(x, 0.75, -2.5))) < 1e-12
+        assert np.max(np.abs(shifted.values - analytic.norm_pdf(x, -2.5, 0.75**2))) < 1e-12
 
     def test_round_trip_and_unitarity(self, grid):
         psi = gaussian_wavepacket(grid, 0.6, 1.0)
@@ -105,16 +104,18 @@ class TestTranslate:
 
 
 class TestActPure:
+    """The sharp translation channel: act_mixed on a single Dirac."""
+
     def test_preserves_term_count_and_purity(self, grid):
         state = mixture_of_two(grid)
-        out = act_pure(1.2, state)
+        out = act_mixed(make_delta(1.2), state)
         assert len(out.terms) == len(state.terms)
         assert purity(out) == pytest.approx(purity(state), abs=1e-10)
 
     def test_additivity(self, grid):
         state = mixture_of_two(grid)
-        one = act_pure(0.7, act_pure(0.5, state))
-        two = act_pure(1.2, state)
+        one = act_mixed(make_delta(0.7), act_mixed(make_delta(0.5), state))
+        two = act_mixed(make_delta(1.2), state)
         for (_, p1), (_, p2) in zip(one.terms, two.terms):
             assert np.max(np.abs(p1.amplitudes - p2.amplitudes)) < 1e-12
 
@@ -143,11 +144,13 @@ class TestActMixed:
         assert np.max(np.abs(got - manual)) < 1e-14
 
     def test_delta_reduces_to_act_pure(self, grid):
+        # a Dirac translates every term and keeps the weights
         state = mixture_of_two(grid)
         via_channel = act_mixed(make_delta(-0.8), state)
-        direct = act_pure(-0.8, state)
-        for (_, p1), (_, p2) in zip(via_channel.terms, direct.terms):
-            assert np.max(np.abs(p1.amplitudes - p2.amplitudes)) < 1e-13
+        assert len(via_channel.terms) == len(state.terms)
+        for (w1, p1), (w2, p2) in zip(via_channel.terms, state.terms):
+            assert w1 == pytest.approx(w2, abs=1e-15)
+            assert np.max(np.abs(p1.amplitudes - translate(p2, -0.8).amplitudes)) < 1e-13
 
     def test_gaussian_smearing_closed_form(self, fine_grid):
         alpha, sigma = 0.75, 1.0
@@ -172,8 +175,18 @@ class TestActMixed:
     def test_term_cap(self, grid):
         psi = gaussian_wavepacket(grid, 0.75)
         rho = mix([(0.5, make_gaussian(0.0, 1.0)), (0.5, make_gaussian(1.0, 1.0))])
+        # 2 * 2049 terms, two over TERM_CAP = 4096
         with pytest.raises(ResourceLimitError):
-            act_mixed(rho, pure_state(psi), quad_order=64, term_cap=100)
+            act_mixed(rho, pure_state(psi), quad_order=2049)
+
+    def test_term_cap_checked_before_any_comb_is_built(self, grid, monkeypatch):
+        def no_comb(*args):
+            raise AssertionError("node comb built before the term-cap check")
+
+        monkeypatch.setattr(quantum_system, "_gaussian_comb", no_comb)
+        psi = gaussian_wavepacket(grid, 0.75)
+        with pytest.raises(ResourceLimitError):
+            act_mixed(make_gaussian(0.0, 1.0), pure_state(psi), quad_order=10**6)
 
 
 class TestPositionDensity:
@@ -348,12 +361,8 @@ class TestChannelInvariants:
         psi = gaussian_wavepacket(grid, 0.7)
         r1 = mix([(0.4, make_delta(0.6)), (0.6, make_gaussian(-0.3, 0.25))])
         r2 = mix([(0.5, make_delta(-1.1)), (0.5, make_gaussian(0.8, 0.16))])
-        sequential = position_density(
-            act_mixed(r1, act_mixed(r2, pure_state(psi), 48), 48, term_cap=8192)
-        )
-        combined = position_density(
-            act_mixed(convolve(r1, r2), pure_state(psi), 48, term_cap=8192)
-        )
+        sequential = position_density(act_mixed(r1, act_mixed(r2, pure_state(psi), 48), 48))
+        combined = position_density(act_mixed(convolve(r1, r2), pure_state(psi), 48))
         sup, _ = density_distance(sequential, combined)
         assert sup < 1e-6
 
@@ -375,12 +384,3 @@ class TestCsvExports:
         x, value = (float(tok) for tok in lines[1].split(","))
         assert x == grid.points()[0]
         assert value == dens.values[0]
-
-    def test_wavefunction_export_shape(self, grid):
-        from mixedframes.quantum_system import wavefunction_csv
-
-        psi = translate(gaussian_wavepacket(grid, 0.75), 0.3)
-        lines = wavefunction_csv(psi).splitlines()
-        assert lines[0] == "x,re,im"
-        _, re, im = (float(tok) for tok in lines[512].split(","))
-        assert complex(re, im) == psi.amplitudes[511]

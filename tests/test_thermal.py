@@ -187,12 +187,13 @@ class TestTimeTranslation:
 
 class TestCsvExports:
     def test_energy_density_export(self):
-        from mixedframes.thermal import energy_density_csv
+        from mixedframes.textio import columns_csv
 
         tp = ThermalParameters(1.0, 1.0)
         E = np.linspace(0.01, 4.0, 10)
-        lines = energy_density_csv(E, energy_smearing_density(tp, E)).splitlines()
+        lines = columns_csv(["E", "density"], [E, energy_smearing_density(tp, E)]).splitlines()
         assert lines[0] == "E,density"
         assert len(lines) == 11
+        # zip would silently drop the rows past the shorter column
         with pytest.raises(ValueError):
-            energy_density_csv(E, np.ones(3))
+            columns_csv(["E", "density"], [E, np.ones(3)])
