@@ -352,8 +352,9 @@ def uniform_step(grid: np.ndarray, what: str) -> float:
     """Spacing of a finite, increasing, uniform 1-D grid of at least 3 points."""
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError(f"{what} must be a 1-D array with at least 3 points")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError(f"{what} must be finite")
+    # Python floats: a span past the float range is inf without a numpy warning
+    if not (np.all(np.isfinite(grid)) and math.isfinite(float(grid[-1]) - float(grid[0]))):
+        raise ValueError(f"{what} must be finite and span a finite interval")
     step = grid[1] - grid[0]
     if step <= 0.0 or np.any(np.abs(np.diff(grid) - step) > 1e-9 * step):
         raise ValueError(f"{what} must be uniform and increasing")

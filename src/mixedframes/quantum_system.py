@@ -4,7 +4,9 @@ Pure states are unit-norm wavefunctions on a power-of-two position grid;
 translations act spectrally (FFT phase multiplication), so they are exactly
 unitary. A mixed translation, i.e. a probability density on the group,
 acts as a mixture-of-unitaries channel and produces a convex combination
-of translated copies of the input state.
+of translated copies of the input state. Every copy of one input term
+shares that term's spectrum, so the channel costs one forward FFT per
+input term, and one exponential plus one inverse FFT per output term.
 
 Sign convention: ``translate(psi, a)`` returns ``psi(x + a)``, so the
 density peak of a packet translated by ``a`` sits at ``x = -a``.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -157,18 +160,37 @@ def gaussian_wavepacket(grid: PositionGrid, alpha: float, center: float = 0.0) -
     return _normalized(grid, np.exp(-((x - center) ** 2) / width).astype(complex))
 
 
+def _translated(
+    grid: PositionGrid, psis: Sequence[WaveFunction], shifts: Iterable[float]
+) -> Iterator[WaveFunction]:
+    """psi(x + a) for every shift a (outer) and state psi (inner), lazily.
+
+    Every shift is checked before any transform. Each state then costs one
+    forward FFT, and each output one exponential and one inverse FFT; a zero
+    shift yields the state itself.
+    """
+    shifts = [finite("translation parameter", a) for a in shifts]
+    widest = max(map(abs, shifts))
+    if widest >= 0.5 * grid.extent:
+        raise DomainError(
+            f"translation parameter |a|={widest} is too large for the periodic box"
+            f" of extent {grid.extent}"
+        )
+    ik = 1j * grid.wavenumbers()
+    spectra = [np.fft.fft(psi.amplitudes) for psi in psis]
+    for a in shifts:
+        for psi, spectrum in zip(psis, spectra):
+            if a == 0.0:
+                yield psi
+                continue
+            row = np.exp(ik * a)
+            row *= spectrum
+            yield WaveFunction(grid, np.fft.ifft(row, out=row))
+
+
 def translate(psi: WaveFunction, a: float) -> WaveFunction:
     """Exact spectral translation: returns the state with values psi(x + a)."""
-    a = finite("translation parameter", a)
-    if abs(a) >= 0.5 * psi.grid.extent:
-        raise DomainError(
-            f"|a|={abs(a)} is too large for the periodic box of extent {psi.grid.extent}"
-        )
-    if a == 0.0:
-        return psi
-    k = psi.grid.wavenumbers()
-    shifted = np.fft.ifft(np.exp(1j * k * a) * np.fft.fft(psi.amplitudes))
-    return WaveFunction(psi.grid, shifted)
+    return next(_translated(psi.grid, [psi], [a]))
 
 
 def _gaussian_comb(comp: GaussianComponent, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +213,10 @@ def act_mixed(
     mean +- 8 sigma with Gaussian weights, which keeps the position-density
     error of the discretization below 1e-8 at the default order. A sharp
     translation is the Dirac case, ``act_mixed(make_delta(a), state)``. The
-    output size is checked against ``TERM_CAP`` before any comb is built.
+    output size is checked against ``TERM_CAP`` before any comb is built,
+    and every offset before any FFT. The cost is one forward FFT per input
+    term, and one exponential plus one inverse FFT per output term; outputs
+    are ordered offset-major, term-minor.
     """
     n_offsets = sum(1 if isinstance(c, DiracComponent) else quad_order for _, c in rho_R.components)
     n_out = n_offsets * len(state.terms)
@@ -208,10 +233,9 @@ def act_mixed(
             nodes, node_weights = _gaussian_comb(comp, quad_order)
             offsets.extend(zip(w * node_weights, nodes))
 
-    new_terms: list[tuple[float, WaveFunction]] = []
-    for wa, a in offsets:
-        for wt, psi in state.terms:
-            new_terms.append((wa * wt, translate(psi, a)))
+    weights = [wa * wt for wa, _ in offsets for wt, _ in state.terms]
+    shifted = _translated(state.grid, [psi for _, psi in state.terms], [a for _, a in offsets])
+    new_terms = list(zip(weights, shifted, strict=True))
     total = math.fsum(w for w, _ in new_terms)
     return PureMixture(state.grid, tuple((w / total, psi) for w, psi in new_terms))
 
@@ -261,8 +285,8 @@ def coherently_translated(
     """
     nodes, weights = _gaussian_comb(smear, quad_order)
     amps = np.zeros(psi.grid.n_points, dtype=complex)
-    for w, a in zip(weights, nodes):
-        amps += w * translate(psi, a).amplitudes
+    for w, shifted in zip(weights, _translated(psi.grid, [psi], nodes)):
+        amps += w * shifted.amplitudes
     return _normalized(psi.grid, amps)
 
 

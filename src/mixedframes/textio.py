@@ -39,12 +39,17 @@ def csv_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
 
 
 def columns_csv(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
-    """CSV from parallel float columns of equal length, formatted with :func:`fmt`."""
+    """CSV from parallel float columns of equal length, cells as :func:`fmt` writes them.
+
+    Each column is converted to Python floats once, so ``repr`` formats plain
+    floats instead of numpy scalars.
+    """
     if len(header) != len(columns):
         raise ValueError("header and columns must have the same length")
     if any(len(column) != len(columns[0]) for column in columns):
         raise ValueError("every column must have the length of the first")
-    return csv_table(header, ([fmt(value) for value in row] for row in zip(*columns)))
+    cells = (map(repr, np.asarray(column, dtype=float).tolist()) for column in columns)
+    return csv_table(header, zip(*cells))
 
 
 def write_metadata(path: Path, metadata: dict) -> None:

@@ -112,6 +112,8 @@ def _bad_grids() -> dict[str, np.ndarray]:
         "decreasing": grid[::-1].copy(),
         "non_uniform": uneven,
         "nan_inside": with_nan,
+        # every step is finite, the span grid[-1] - grid[0] is not
+        "span_overflows": np.array([-1.7e308, 0.0, 1.7e308]),
     }
 
 
@@ -148,6 +150,14 @@ class TestGridRules:
             warnings.simplefilter("error")
             with pytest.raises(DomainError):
                 GRID_CONSUMERS[consumer](far, np.linspace(-1e-300, 1e-300, 3))
+
+    @pytest.mark.parametrize("consumer", ["sample_on_grid", "boost_mixed"])
+    def test_dirac_on_a_grid_with_overflowing_span_rejected(self, consumer):
+        grid = _bad_grids()["span_overflows"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sampling grid"):
+                GRID_CONSUMERS[consumer](make_delta(1.7e308), grid)
 
 
 class TestEvaluate:

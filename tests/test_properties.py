@@ -1,6 +1,7 @@
 """Property-based tests of the component merge, the semigroup laws, the
 invertibility scan, the channel's purity law, the periodic quadrature, the
-boost exponential, the scalar input checks and the command line."""
+boost exponential, the scalar input checks, CSV formatting and the command
+line."""
 
 import io
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize_scalar
 
 from mixedframes import group_algebra as ga
@@ -35,6 +37,7 @@ from mixedframes.quantum_system import (
     purity,
     translate,
 )
+from mixedframes.textio import columns_csv, csv_table, fmt
 
 # Near-tie scale: far below density_gap's default tolerance, far above the
 # rounding of the parameters, so near-ties stay apart in the canonical form
@@ -324,6 +327,24 @@ def test_translated_packet_keeps_its_mass_across_the_seam(a, alpha):
     packet = gaussian_wavepacket(SEAM_GRID, alpha)
     density = position_density(pure_state(translate(packet, a)))
     assert SEAM_GRID.integrate(density.values) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def csv_columns(draw):
+    """One to three equal-length columns of float64, float32 or integer arrays,
+    with every value of the dtype possible (NaN, infinities, -0.0, subnormals)."""
+    n = draw(st.integers(0, 8))
+    dtypes = st.sampled_from((np.float64, np.float32, np.int64))
+    return [draw(hnp.arrays(dtype, n)) for dtype in draw(st.lists(dtypes, min_size=1, max_size=3))]
+
+
+@given(csv_columns())
+@example([np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 3.0, -(2.0**53)])])
+@example([np.array([0.1, -0.0, 1e-45], dtype=np.float32), np.array([7, -(2**63), 2**63 - 1])])
+def test_columns_csv_formats_like_fmt_per_scalar(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    per_scalar = csv_table(header, ([fmt(value) for value in row] for row in zip(*columns)))
+    assert columns_csv(header, columns).encode() == per_scalar.encode()
 
 
 BOOST_GRID = PositionGrid(256, 40.0)

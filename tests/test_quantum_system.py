@@ -27,7 +27,7 @@ from mixedframes import (
     two_gaussian_superposition,
 )
 from mixedframes import analytic, quantum_system
-from mixedframes.group_algebra import antipode, sample_on_grid
+from mixedframes.group_algebra import DiracComponent, antipode, sample_on_grid
 from mixedframes.quantum_system import density_mean, density_variance
 
 from conftest import dense_density_matrix
@@ -131,7 +131,62 @@ def mix_state(grid, term_params):
     return PureMixture(grid, terms)
 
 
+def spectral_shift(psi, a):
+    """psi(x + a) by the spectral rule written as one expression: the reference
+    for every translated row, which must match it bit for bit."""
+    if a == 0.0:
+        return psi.amplitudes
+    k = psi.grid.wavenumbers()
+    return np.fft.ifft(np.exp(1j * k * a) * np.fft.fft(psi.amplitudes))
+
+
+# two-term mixtures of densities: Dirac components (one at 0), Gaussian ones, or both
+CHANNEL_DENSITIES = {
+    "dirac": [(0.6, make_delta(0.0)), (0.4, make_delta(-1.3))],
+    "gaussian": [(0.7, make_gaussian(0.4, 0.36)), (0.3, make_gaussian(-2.0, 0.09))],
+    "both": [(0.5, make_delta(0.0)), (0.5, make_gaussian(0.4, 0.36))],
+}
+
+
 class TestActMixed:
+    @pytest.mark.parametrize("kind", sorted(CHANNEL_DENSITIES))
+    def test_rows_are_translates_in_offset_major_order(self, grid, kind):
+        state = mixture_of_two(grid)
+        rho = mix(CHANNEL_DENSITIES[kind])
+        offsets = []
+        for w, comp in rho.components:
+            if isinstance(comp, DiracComponent):
+                offsets.append((w, comp.location))
+            else:
+                nodes, node_weights = quantum_system._gaussian_comb(comp, 24)
+                offsets.extend(zip(w * node_weights, nodes))
+        expected = [(wa * wt, a, psi) for wa, a in offsets for wt, psi in state.terms]
+        total = math.fsum(w for w, _, _ in expected)
+
+        out = act_mixed(rho, state, 24)
+        assert len(out.terms) == len(expected)
+        for (w, got), (w_ref, a, psi) in zip(out.terms, expected):
+            assert w == w_ref / total
+            assert np.array_equal(got.amplitudes, translate(psi, a).amplitudes)
+            assert np.array_equal(got.amplitudes, spectral_shift(psi, a))
+            if a == 0.0:
+                assert got is psi
+        # the zero-shift branch ran wherever a Dirac sits at 0
+        assert any(a == 0.0 for _, a in offsets) == (kind != "gaussian")
+
+    def test_out_of_box_node_rejected_before_any_fft(self, grid, monkeypatch):
+        psi = gaussian_wavepacket(grid, 0.75)
+        # the comb spans 19 +- 8: its first nodes lie inside the box of
+        # extent 40, its last ones outside; the Dirac at 1.0 comes first
+        rho = mix([(0.5, make_delta(1.0)), (0.5, make_gaussian(19.0, 1.0))])
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("FFT before every offset was checked")
+
+        monkeypatch.setattr(quantum_system.np.fft, "fft", no_fft)
+        with pytest.raises(DomainError, match="translation parameter"):
+            act_mixed(rho, pure_state(psi), 24)
+
     def test_two_point_matches_manual_mixture(self, grid):
         psi = gaussian_wavepacket(grid, 0.75)
         rho = mix([(0.5, make_delta(0.0)), (0.5, make_delta(2.5))])
@@ -293,6 +348,16 @@ class TestSuperposition:
 
 
 class TestCoherentlyTranslated:
+    def test_equals_the_sequential_translate_sum(self, grid):
+        psi = gaussian_wavepacket(grid, 0.75, 0.5)
+        smear = GaussianComponent(0.3, 0.5)
+        nodes, weights = quantum_system._gaussian_comb(smear, 33)
+        amps = np.zeros(grid.n_points, dtype=complex)
+        for w, a in zip(weights, nodes):
+            amps += w * spectral_shift(psi, a)
+        got = coherently_translated(smear, psi, 33).amplitudes
+        assert np.array_equal(got, amps / grid.norm(amps))
+
     def test_sharp_limit_matches_translate(self, fine_grid):
         psi = gaussian_wavepacket(fine_grid, 0.75)
         smeared = coherently_translated(GaussianComponent(1.5, 1e-8), psi)
