@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the input checks that raise them."""
 
 import math
+import operator
 from typing import Sequence
 
 
@@ -30,6 +31,14 @@ def finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
     return value
+
+
+def integer(name: str, value: int) -> int:
+    """``operator.index(value)``; raises :class:`DomainError` naming ``name`` unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def positive(name: str, value: float) -> float:

@@ -5,8 +5,9 @@ translations act spectrally (FFT phase multiplication), so they are exactly
 unitary. A mixed translation, i.e. a probability density on the group,
 acts as a mixture-of-unitaries channel and produces a convex combination
 of translated copies of the input state. Every copy of one input term
-shares that term's spectrum, so the channel costs one forward FFT per
-input term, and one exponential plus one inverse FFT per output term.
+shares that term's spectrum, and every copy at one offset shares that
+offset's phase, so the channel costs one forward FFT per input term, one
+half-spectrum exponential per offset and one inverse FFT per output term.
 
 Sign convention: ``translate(psi, a)`` returns ``psi(x + a)``, so the
 density peak of a packet translated by ``a`` sits at ``x = -a``.
@@ -14,6 +15,7 @@ density peak of a packet translated by ``a`` sits at ``x = -a``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -26,11 +28,12 @@ from .errors import (
     NormalizationError,
     ResourceLimitError,
     finite,
+    integer,
     positive,
     probability_weights,
 )
 from .group_algebra import DiracComponent, GaussianComponent, GroupDensity
-from .textio import columns_csv
+from .textio import csv_table
 
 NORM_TOL = 1e-9
 DENSITY_INTEGRAL_TOL = 1e-8
@@ -166,8 +169,11 @@ def _translated(
     """psi(x + a) for every shift a (outer) and state psi (inner), lazily.
 
     Every shift is checked before any transform. Each state then costs one
-    forward FFT, and each output one exponential and one inverse FFT; a zero
-    shift yields the state itself.
+    forward FFT, each shift one exponential over the n//2 + 1 wavenumbers of
+    non-negative index, and each output one inverse FFT; a zero shift yields
+    the states themselves. ``fftfreq`` is antisymmetric, k[n-j] = -k[j]
+    exactly, so the upper half of the phase is the conjugate of the lower
+    half, bit for bit the exponential of ``ik * a``.
     """
     shifts = [finite("translation parameter", a) for a in shifts]
     widest = max(map(abs, shifts))
@@ -176,15 +182,18 @@ def _translated(
             f"translation parameter |a|={widest} is too large for the periodic box"
             f" of extent {grid.extent}"
         )
-    ik = 1j * grid.wavenumbers()
+    half = grid.n_points // 2
+    ik = 1j * grid.wavenumbers()[: half + 1]
     spectra = [np.fft.fft(psi.amplitudes) for psi in psis]
+    phase = np.empty(grid.n_points, dtype=complex)
     for a in shifts:
-        for psi, spectrum in zip(psis, spectra):
-            if a == 0.0:
-                yield psi
-                continue
-            row = np.exp(ik * a)
-            row *= spectrum
+        if a == 0.0:
+            yield from psis
+            continue
+        np.exp(ik * a, out=phase[: half + 1])
+        np.conjugate(phase[half - 1 : 0 : -1], out=phase[half + 1 :])
+        for spectrum in spectra:
+            row = phase * spectrum
             yield WaveFunction(grid, np.fft.ifft(row, out=row))
 
 
@@ -212,12 +221,14 @@ def act_mixed(
     components are discretized by ``quad_order`` nodes on a uniform comb over
     mean +- 8 sigma with Gaussian weights, which keeps the position-density
     error of the discretization below 1e-8 at the default order. A sharp
-    translation is the Dirac case, ``act_mixed(make_delta(a), state)``. The
+    translation is the Dirac case, ``act_mixed(make_delta(a), state)``.
+    ``quad_order`` must be an integer, even for a Dirac-only density. The
     output size is checked against ``TERM_CAP`` before any comb is built,
     and every offset before any FFT. The cost is one forward FFT per input
-    term, and one exponential plus one inverse FFT per output term; outputs
-    are ordered offset-major, term-minor.
+    term, one half-spectrum exponential per offset and one inverse FFT per
+    output term; outputs are ordered offset-major, term-minor.
     """
+    quad_order = integer("quad_order", quad_order)
     n_offsets = sum(1 if isinstance(c, DiracComponent) else quad_order for _, c in rho_R.components)
     n_out = n_offsets * len(state.terms)
     if n_out > TERM_CAP:
@@ -249,11 +260,20 @@ def position_density(state: PureMixture) -> PositionDensity:
 
 
 def purity(state: PureMixture) -> float:
-    """Tr rho^2 from the Gram matrix of pairwise term overlaps."""
+    """Tr rho^2 = sum_ij w_i w_j |<psi_i|psi_j>|^2 from the Gram matrix of term overlaps.
+
+    The Gram matrix is formed in real arithmetic: Re G = V V^T with V the
+    amplitudes viewed as interleaved floats (one symmetric rank-k update),
+    and Im G = X Y^T - (X Y^T)^T with X, Y the real and imaginary parts
+    (one real product), so no conjugated copy is made.
+    """
     weights = np.array([w for w, _ in state.terms])
     amps = np.stack([psi.amplitudes for _, psi in state.terms])
-    gram = (amps.conj() @ amps.T) * state.grid.spacing
-    return float(weights @ (np.abs(gram) ** 2) @ weights)
+    floats = amps.view(float)
+    re = floats @ floats.T
+    xy = amps.real @ amps.imag.T
+    im = xy - xy.T
+    return float(weights @ (re * re + im * im) @ weights) * state.grid.spacing**2
 
 
 def two_gaussian_superposition(
@@ -283,7 +303,7 @@ def coherently_translated(
     is a pure state, unlike the output of :func:`act_mixed`, and its density
     is always narrower than the channel output for the same smearing width.
     """
-    nodes, weights = _gaussian_comb(smear, quad_order)
+    nodes, weights = _gaussian_comb(smear, integer("quad_order", quad_order))
     amps = np.zeros(psi.grid.n_points, dtype=complex)
     for w, shifted in zip(weights, _translated(psi.grid, [psi], nodes)):
         amps += w * shifted.amplitudes
@@ -298,9 +318,19 @@ def density_distance(d1: PositionDensity, d2: PositionDensity) -> tuple[float, f
     return float(gap.max()), d1.grid.integrate(gap)
 
 
+@functools.lru_cache(maxsize=4)
+def _x_cells(grid: PositionGrid) -> tuple[str, ...]:
+    """The grid's points as CSV cells, formatted once per grid.
+
+    Holds at most 4 grids of about 70 B per point each (0.6 MB at n = 8192).
+    """
+    return tuple(map(repr, grid.points().tolist()))
+
+
 def position_density_csv(density: PositionDensity) -> str:
     """CSV export with header ``x,density``, shortest-roundtrip floats."""
-    return columns_csv(["x", "density"], [density.grid.points(), density.values])
+    cells = map(repr, density.values.tolist())
+    return csv_table(["x", "density"], zip(_x_cells(density.grid), cells))
 
 
 def density_mean(density: PositionDensity) -> float:

@@ -148,6 +148,23 @@ CHANNEL_DENSITIES = {
 }
 
 
+class TestTranslated:
+    @pytest.mark.parametrize("n", [64, 256, 8192])
+    def test_rows_equal_the_full_spectrum_rule(self, n):
+        # the half-spectrum phase, conjugated into the upper half, must give
+        # the same bits as exp(ik*a) over every wavenumber
+        grid = PositionGrid(n, 40.0)
+        psis = [gaussian_wavepacket(grid, 0.75, -1.0), gaussian_wavepacket(grid, 0.5, 1.5)]
+        edge = math.nextafter(20.0, 0.0)
+        shifts = [5e-324, -5e-324, 1e-300, -1e-300, -0.0, 0.0, 19.99999, -19.99999,
+                  edge, -edge, 0.3, -7.25, grid.spacing, -0.5 * grid.spacing]
+        rows = list(quantum_system._translated(grid, psis, shifts))
+        expected = [(a, psi) for a in shifts for psi in psis]
+        assert len(rows) == len(expected)
+        for row, (a, psi) in zip(rows, expected):
+            assert np.array_equal(row.amplitudes, spectral_shift(psi, a))
+
+
 class TestActMixed:
     @pytest.mark.parametrize("kind", sorted(CHANNEL_DENSITIES))
     def test_rows_are_translates_in_offset_major_order(self, grid, kind):
@@ -233,6 +250,22 @@ class TestActMixed:
         # 2 * 2049 terms, two over TERM_CAP = 4096
         with pytest.raises(ResourceLimitError):
             act_mixed(rho, pure_state(psi), quad_order=2049)
+
+    # 1e9 is rejected as a type, before the term count could reject its size
+    @pytest.mark.parametrize("order", [20.0, 16.5, math.nan, 1e9, "64", None])
+    def test_non_integral_quad_order_rejected(self, grid, order):
+        psi = gaussian_wavepacket(grid, 0.75)
+        with pytest.raises(DomainError, match="quad_order must be an integer"):
+            act_mixed(make_gaussian(0.0, 0.5), pure_state(psi), order)
+        with pytest.raises(DomainError, match="quad_order must be an integer"):
+            act_mixed(make_delta(0.5), pure_state(psi), order)
+        with pytest.raises(DomainError, match="quad_order must be an integer"):
+            coherently_translated(GaussianComponent(0.0, 0.5), psi, order)
+
+    def test_numpy_integer_quad_order_accepted(self, grid):
+        state = pure_state(gaussian_wavepacket(grid, 0.75))
+        out = act_mixed(make_gaussian(0.0, 0.5), state, np.int64(24))
+        assert len(out.terms) == 24
 
     def test_term_cap_checked_before_any_comb_is_built(self, grid, monkeypatch):
         def no_comb(*args):
@@ -439,6 +472,22 @@ class TestChannelInvariants:
 
 
 class TestCsvExports:
+    def test_density_export_matches_columns_csv_across_grids(self):
+        from mixedframes.quantum_system import _x_cells, position_density_csv
+        from mixedframes.textio import columns_csv
+
+        grids = [PositionGrid(n, extent) for n, extent in
+                 ((64, 40.0), (128, 40.0), (64, 20.0), (256, 40.0), (512, 10.0), (1024, 40.0))]
+        _x_cells.cache_clear()
+        # forward, back (hits on the last four, misses beyond), then every other
+        for grid in grids + grids[::-1] + grids[::2]:
+            dens = position_density(pure_state(gaussian_wavepacket(grid, 0.5)))
+            expected = columns_csv(["x", "density"], [grid.points(), dens.values])
+            assert position_density_csv(dens) == expected
+            assert _x_cells.cache_info().currsize <= 4
+        info = _x_cells.cache_info()
+        assert info.hits >= 4 and info.misses > len(grids)
+
     def test_density_export_round_trips(self, grid):
         from mixedframes.quantum_system import position_density_csv
 
