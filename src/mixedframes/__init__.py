@@ -16,7 +16,6 @@ from .errors import (
     ResourceLimitError,
 )
 from .group_algebra import (
-    CharacteristicFunction,
     DiracComponent,
     GaussianComponent,
     GroupDensity,

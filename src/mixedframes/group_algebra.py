@@ -165,38 +165,19 @@ def antipode(rho: GroupDensity) -> GroupDensity:
     return GroupDensity(_canonical([(w, _component(-loc, var)) for w, loc, var in moments]))
 
 
-@dataclass(frozen=True)
-class CharacteristicFunction:
-    """Values of chi(p) = integral of rho(a) exp(-i a p) da on a dual grid."""
+def characteristic_function(rho: GroupDensity, p: np.ndarray) -> np.ndarray:
+    """chi(p) = integral of rho(a) exp(-i a p) da at every dual point ``p``.
 
-    dual_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        grid = np.asarray(self.dual_grid, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        if grid.shape != values.shape or grid.ndim != 1:
-            raise ValueError("dual grid and values must be matching 1-D arrays")
-        if np.any(np.abs(values) > 1.0 + 1e-12):
-            raise ValueError("characteristic function exceeds modulus one")
-        at_zero = np.abs(grid) < 1e-300
-        if np.any(np.abs(values[at_zero] - 1.0) > 1e-12):
-            raise ValueError("characteristic function must equal one at p=0")
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "dual_grid", grid)
-        object.__setattr__(self, "values", values)
-
-
-def characteristic_function(rho: GroupDensity, dual_grid: np.ndarray) -> CharacteristicFunction:
-    """Characteristic function of the density on a uniform dual grid."""
-    p = np.asarray(dual_grid, dtype=float)
-    uniform_step(p, "dual grid")
-    return CharacteristicFunction(p, _chi(rho, p))
-
-
-def _chi(rho: GroupDensity, p: np.ndarray) -> np.ndarray:
-    values = np.zeros(np.shape(p), dtype=complex)
+    Any array of finite points is accepted; the one input check is that the
+    largest phase ``location * p`` is finite, which also rejects NaN and
+    infinite points with :class:`DomainError`.
+    """
+    p = np.asarray(p, dtype=float)
+    far = max(abs(_moments(c)[0]) for _, c in rho.components)
+    # Python floats: the product is inf or NaN without a numpy warning
+    widest = float(np.max(np.abs(p), initial=0.0))
+    finite(f"phase location*p at location {far!r} and |p| {widest!r}", far * widest)
+    values = np.zeros(p.shape, dtype=complex)
     for w, comp in rho.components:
         if isinstance(comp, DiracComponent):
             values += w * np.exp(-1j * comp.location * p)
@@ -233,8 +214,6 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
         raise DomainError(f"floor must lie in (0, 1), got {floor}")
     if is_pure(rho):
         return True, None
-    far = max(abs(_moments(c)[0]) for _, c in rho.components)
-    finite(f"phase location*p at location {far!r} and band {band!r}", far * band)
     least, witness = _min_modulus(rho, band)
     return least >= floor, witness
 
@@ -243,7 +222,7 @@ def _min_modulus(rho: GroupDensity, band: float) -> tuple[float, float]:
     """Least ``|chi|`` over ``0 <= p <= band`` and its witness; see :func:`is_invertible`."""
 
     def abs2(p: np.ndarray) -> np.ndarray:
-        return np.abs(_chi(rho, p)) ** 2
+        return np.abs(characteristic_function(rho, p)) ** 2
 
     grid = np.linspace(0.0, band, (SCAN_POINTS + 1) // 2)
     vals = abs2(grid)
@@ -348,19 +327,6 @@ def mass_within(rho: GroupDensity, lo: float, hi: float) -> float:
     return total
 
 
-def uniform_step(grid: np.ndarray, what: str) -> float:
-    """Spacing of a finite, increasing, uniform 1-D grid of at least 3 points."""
-    if grid.ndim != 1 or grid.size < 3:
-        raise ValueError(f"{what} must be a 1-D array with at least 3 points")
-    # Python floats: a span past the float range is inf without a numpy warning
-    if not (np.all(np.isfinite(grid)) and math.isfinite(float(grid[-1]) - float(grid[0]))):
-        raise ValueError(f"{what} must be finite and span a finite interval")
-    step = grid[1] - grid[0]
-    if step <= 0.0 or np.any(np.abs(np.diff(grid) - step) > 1e-9 * step):
-        raise ValueError(f"{what} must be uniform and increasing")
-    return step
-
-
 def sample_on_grid(rho: GroupDensity, a_grid: np.ndarray) -> np.ndarray:
     """Sample the density on a uniform grid.
 
@@ -370,7 +336,14 @@ def sample_on_grid(rho: GroupDensity, a_grid: np.ndarray) -> np.ndarray:
     raises :class:`DomainError`.
     """
     grid = np.asarray(a_grid, dtype=float)
-    step = float(uniform_step(grid, "sampling grid"))
+    if grid.ndim != 1 or grid.size < 3:
+        raise ValueError("sampling grid must be a 1-D array with at least 3 points")
+    # Python floats: a span past the float range is inf without a numpy warning
+    if not (np.all(np.isfinite(grid)) and math.isfinite(float(grid[-1]) - float(grid[0]))):
+        raise ValueError("sampling grid must be finite and span a finite interval")
+    step = float(grid[1] - grid[0])
+    if step <= 0.0 or np.any(np.abs(np.diff(grid) - step) > 1e-9 * step):
+        raise ValueError("sampling grid must be uniform and increasing")
     values = np.zeros_like(grid)
     for w, comp in rho.components:
         if isinstance(comp, DiracComponent):

@@ -54,7 +54,7 @@ class PositionGrid:
     extent: float
 
     def __post_init__(self) -> None:
-        n = int(self.n_points)
+        n = integer("n_points", self.n_points)
         object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "extent", positive("extent", self.extent))
         if n < 64 or n & (n - 1):

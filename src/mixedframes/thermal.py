@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError, finite, positive
+from .errors import DomainError, NormalizationError, finite, integer, positive
 
 GRID_NORM_TOL = 1e-9
 
@@ -61,7 +61,7 @@ class MomentumGrid:
     center: float = 0.0
 
     def __post_init__(self) -> None:
-        n = int(self.n_points)
+        n = integer("n_points", self.n_points)
         object.__setattr__(self, "n_points", n)
         if n < 2:
             raise DomainError(f"n_points must be at least 2, got {n}")
@@ -188,11 +188,14 @@ def time_translate_diagonal(
 
     The phases exp(i E t0 / hbar) are applied on both sides of the diagonal
     and cancel, so the result always equals the input; the cancellation is
-    carried out numerically rather than assumed.
+    carried out numerically rather than assumed. A phase ``E t0 / hbar`` that
+    overflows at the largest energy raises :class:`DomainError`.
     """
     t0 = finite("t0", t0)
     p = state.grid.points()
     energies = p**2 / (2.0 * tp.mass)
+    # Python floats, in the order of the array expression: inf without a numpy warning
+    finite(f"phase E*t0/hbar at t0={t0!r}", float(np.max(energies)) * abs(t0) / tp.constants.hbar)
     phases = np.exp(1j * energies * t0 / tp.constants.hbar)
     new_weights = np.real(phases * state.weights * np.conj(phases))
     return MomentumMixture(state.grid, new_weights)

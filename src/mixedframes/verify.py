@@ -109,11 +109,8 @@ def check_semigroup_laws() -> list[CheckResult]:
             ga.density_gap(ga.convolve(r1, ga.make_delta(0.0)), r1),
         )
         invol = max(invol, ga.density_gap(ga.antipode(ga.antipode(r1)), r1))
-        chi12 = ga._chi(prod, p_grid)
-        chi_morphism = max(
-            chi_morphism,
-            float(np.max(np.abs(chi12 - ga._chi(r1, p_grid) * ga._chi(r2, p_grid)))),
-        )
+        chi12, chi1, chi2 = (ga.characteristic_function(r, p_grid) for r in (prod, r1, r2))
+        chi_morphism = max(chi_morphism, float(np.max(np.abs(chi12 - chi1 * chi2))))
     trials = f"n={SEMIGROUP_TRIALS}"
     return [
         CheckResult("semigroup_normalization_closure", trials, norm_err, 1e-12),

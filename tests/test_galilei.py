@@ -189,6 +189,30 @@ class TestFringePhase:
         k = grid.wavenumbers()
         assert k[int(np.argmax(spectrum))] == pytest.approx(p0 + v, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_factored_boost_matches_the_fft_phase_form_on_the_sweep(self, n):
+        # the 36 (mass, time, v) triples of verify's galilei_bch_sweep
+        grid = PositionGrid(n, 40.0)
+        psi = gaussian_wavepacket(grid, 1.0)
+        x, k = grid.points(), grid.wavenumbers()
+        for m in (0.5, 1.0, 2.0):
+            for t in (0.0, 0.5, 1.0):
+                params = GalileiParams(mass=m, time=t, hbar=1.0)
+                for v in (-2.0, -1.0, 0.3, 1.2):
+                    if t == 0.0:
+                        shifted = psi.amplitudes
+                    else:
+                        shifted = np.fft.ifft(np.exp(-1j * t * v * k) * np.fft.fft(psi.amplitudes))
+                    expected = np.exp(1j * m * v * x) * shifted * np.exp(-1j * t * m * v**2 / 2.0)
+                    got = apply_boost_factored(v, psi, params).amplitudes
+                    assert np.array_equal(got, expected)
+
+    def test_factored_boost_rejects_a_shift_past_half_the_box(self):
+        grid = PositionGrid(256, 40.0)
+        psi = gaussian_wavepacket(grid, 1.0)
+        with pytest.raises(DomainError, match="too large for the periodic box"):
+            apply_boost_factored(20.0, psi, GalileiParams(mass=1.0, time=1.0))
+
     def test_factored_boost_preserves_norm(self):
         grid = PositionGrid(512, 40.0)
         params = GalileiParams(mass=0.7, time=1.3, hbar=1.0)

@@ -27,7 +27,7 @@ from mixedframes import (
     sample_on_grid,
     to_text,
 )
-from mixedframes.group_algebra import density_gap, parse_densities
+from mixedframes.group_algebra import density_gap, mass_within, parse_densities
 
 RNG = np.random.default_rng(42)
 
@@ -118,7 +118,6 @@ def _bad_grids() -> dict[str, np.ndarray]:
 
 
 GRID_CONSUMERS = {
-    "characteristic_function": lambda rho, g: characteristic_function(rho, g),
     "sample_on_grid": lambda rho, g: sample_on_grid(rho, g),
     "boost_mixed": lambda rho, g: boost_mixed(rho, 0.0, GalileiParams(1.0, 0.0), g),
 }
@@ -249,23 +248,36 @@ class TestAntipode:
         assert not densities_close(product, make_delta(0.0))
 
 
+def _exponential_sum_chi(rho, p):
+    """chi(p) summed component by component: the same formula, written out as the oracle."""
+    values = np.zeros(p.shape, dtype=complex)
+    for w, comp in rho.components:
+        if isinstance(comp, DiracComponent):
+            values += w * np.exp(-1j * comp.location * p)
+        else:
+            with np.errstate(over="ignore"):
+                decay = 0.5 * comp.variance * p * p
+            values += w * np.exp(-1j * comp.mean * p - decay)
+    return values
+
+
 class TestCharacteristicFunction:
     def test_two_point_zero(self):
         rho = mix([(0.5, make_delta(0.0)), (0.5, make_delta(np.pi))])
-        chi = characteristic_function(rho, np.linspace(-2, 2, 5))
-        at_one = chi.values[np.argmin(np.abs(chi.dual_grid - 1.0))]
-        assert abs(at_one) < 1e-14
+        p_grid = np.linspace(-2, 2, 5)
+        chi = characteristic_function(rho, p_grid)
+        assert abs(chi[np.argmin(np.abs(p_grid - 1.0))]) < 1e-14
 
     def test_delta_is_unimodular(self):
         chi = characteristic_function(make_delta(1.3), np.linspace(-10, 10, 101))
-        assert np.max(np.abs(np.abs(chi.values) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.abs(chi) - 1.0)) < 1e-12
 
     def test_gaussian_decay_matches_quadrature(self):
         sigma2 = 0.8
         rho = make_gaussian(0.0, sigma2)
         p_grid = np.linspace(-4.0, 4.0, 17)
         chi = characteristic_function(rho, p_grid)
-        for p, value in zip(p_grid, chi.values):
+        for p, value in zip(p_grid, chi):
             re, _ = integrate.quad(
                 lambda a: math.cos(a * p) * math.exp(-a * a / (2 * sigma2))
                 / math.sqrt(2 * math.pi * sigma2),
@@ -277,7 +289,7 @@ class TestCharacteristicFunction:
     def test_unit_at_zero(self):
         rho = random_density(np.random.default_rng(11))
         chi = characteristic_function(rho, np.linspace(-5, 5, 11))
-        assert abs(chi.values[5] - 1.0) < 1e-12
+        assert abs(chi[5] - 1.0) < 1e-12
 
     def test_morphism_under_convolution(self):
         rng = np.random.default_rng(12)
@@ -287,11 +299,57 @@ class TestCharacteristicFunction:
             chi12 = characteristic_function(convolve(r1, r2), p_grid)
             chi1 = characteristic_function(r1, p_grid)
             chi2 = characteristic_function(r2, p_grid)
-            assert np.max(np.abs(chi12.values - chi1.values * chi2.values)) < 1e-10
+            assert np.max(np.abs(chi12 - chi1 * chi2)) < 1e-10
 
-    def test_rejects_nonuniform_grid(self):
-        with pytest.raises(ValueError):
-            characteristic_function(make_delta(0.0), np.array([0.0, 1.0, 3.0]))
+    def test_equals_the_component_sum_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        p = np.concatenate((np.linspace(-40.0, 40.0, 801), [1e5, -1e9, 5e-324]))
+        for _ in range(50):
+            rho = random_density(rng)
+            assert np.array_equal(characteristic_function(rho, p), _exponential_sum_chi(rho, p))
+
+    def test_accepts_nonuniform_and_0d_points(self):
+        rho = mix([(0.4, make_delta(0.7)), (0.6, make_gaussian(-1.0, 0.5))])
+        p = np.array([3.0, -1.0, 0.0, 0.25, 10.0])
+        chi = characteristic_function(rho, p)
+        assert chi.shape == p.shape and chi.dtype == complex
+        assert np.array_equal(chi, _exponential_sum_chi(rho, p))
+        point = characteristic_function(rho, 0.25)
+        assert point.shape == () and point == chi[3]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_points(self, bad):
+        # a centred Gaussian has location 0: 0 * inf and 0 * nan are NaN as well
+        for rho in (make_delta(2.0), make_gaussian(0.0, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="phase location\\*p"):
+                    characteristic_function(rho, np.array([0.0, bad, 1.0]))
+
+    def test_rejects_overflowing_phase_without_warning(self):
+        rho = mix([(0.5, make_delta(10.0)), (0.5, make_delta(-3.0))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="at location 10.0"):
+                characteristic_function(rho, np.linspace(0.0, 1e308, 5))
+
+
+class TestMassWithin:
+    def test_dirac_on_either_end_is_inside(self):
+        rho = mix([(0.25, make_delta(-1.5)), (0.75, make_delta(2.0))])
+        assert mass_within(rho, -1.5, 2.0) == 1.0
+        assert mass_within(rho, -1.5, 1.9) == 0.25
+        assert mass_within(rho, -1.4, 2.0) == 0.75
+        assert mass_within(rho, 2.0, 2.0) == 0.75
+
+    def test_gaussian_one_sigma_mass(self):
+        mu, sigma = 0.7, 1.3
+        got = mass_within(make_gaussian(mu, sigma * sigma), mu - sigma, mu + sigma)
+        assert got == pytest.approx(math.erf(1.0 / math.sqrt(2.0)), abs=1e-15)
+
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(DomainError):
+            mass_within(make_delta(0.0), 1.0, -1.0)
 
 
 class TestInvertibility:

@@ -248,7 +248,7 @@ def _symmetric_scan_minimum(rho, band):
     the rescan resolves the bracket down to a few ulps of p."""
 
     def abs2(p):
-        return np.abs(ga._chi(rho, np.asarray(p, dtype=float))) ** 2
+        return np.abs(ga.characteristic_function(rho, p)) ** 2
 
     grid = np.linspace(-band, band, ga.SCAN_POINTS)
     vals = abs2(grid)
@@ -284,7 +284,7 @@ def test_golden_section_scan_matches_the_brent_reference(case, floor):
     if abs(reference - floor) > 1e-9:
         assert verdict == (reference >= floor)
     assert 0.0 <= witness <= band
-    assert abs(abs(ga._chi(rho, np.array([witness])))[0] - least) <= 1e-9
+    assert abs(abs(ga.characteristic_function(rho, witness)) - least) <= 1e-9
 
 
 @st.composite

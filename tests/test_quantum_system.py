@@ -7,6 +7,7 @@ from mixedframes import (
     DomainError,
     GaussianComponent,
     GridMismatchError,
+    MomentumGrid,
     NormalizationError,
     PositionDensity,
     PositionGrid,
@@ -39,6 +40,12 @@ class TestGrid:
             PositionGrid(1000, 40.0)
         with pytest.raises(ValueError):
             PositionGrid(32, 40.0)
+
+    @pytest.mark.parametrize("n_points", [4096.9, 2.5, math.nan])
+    @pytest.mark.parametrize("grid_class", [PositionGrid, MomentumGrid])
+    def test_non_integral_size_rejected(self, grid_class, n_points):
+        with pytest.raises(DomainError, match="^n_points must be an integer"):
+            grid_class(n_points, 40.0)
 
     def test_points_span_box(self):
         grid = PositionGrid(256, 16.0)

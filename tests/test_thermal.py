@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,17 @@ class TestTimeTranslation:
         state = thermal_state(tp, grid)
         out = time_translate_diagonal(time_translate_diagonal(state, 3.2, tp), -3.2, tp)
         assert np.max(np.abs(out.weights - state.weights)) < 1e-15
+
+    def test_overflowing_phase_rejected_without_warning(self):
+        tp = ThermalParameters(1.0, 1.0)
+        state = thermal_state(tp, MomentumGrid(2001, 8.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = time_translate_diagonal(state, 1e300, tp)
+            assert np.max(np.abs(out.weights - state.weights)) < 1e-15
+            for t0 in (1e308, -1e308):
+                with pytest.raises(DomainError, match="t0="):
+                    time_translate_diagonal(state, t0, tp)
 
 
 class TestCsvExports:
