@@ -35,7 +35,6 @@ DEFAULTS: dict[str, float | int] = {
     "quad_order": 64,
 }
 
-_INT_KEYS = {"grid_n", "quad_order"}
 _POSITIVE_KEYS = {"alpha", "sigma", "temperature", "mass", "extent"}
 
 
@@ -65,7 +64,7 @@ def parse_config_file(path: Path) -> dict:
         if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = int(value) if key in _INT_KEYS else float(value)
+            values[key] = type(DEFAULTS[key])(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return values
@@ -77,8 +76,8 @@ def _validate(params: dict) -> None:
         raise ConfigError(f"grid_n must be a power of two in [256, 8192], got {grid_n}")
     if params["quad_order"] < 16:
         raise ConfigError(f"quad_order must be at least 16, got {params['quad_order']}")
-    for key in DEFAULTS:
-        if key not in _INT_KEYS:
+    for key, default in DEFAULTS.items():
+        if isinstance(default, float):
             (positive if key in _POSITIVE_KEYS else finite)(key, params[key])
 
 
@@ -92,8 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         for key in DEFAULTS:
             flag = "--" + key.replace("_", "-")
-            kind = int if key in _INT_KEYS else float
-            p.add_argument(flag, dest=key, type=kind, default=None)
+            p.add_argument(flag, dest=key, type=type(DEFAULTS[key]), default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--config", default=None, help="key = value config file")
 

@@ -92,72 +92,64 @@ def build_figure(figure_id: str, params: dict) -> Artifact:
     x = grid.points()
     alpha = params["alpha"]
     quad_order = params["quad_order"]
-    name = figure_id
     metadata = _echo(params, "figure", figure_id)
     half_box = grid.extent / 2.0
     if alpha < grid.spacing:
         raise DomainError(f"alpha={alpha!r} must be at least extent/grid_n={grid.spacing!r}")
 
-    if figure_id in ("a1a2", "a1a2diff"):
+    smeared = figure_id == "gaussian-smear"
+    if smeared:
+        sigma = params["sigma"]
+        a0 = params["a0"]
+        # sigma * sigma overflows to inf, which the component rejects; sigma**2 would raise
+        smear = ga.GaussianComponent(-a0, sigma * sigma)
+        if abs(a0) + qs.COMB_HALF_WIDTH * sigma >= half_box:
+            raise DomainError(
+                f"sigma={sigma!r}: |a0| + {qs.COMB_HALF_WIDTH:g} sigma must be < extent/2={half_box!r}"
+            )
+        rho = ga.GroupDensity(((1.0, smear),))
+    else:
         a2 = params["a2"]
         if abs(a2) >= half_box:
             raise DomainError(f"|a2|={abs(a2)!r} must be below extent/2={half_box!r}")
         sign = +1 if figure_id == "a1a2" else -1
-        packet = qs.gaussian_wavepacket(grid, alpha)
         rho = ga.mix([(0.5, ga.make_delta(0.0)), (0.5, ga.make_delta(-a2))])
-        mixed = qs.position_density(qs.act_mixed(rho, qs.pure_state(packet), quad_order))
-        pure_psi = qs.two_gaussian_superposition(grid, alpha, a2, sign)
-        pure = qs.position_density(qs.pure_state(pure_psi))
 
+    # the channel checks its term cap before the uncapped pure state is built, and the
+    # pure state rejects a2 = 0 for the difference before the closed forms divide by it
+    packet = qs.gaussian_wavepacket(grid, alpha)
+    mixed = qs.position_density(qs.act_mixed(rho, qs.pure_state(packet), quad_order))
+    if smeared:
+        pure_psi = qs.coherently_translated(smear, packet, quad_order)
+    else:
+        pure_psi = qs.two_gaussian_superposition(grid, alpha, a2, sign)
+    pure = qs.position_density(qs.pure_state(pure_psi))
+
+    if smeared:
+        mixed_ref = analytic.smeared_mixture_density(x, alpha, sigma, a0)
+        pure_ref = analytic.smeared_pure_density(x, alpha, sigma, a0)
+        curves = [
+            ("mixed", mixed.values),
+            ("mixed_analytic", mixed_ref),
+            ("pure", pure.values),
+            ("pure_analytic", pure_ref),
+        ]
+        metadata["variance_mixed"] = qs.density_variance(mixed)
+        metadata["variance_mixed_expected"] = sigma**2 + alpha**2
+        metadata["variance_pure"] = qs.density_variance(pure)
+        metadata["variance_pure_expected"] = (sigma**2 + 2.0 * alpha**2) / 2.0
+    else:
         mixed_ref = analytic.two_point_mixed_density(x, alpha, a2)
         pure_ref = analytic.superposition_density(x, alpha, a2, sign)
         i_mid = int(np.argmin(np.abs(x - a2 / 2.0)))
         pure_label = "pure_sum" if sign == +1 else "pure_diff"
         curves = [("mixed", mixed.values), (pure_label, pure.values)]
-        metadata.update(
-            {
-                "sup_error_mixed": float(np.max(np.abs(mixed.values - mixed_ref))),
-                "sup_error_pure": float(np.max(np.abs(pure.values - pure_ref))),
-                "midpoint_x": float(x[i_mid]),
-                "midpoint_mixed": float(mixed.values[i_mid]),
-                "midpoint_pure": float(pure.values[i_mid]),
-            }
-        )
-        return _figure_files(name, x, curves, metadata)
-
-    sigma = params["sigma"]
-    a0 = params["a0"]
-    # sigma * sigma overflows to inf, which the component rejects; sigma**2 would raise
-    smear = ga.GaussianComponent(-a0, sigma * sigma)
-    if abs(a0) + qs.COMB_HALF_WIDTH * sigma >= half_box:
-        raise DomainError(
-            f"sigma={sigma!r}: |a0| + {qs.COMB_HALF_WIDTH:g} sigma must be < extent/2={half_box!r}"
-        )
-    packet = qs.gaussian_wavepacket(grid, alpha)
-    rho = ga.GroupDensity(((1.0, smear),))
-    mixed = qs.position_density(qs.act_mixed(rho, qs.pure_state(packet), quad_order))
-    coherent = qs.coherently_translated(smear, packet, quad_order)
-    pure = qs.position_density(qs.pure_state(coherent))
-
-    mixed_ref = analytic.smeared_mixture_density(x, alpha, sigma, a0)
-    pure_ref = analytic.smeared_pure_density(x, alpha, sigma, a0)
-    curves = [
-        ("mixed", mixed.values),
-        ("mixed_analytic", mixed_ref),
-        ("pure", pure.values),
-        ("pure_analytic", pure_ref),
-    ]
-    metadata.update(
-        {
-            "sup_error_mixed": float(np.max(np.abs(mixed.values - mixed_ref))),
-            "sup_error_pure": float(np.max(np.abs(pure.values - pure_ref))),
-            "variance_mixed": qs.density_variance(mixed),
-            "variance_mixed_expected": sigma**2 + alpha**2,
-            "variance_pure": qs.density_variance(pure),
-            "variance_pure_expected": (sigma**2 + 2.0 * alpha**2) / 2.0,
-        }
-    )
-    return _figure_files(name, x, curves, metadata)
+        metadata["midpoint_x"] = float(x[i_mid])
+        metadata["midpoint_mixed"] = float(mixed.values[i_mid])
+        metadata["midpoint_pure"] = float(pure.values[i_mid])
+    metadata["sup_error_mixed"] = float(np.max(np.abs(mixed.values - mixed_ref)))
+    metadata["sup_error_pure"] = float(np.max(np.abs(pure.values - pure_ref)))
+    return _figure_files(figure_id, x, curves, metadata)
 
 
 def build_demo(
@@ -178,8 +170,8 @@ def build_demo(
 THERMAL_SCALE_RANGE = (1e-300, 1e300)
 
 
-def _check_thermal_scales(params: dict, *scales: tuple[str, float]) -> None:
-    """Reject a temperature and mass that put a demo's scale out of float range."""
+def _check_thermal_scales(params: dict, *scales: tuple[str, float]) -> float:
+    """Return beta; reject a temperature and mass that put a scale out of float range."""
     lo, hi = THERMAL_SCALE_RANGE
     for name, value in scales:
         if not lo <= value <= hi:
@@ -187,6 +179,7 @@ def _check_thermal_scales(params: dict, *scales: tuple[str, float]) -> None:
                 f"temperature={params['temperature']!r} and mass={params['mass']!r} give "
                 f"{name} = {value!r}, outside [{lo!r}, {hi!r}]"
             )
+    return th.beta_of_temperature(params["temperature"], th.NATURAL_UNITS)
 
 
 def _demo_thermal(params: dict) -> Artifact:
@@ -194,8 +187,7 @@ def _demo_thermal(params: dict) -> Artifact:
     mass = params["mass"]
     constants = th.NATURAL_UNITS
     kt = constants.k_boltzmann * temperature
-    _check_thermal_scales(params, ("m k_B T", mass * kt), ("k_B T", kt))
-    beta = th.beta_of_temperature(temperature, constants)
+    beta = _check_thermal_scales(params, ("m k_B T", mass * kt), ("k_B T", kt))
     tp = th.ThermalParameters(beta, mass, constants)
 
     sd = math.sqrt(tp.momentum_variance)
@@ -232,13 +224,12 @@ def _demo_galilei_boost(params: dict) -> Artifact:
     p0 = params["p"]
     constants = th.NATURAL_UNITS
     kt = constants.k_boltzmann * temperature
-    _check_thermal_scales(params, ("m k_B T", mass * kt), ("k_B T / m", kt / mass))
-    beta = th.beta_of_temperature(temperature, constants)
-    tp = th.ThermalParameters(beta, mass, constants)
+    kt_m = kt / mass
+    beta = _check_thermal_scales(params, ("m k_B T", mass * kt), ("k_B T / m", kt_m))
     gp = GalileiParams(mass=mass, time=0.0, hbar=constants.hbar)
 
-    sd_v = math.sqrt(constants.k_boltzmann * temperature / mass)
-    rho = ga.make_gaussian(v0, constants.k_boltzmann * temperature / mass)
+    sd_v = math.sqrt(kt_m)
+    rho = ga.make_gaussian(v0, kt_m)
     v_grid = v0 + np.linspace(-8.5 * sd_v, 8.5 * sd_v, DEMO_MOMENTUM_POINTS)
     boosted = boost_mixed(rho, p0, gp, v_grid)
 
@@ -271,18 +262,12 @@ def _default_band(rho: ga.GroupDensity) -> float:
     locs = sorted(
         c.location for _, c in rho.components if isinstance(c, ga.DiracComponent)
     )
-    gaps = [b - a for a, b in zip(locs, locs[1:]) if b - a > 1e-9]
-    scales = []
-    if gaps:
-        scales.append(min(gaps))
-    variances = [
-        c.variance for _, c in rho.components if isinstance(c, ga.GaussianComponent)
+    # the Dirac gaps and the Gaussian standard deviations
+    scales = [b - a for a, b in zip(locs, locs[1:]) if b - a > 1e-9]
+    scales += [
+        math.sqrt(c.variance) for _, c in rho.components if isinstance(c, ga.GaussianComponent)
     ]
-    if variances:
-        scales.append(math.sqrt(min(variances)))
-    if not scales:
-        return 10.0
-    return 10.0 / min(scales)
+    return 10.0 / min(scales) if scales else 10.0
 
 
 def _demo_semigroup(params: dict, extra_densities: list[ga.GroupDensity]) -> Artifact:

@@ -162,8 +162,11 @@ def boost_pure_label(v: float, p: float, params: GalileiParams) -> MomentumEigen
     on conventions for how it relates to the spectral grid realization.
     """
     v, p = finite("boost velocity", v), finite("momentum", p)
-    phase = -params.time * (v * p - params.mass * v**2 / 2.0) / params.hbar
-    return MomentumEigenLabel(p + params.mass * v, phase)
+    t, m, hbar = params.time, params.mass, params.hbar
+    # v * v is inf where v**2 raises OverflowError; v**2 keeps the phase's rounding
+    finite(f"boost phase t*(v*p - m*v*v/2)/hbar at v={v!r}", t * (v * p - m * (v * v) / 2.0) / hbar)
+    phase = -t * (v * p - m * v**2 / 2.0) / hbar
+    return MomentumEigenLabel(p + m * v, phase)
 
 
 def apply_boost_factored(v: float, psi: WaveFunction, params: GalileiParams) -> WaveFunction:
@@ -174,6 +177,8 @@ def apply_boost_factored(v: float, psi: WaveFunction, params: GalileiParams) -> 
     """
     x = psi.grid.points()
     m, t, hbar = params.mass, params.time, params.hbar
+    # v * v is inf where v**2 raises OverflowError; v**2 keeps the phase's rounding
+    finite(f"boost phase t*m*v*v/(2*hbar) at v={v!r}", t * m * (v * v) / (2.0 * hbar))
     shifted = translate(psi, -t * v).amplitudes
     amps = np.exp(1j * m * v * x / hbar) * shifted * np.exp(-1j * t * m * v**2 / (2.0 * hbar))
     return WaveFunction(psi.grid, amps)

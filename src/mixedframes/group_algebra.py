@@ -402,13 +402,12 @@ def from_text(text: str) -> GroupDensity:
 
 
 def parse_densities(text: str) -> list[GroupDensity]:
-    """Parse several densities separated by blank lines."""
+    """Parse several densities separated by blank lines; comment-only lines separate nothing."""
     blocks: list[list[str]] = [[]]
     for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+        if not raw.strip():
             if blocks[-1]:
                 blocks.append([])
-        else:
+        elif raw.split("#", 1)[0].strip():
             blocks[-1].append(raw)
     return [from_text("\n".join(block)) for block in blocks if block]

@@ -193,9 +193,10 @@ def time_translate_diagonal(
     """
     t0 = finite("t0", t0)
     p = state.grid.points()
+    # Python floats from the largest |p|, before p**2: inf without a numpy warning
+    pm = float(np.max(np.abs(p)))
+    finite(f"phase E*t0/hbar at t0={t0!r}", pm * pm / (2.0 * tp.mass) * abs(t0) / tp.constants.hbar)
     energies = p**2 / (2.0 * tp.mass)
-    # Python floats, in the order of the array expression: inf without a numpy warning
-    finite(f"phase E*t0/hbar at t0={t0!r}", float(np.max(energies)) * abs(t0) / tp.constants.hbar)
     phases = np.exp(1j * energies * t0 / tp.constants.hbar)
     new_weights = np.real(phases * state.weights * np.conj(phases))
     return MomentumMixture(state.grid, new_weights)

@@ -403,61 +403,38 @@ def check_localization_inequality(grid_n: int = 4096, quad_order: int = 64) -> l
 def check_figures(params: dict, figures: dict[str, Artifact]) -> list[CheckResult]:
     alpha, a2 = params["alpha"], params["a2"]
     pair = f"alpha={alpha} a2={a2}"
-    out = []
-    fig1 = figures["a1a2"]
-    out.append(
-        CheckResult(
-            "figure_a1a2_closed_form",
-            pair,
-            max(fig1.metadata["sup_error_mixed"], fig1.metadata["sup_error_pure"]),
-            1e-6,
-        )
-    )
-    out.append(
+    closed_form = {
+        figure_id: max(fig.metadata["sup_error_mixed"], fig.metadata["sup_error_pure"])
+        for figure_id, fig in figures.items()
+    }
+    fig1 = figures["a1a2"].metadata
+    fig2 = figures["a1a2diff"].metadata
+    # midpoint_x is the grid point nearest a2/2; the pure density vanishes only at a2/2 itself
+    node = superposition_density(fig2["midpoint_x"], alpha, a2, -1)
+    smear = f"alpha={alpha} sigma={params['sigma']} a0={params['a0']}"
+    return [
+        CheckResult("figure_a1a2_closed_form", pair, closed_form["a1a2"], 1e-6),
         CheckResult(
             "figure_a1a2_midpoint_order",
             "mixed below pure sum",
-            fig1.metadata["midpoint_mixed"] - fig1.metadata["midpoint_pure"],
+            fig1["midpoint_mixed"] - fig1["midpoint_pure"],
             0.0,
-        )
-    )
-    fig2 = figures["a1a2diff"]
-    # midpoint_x is the grid point nearest a2/2; the pure density vanishes only at a2/2 itself
-    node = superposition_density(fig2.metadata["midpoint_x"], alpha, a2, -1)
-    out.append(
-        CheckResult(
-            "figure_a1a2diff_closed_form",
-            pair,
-            max(fig2.metadata["sup_error_mixed"], fig2.metadata["sup_error_pure"]),
-            1e-6,
-        )
-    )
-    out.append(
+        ),
+        CheckResult("figure_a1a2diff_closed_form", pair, closed_form["a1a2diff"], 1e-6),
         CheckResult(
             "figure_a1a2diff_midpoint_zero",
             "pure difference at x=a2/2",
-            abs(fig2.metadata["midpoint_pure"] - float(node)),
+            abs(fig2["midpoint_pure"] - float(node)),
             1e-10,
-        )
-    )
-    out.append(
+        ),
         CheckResult(
             "figure_a1a2diff_midpoint_order",
             "pure diff below mixed",
-            fig2.metadata["midpoint_pure"] - fig2.metadata["midpoint_mixed"],
+            fig2["midpoint_pure"] - fig2["midpoint_mixed"],
             0.0,
-        )
-    )
-    fig3 = figures["gaussian-smear"]
-    out.append(
-        CheckResult(
-            "figure_smear_closed_form",
-            f"alpha={alpha} sigma={params['sigma']} a0={params['a0']}",
-            max(fig3.metadata["sup_error_mixed"], fig3.metadata["sup_error_pure"]),
-            1e-6,
-        )
-    )
-    return out
+        ),
+        CheckResult("figure_smear_closed_form", smear, closed_form["gaussian-smear"], 1e-6),
+    ]
 
 
 # ---------------------------------------------------------------------------

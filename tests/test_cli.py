@@ -1,10 +1,14 @@
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import mixedframes
 from mixedframes import cli
 from mixedframes.cli import ConfigError, DEFAULTS, main, parse_config_file
 from mixedframes.errors import QuadratureError
@@ -12,6 +16,15 @@ from mixedframes.figures import FIGURE_IDS, build_figure
 from mixedframes.verify import check_figures
 
 FAST = ["--grid-n", "256"]
+
+# a child interpreter imports the package these tests import, also where only
+# pytest's own pythonpath setting put it on sys.path
+SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(mixedframes.__file__).parent.parent), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_cli(args, capsys):
@@ -217,6 +230,20 @@ class TestDemoCommand:
         assert "loaded_0_antipode" in table
         assert "loaded_1_antipode" in table
 
+    def test_semigroup_densities_span_full_line_comments(self, tmp_path, capsys):
+        density_file = tmp_path / "states.txt"
+        density_file.write_text(
+            "# two-point\ndirac weight=0.5 a=0\n# second\ndirac weight=0.5 a=1\n"
+        )
+        out = tmp_path / "demo"
+        code, _, err = run_cli(
+            ["demo", "semigroup", "--densities", str(density_file), "--out", str(out)], capsys
+        )
+        assert code == 0 and err == ""
+        table = (out / "semigroup.csv").read_text()
+        assert "loaded_0_antipode,dirac weight=0.5 a=0.0; dirac weight=0.5 a=1.0," in table
+        assert "loaded_1_antipode" not in table
+
     def test_semigroup_with_overflowing_decay_prints_no_warning(self, tmp_path, capsys):
         # the band reaches 1e6, where variance * p^2 overflows for var=1e300
         density_file = tmp_path / "states.txt"
@@ -270,6 +297,22 @@ class TestVerifyCommand:
             assert rows[name].parameters == "alpha=0.6 a2=3.0"
         assert rows["figure_a1a2diff_midpoint_zero"].residual <= 1e-10
 
+    def test_each_closed_form_row_reads_its_own_figure(self):
+        params = {**DEFAULTS, "grid_n": 256}
+        figures = {figure_id: build_figure(figure_id, params) for figure_id in FIGURE_IDS}
+        rows = {
+            "a1a2": "figure_a1a2_closed_form",
+            "a1a2diff": "figure_a1a2diff_closed_form",
+            "gaussian-smear": "figure_smear_closed_form",
+        }
+        assert all(r.passed for r in check_figures(params, figures))
+        for figure_id, row in rows.items():
+            for key in ("sup_error_pure", "sup_error_mixed"):
+                metadata = {**figures[figure_id].metadata, key: 1.0}
+                broken = dataclasses.replace(figures[figure_id], metadata=metadata)
+                results = check_figures(params, {**figures, figure_id: broken})
+                assert [r.name for r in results if not r.passed] == [row], (figure_id, key)
+
 
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
@@ -277,6 +320,7 @@ def test_module_entry_point(tmp_path):
          "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     assert result.returncode == 0
     assert (tmp_path / "a1a2.csv").exists()
@@ -303,6 +347,7 @@ def test_package_and_figure_commands_load_no_scipy(tmp_path):
         [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     assert result.returncode == 0, result.stderr
     loaded, gap = result.stdout.splitlines()[-2:]  # after the paths main prints

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,27 @@ class TestFringePhase:
         psi = gaussian_wavepacket(grid, 1.0)
         with pytest.raises(DomainError, match="too large for the periodic box"):
             apply_boost_factored(20.0, psi, GalileiParams(mass=1.0, time=1.0))
+
+    def test_overflowing_velocity_rejected_without_warning(self):
+        # v * v overflows for |v| above about 1.3e154; the phase check names v
+        psi = gaussian_wavepacket(PositionGrid(256, 40.0), 1.0)
+        moving, at_rest = GalileiParams(mass=1.0, time=1.0), GalileiParams(mass=1.0, time=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in (1e200, -1e200):
+                for params in (moving, at_rest):
+                    with pytest.raises(DomainError, match="at v="):
+                        boost_pure_label(v, 0.5, params)
+                with pytest.raises(DomainError, match="at v="):
+                    apply_boost_factored(v, psi, at_rest)
+            v = 1e150
+            label = boost_pure_label(v, 0.5, moving)
+            assert label.momentum == 0.5 + v
+            assert label.phase == (-1.0 * (v * 0.5 - v**2 / 2.0)) % TWO_PI
+            got = apply_boost_factored(v, psi, at_rest).amplitudes
+            x = psi.grid.points()
+            expected = np.exp(1j * v * x) * psi.amplitudes * np.exp(-1j * 0.0 * v**2 / 2.0)
+            assert np.array_equal(got, expected)
 
     def test_factored_boost_preserves_norm(self):
         grid = PositionGrid(512, 40.0)

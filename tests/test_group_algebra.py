@@ -435,3 +435,10 @@ class TestSerialization:
         assert len(densities) == 2
         assert is_pure(densities[0])
         assert not is_pure(densities[1])
+
+    def test_full_line_comment_does_not_split_a_density(self):
+        text = "# two-point\ndirac weight=0.5 a=0\n# second\ndirac weight=0.5 a=1\n"
+        (density,) = parse_densities(text)
+        assert len(density.components) == 2
+        # a block of comments alone yields no density
+        assert len(parse_densities("dirac weight=1.0 a=0.5\n\n# note\n  \n")) == 1

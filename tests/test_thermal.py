@@ -196,6 +196,16 @@ class TestTimeTranslation:
                 with pytest.raises(DomainError, match="t0="):
                     time_translate_diagonal(state, t0, tp)
 
+    def test_overflowing_energy_rejected_without_warning(self):
+        # p**2 overflows at the grid's ends, so the phase bound is formed before it
+        tp = ThermalParameters(1.0, 1.0)
+        state = MomentumMixture(MomentumGrid(3, 1e200), np.array([0.0, 1e-200, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t0 in (1.0, 0.0):
+                with pytest.raises(DomainError, match="t0="):
+                    time_translate_diagonal(state, t0, tp)
+
 
 class TestCsvExports:
     def test_energy_density_export(self):
