@@ -9,6 +9,18 @@ shares that term's spectrum, and every copy at one offset shares that
 offset's phase, so the channel costs one forward FFT per input term, one
 half-spectrum exponential per offset and one inverse FFT per output term.
 
+In the momentum basis the channel multiplies the density matrix by the
+characteristic function of its offsets, rho_out(k, k') = rho_in(k, k')
+chi(k - k'): the dephasing that makes a state pure in one frame mixed in
+another. So Tr rho_out^2 = (dx/n)^2 sum_d S(d) |chi(d dk)|^2, S(d) the
+weight of |rho_in|^2 on the d-th off-diagonal, at one length-2n FFT
+correlation per pair of input terms. ``act_mixed`` accumulates chi at
+d = 0..n-1 from the phases it already forms, and hands it with the input
+spectra to ``purity``, when that count is below the Gram matrix's over all
+output terms; a single Dirac, many input terms or a mixture built directly
+keep the Gram matrix. At the Nyquist lag d = n/2, |chi| is read at
+k = -(n/2) dk, where ``fftfreq`` puts that wavenumber.
+
 Sign convention: ``translate(psi, a)`` returns ``psi(x + a)``, so the
 density peak of a packet translated by ``a`` sits at ``x = -a``.
 """
@@ -163,8 +175,78 @@ def gaussian_wavepacket(grid: PositionGrid, alpha: float, center: float = 0.0) -
     return _normalized(grid, np.exp(-((x - center) ** 2) / width).astype(complex))
 
 
+class _Dephasing:
+    """What :func:`purity` reads of a channel output: input weights, input
+    spectra and chi of the weighted offsets at the differences d dk.
+
+    chi is accumulated from the half-spectrum phases exp(i k_j a),
+    j = 0..n/2, of the translation: ``low = sum w exp(i k_j a)`` and
+    ``high = sum w exp(-i n dk a) exp(i k_j a)``. Since ``fftfreq`` puts
+    k = -(n/2) dk at j = n/2, low[j] is chi(j dk) for j < n/2 and low[n/2]
+    has the modulus of chi(n/2 dk); high[j] = chi(-(n - j) dk) covers
+    d = n - j > n/2.
+    """
+
+    def __init__(
+        self,
+        grid: PositionGrid,
+        input_weights: Sequence[float],
+        offsets: Sequence[tuple[float, float]],
+    ) -> None:
+        half = grid.n_points // 2
+        self.grid = grid
+        self.input_weights = input_weights
+        self.offsets = offsets
+        self.spectra: list[np.ndarray] = []
+        self.wrap = -2j * np.pi * grid.n_points / grid.extent
+        self.low = np.zeros(half + 1, dtype=complex)
+        self.high = np.zeros(half + 1, dtype=complex)
+
+    def add(self, i: int, phase: np.ndarray | None) -> None:
+        """Accumulate offset i; ``phase`` is None for a zero offset."""
+        w, a = self.offsets[i]
+        if phase is None:
+            self.low += w
+            self.high += w
+        else:
+            self.low += w * phase
+            self.high += (w * np.exp(self.wrap * a)) * phase
+
+    def purity(self) -> float:
+        """(dx/n)^2 sum_d S(d) |chi(d dk)|^2 over the differences d = -(n-1)..n-1.
+
+        S(d) = sum_st v_s v_t corr(conj(u_s) u_t)(d), the lag-d autocorrelation
+        of the products of the fftshifted input spectra u; the sum over each
+        pair and its transpose is real and even in d.
+        """
+        n = self.grid.n_points
+        half = n // 2
+        chi = np.concatenate([self.low, self.high[half - 1 : 0 : -1]])
+        chi_sq = chi.real**2 + chi.imag**2
+        spectra = np.fft.fftshift(np.stack(self.spectra), axes=-1)
+        v = self.input_weights
+        power = np.zeros(2 * n)
+        for s in range(len(spectra)):
+            for t in range(s, len(spectra)):
+                corr = np.fft.fft(spectra[s].conj() * spectra[t], 2 * n)
+                both = 1.0 if s == t else 2.0
+                power += (both * v[s] * v[t]) * (corr.real**2 + corr.imag**2)
+        lag = np.fft.ifft(power).real[:n]
+        return float(2.0 * (lag @ chi_sq) - lag[0] * chi_sq[0]) * (self.grid.spacing / n) ** 2
+
+
+def _dephasing_pays(n_terms: int, n_inputs: int, n: int) -> bool:
+    """The purity path rule: one length-2n FFT per pair of inputs and one inverse
+    (5 m log2 m flops each) against the Gram matrix's 4 n_terms^2 n real flops."""
+    ffts = n_inputs * (n_inputs + 1) // 2 + 1
+    return ffts * 10 * n * math.log2(2 * n) < 4 * n_terms * n_terms * n
+
+
 def _translated(
-    grid: PositionGrid, psis: Sequence[WaveFunction], shifts: Iterable[float]
+    grid: PositionGrid,
+    psis: Sequence[WaveFunction],
+    shifts: Iterable[float],
+    record: _Dephasing | None = None,
 ) -> Iterator[WaveFunction]:
     """psi(x + a) for every shift a (outer) and state psi (inner), lazily.
 
@@ -173,7 +255,8 @@ def _translated(
     non-negative index, and each output one inverse FFT; a zero shift yields
     the states themselves. ``fftfreq`` is antisymmetric, k[n-j] = -k[j]
     exactly, so the upper half of the phase is the conjugate of the lower
-    half, bit for bit the exponential of ``ik * a``.
+    half, bit for bit the exponential of ``ik * a``. A ``record`` receives
+    the spectra and each shift's half-spectrum phase.
     """
     shifts = [finite("translation parameter", a) for a in shifts]
     widest = max(map(abs, shifts))
@@ -185,12 +268,18 @@ def _translated(
     half = grid.n_points // 2
     ik = 1j * grid.wavenumbers()[: half + 1]
     spectra = [np.fft.fft(psi.amplitudes) for psi in psis]
+    if record is not None:
+        record.spectra = spectra
     phase = np.empty(grid.n_points, dtype=complex)
-    for a in shifts:
+    for i, a in enumerate(shifts):
         if a == 0.0:
+            if record is not None:
+                record.add(i, None)
             yield from psis
             continue
         np.exp(ik * a, out=phase[: half + 1])
+        if record is not None:
+            record.add(i, phase[: half + 1])
         np.conjugate(phase[half - 1 : 0 : -1], out=phase[half + 1 :])
         for spectrum in spectra:
             row = phase * spectrum
@@ -226,7 +315,10 @@ def act_mixed(
     output size is checked against ``TERM_CAP`` before any comb is built,
     and every offset before any FFT. The cost is one forward FFT per input
     term, one half-spectrum exponential per offset and one inverse FFT per
-    output term; outputs are ordered offset-major, term-minor.
+    output term; outputs are ordered offset-major, term-minor. When the
+    dephasing path of :func:`purity` is the cheaper one, each offset also
+    adds its phase to the two chi accumulators of a private record attached
+    to the output (``_Dephasing``), with weights divided by their sum.
     """
     quad_order = integer("quad_order", quad_order)
     n_offsets = sum(1 if isinstance(c, DiracComponent) else quad_order for _, c in rho_R.components)
@@ -245,10 +337,18 @@ def act_mixed(
             offsets.extend(zip(w * node_weights, nodes))
 
     weights = [wa * wt for wa, _ in offsets for wt, _ in state.terms]
-    shifted = _translated(state.grid, [psi for _, psi in state.terms], [a for _, a in offsets])
+    total = math.fsum(weights)
+    record = None
+    if _dephasing_pays(n_out, len(state.terms), state.grid.n_points):
+        input_weights = [w for w, _ in state.terms]
+        record = _Dephasing(state.grid, input_weights, [(w / total, a) for w, a in offsets])
+    psis = [psi for _, psi in state.terms]
+    shifted = _translated(state.grid, psis, [a for _, a in offsets], record)
     new_terms = list(zip(weights, shifted, strict=True))
-    total = math.fsum(w for w, _ in new_terms)
-    return PureMixture(state.grid, tuple((w / total, psi) for w, psi in new_terms))
+    out = PureMixture(state.grid, tuple((w / total, psi) for w, psi in new_terms))
+    if record is not None:
+        object.__setattr__(out, "_dephasing", record)
+    return out
 
 
 def position_density(state: PureMixture) -> PositionDensity:
@@ -260,13 +360,28 @@ def position_density(state: PureMixture) -> PositionDensity:
 
 
 def purity(state: PureMixture) -> float:
-    """Tr rho^2 = sum_ij w_i w_j |<psi_i|psi_j>|^2 from the Gram matrix of term overlaps.
+    """Tr rho^2 of a mixture, by one of two paths.
 
-    The Gram matrix is formed in real arithmetic: Re G = V V^T with V the
-    amplitudes viewed as interleaved floats (one symmetric rank-k update),
-    and Im G = X Y^T - (X Y^T)^T with X, Y the real and imaginary parts
-    (one real product), so no conjugated copy is made.
+    A channel output from :func:`act_mixed` is rho_in(k, k') chi(k - k') in
+    the momentum basis, so Tr rho^2 = (dx/n)^2 sum_d S(d) |chi(d dk)|^2 with
+    S(d) = sum_{k - k' = d dk} |rho_in(k, k')|^2 from one FFT correlation of
+    length 2n per pair of input terms; chi reaches |d| = n - 1, and its
+    modulus at the Nyquist lag d = n/2 comes from k = -(n/2) dk, where
+    ``fftfreq`` puts that wavenumber. ``act_mixed`` prepares this path only
+    when its operation count is below the Gram matrix's (``_dephasing_pays``),
+    as for smeared offsets on a few input terms.
+
+    Any other mixture, including a channel output with few terms (a single
+    Dirac) or many input terms, uses sum_ij w_i w_j |<psi_i|psi_j>|^2 from
+    the Gram matrix of term overlaps, formed in real arithmetic:
+    Re G = V V^T with V the amplitudes viewed as interleaved floats (one
+    symmetric rank-k update), and Im G = X Y^T - (X Y^T)^T with X, Y the
+    real and imaginary parts (one real product), so no conjugated copy is
+    made.
     """
+    record = getattr(state, "_dephasing", None)
+    if record is not None:
+        return record.purity()
     weights = np.array([w for w, _ in state.terms])
     amps = np.stack([psi.amplitudes for _, psi in state.terms])
     floats = amps.view(float)

@@ -125,7 +125,10 @@ def momentum_smearing_density(tp: ThermalParameters, p_grid: np.ndarray) -> np.n
     p = np.asarray(p_grid, dtype=float)
     hbar = tp.constants.hbar
     coeff = tp.beta / (2.0 * tp.mass * hbar)
-    return np.sqrt(coeff / np.pi) * np.exp(-coeff * p * p)
+    # an exponent that overflows to inf gives exp(-inf) = 0, the right value
+    with np.errstate(over="ignore"):
+        exponent = coeff * p * p
+    return np.sqrt(coeff / np.pi) * np.exp(-exponent)
 
 
 def energy_momentum_consistency(tp: ThermalParameters) -> float:
@@ -164,7 +167,10 @@ def maxwell_boltzmann_density(
     mkt = mass * constants.k_boltzmann * T
     positive("2 pi m k_B T", 2.0 * np.pi * mkt)  # the product can underflow or overflow
     p = np.asarray(p_grid, dtype=float)
-    return np.sqrt(1.0 / (2.0 * np.pi * mkt)) * np.exp(-p * p / (2.0 * mkt))
+    # an exponent that overflows to inf gives exp(-inf) = 0, the right value
+    with np.errstate(over="ignore"):
+        exponent = p * p / (2.0 * mkt)
+    return np.sqrt(1.0 / (2.0 * np.pi * mkt)) * np.exp(-exponent)
 
 
 def thermal_state(tp: ThermalParameters, p_grid: MomentumGrid) -> MomentumMixture:

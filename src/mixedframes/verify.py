@@ -332,17 +332,25 @@ def check_purity_channel_law() -> list[CheckResult]:
 
 
 def check_purity_dense_oracle() -> list[CheckResult]:
+    """purity against Tr rho^2 of the dense n x n matrix, for a random state and
+    for its channel output (the dephasing path of purity) in each case."""
     rng = np.random.default_rng(RNG_SEED + 4)
     grid = qs.PositionGrid(256, 40.0)
     worst = 0.0
     for _ in range(DENSE_ORACLE_CASES):
         state = _random_state(rng, grid)
-        rho_matrix = np.zeros((grid.n_points, grid.n_points), dtype=complex)
-        for w, psi in state.terms:
-            rho_matrix += w * np.outer(psi.amplitudes, psi.amplitudes.conj()) * grid.spacing
-        dense = float(np.real(np.trace(rho_matrix @ rho_matrix)))
-        worst = max(worst, abs(qs.purity(state) - dense))
-    return [CheckResult("purity_dense_oracle", f"n={DENSE_ORACLE_CASES} grid_n=256", worst, 1e-8)]
+        out = qs.act_mixed(_random_density(rng, *SMEARING_RANGES), state, quad_order=24)
+        for mixture in (state, out):
+            amps = np.stack([psi.amplitudes for _, psi in mixture.terms])
+            weights = np.array([w for w, _ in mixture.terms])
+            rho_matrix = (amps.T * weights) @ amps.conj() * grid.spacing
+            dense = float(np.real(np.trace(rho_matrix @ rho_matrix)))
+            worst = max(worst, abs(qs.purity(mixture) - dense))
+    return [
+        CheckResult(
+            "purity_dense_oracle", f"n={DENSE_ORACLE_CASES} grid_n=256 with channel", worst, 1e-8
+        )
+    ]
 
 
 def check_channel_composition() -> list[CheckResult]:

@@ -329,6 +329,30 @@ def test_purity_matches_the_complex_gram_formula(terms):
     assert abs(purity(state) - _complex_gram_purity(state)) <= 1e-13
 
 
+def _broadband(grid, seed):
+    """Independent complex normal amplitudes: a spectrum that reaches the Nyquist wavenumber."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
+    return WaveFunction(grid, amps / grid.norm(amps))
+
+
+# a single Dirac keeps the Gram matrix; a 16-node comb takes the dephasing path
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((64, 128, 256, 512)),
+    st.lists(st.tuples(st.floats(0.2, 1.0), st.integers(0, 2**32 - 1)), min_size=1, max_size=3),
+    st.lists(st.tuples(st.floats(0.2, 1.0), smearing_components), min_size=1, max_size=3),
+)
+@example(256, [(1.0, 7)], [(1.0, ga.DiracComponent(1.3))])
+@example(512, [(1.0, 7)], [(1.0, ga.GaussianComponent(0.5, 0.3))])
+def test_channel_output_purity_matches_the_complex_gram_formula(n, states, smear):
+    grid = PositionGrid(n, 40.0)
+    state = PureMixture(grid, _normalize([(w, _broadband(grid, seed)) for w, seed in states]))
+    out = act_mixed(ga.GroupDensity(_normalize(smear)), state, quad_order=16)
+    event("dephasing" if hasattr(out, "_dephasing") else "gram")
+    assert abs(purity(out) - _complex_gram_purity(out)) <= 1e-13
+
+
 def _single(component):
     return ga.GroupDensity(((1.0, component),))
 

@@ -327,6 +327,13 @@ class TestPurity:
         assert value == pytest.approx(expected, abs=1e-10)
         assert value == pytest.approx(0.5310882620110582, abs=1e-10)
 
+    @pytest.mark.parametrize("alpha, sigma", [(0.75, 1.0), (0.5, 0.3), (1.2, 2.0)])
+    def test_gaussian_smearing_closed_form(self, fine_grid, alpha, sigma):
+        # E exp(-(a - b)^2 / 4 alpha^2) over a - b ~ N(0, 2 sigma^2): the dephasing path
+        state = pure_state(gaussian_wavepacket(fine_grid, alpha))
+        value = purity(act_mixed(make_gaussian(0.3, sigma**2), state))
+        assert value == pytest.approx(alpha / math.hypot(alpha, sigma), abs=1e-10)
+
     def test_matches_dense_oracle(self):
         grid = PositionGrid(256, 40.0)
         rng = np.random.default_rng(5)
@@ -339,6 +346,16 @@ class TestPurity:
             dense = dense_density_matrix(state)
             oracle = float(np.real(np.trace(dense @ dense)))
             assert purity(state) == pytest.approx(oracle, abs=1e-10)
+
+    def test_dephasing_path_leaves_the_mixture_public_form_alone(self, grid):
+        # a smeared output carries the private record, a sharp one and a rebuilt one do not
+        state = pure_state(gaussian_wavepacket(grid, 0.75))
+        smeared = act_mixed(make_gaussian(0.4, 0.5), state, 16)
+        rebuilt = quantum_system.PureMixture(grid, smeared.terms)
+        assert hasattr(smeared, "_dephasing") and not hasattr(rebuilt, "_dephasing")
+        assert not hasattr(act_mixed(make_delta(1.3), state), "_dephasing")
+        assert smeared == rebuilt
+        assert abs(purity(smeared) - purity(rebuilt)) <= 1e-13
 
     def test_non_increasing_under_channel(self, grid):
         rng = np.random.default_rng(6)

@@ -168,6 +168,15 @@ class TestThermalState:
             proxies.append(grid_purity_proxy(thermal_state(tp, grid)))
         assert all(b > a for a, b in zip(proxies, proxies[1:]))
 
+    def test_huge_momenta_get_zero_weight_without_warning(self):
+        # the Gaussian exponent overflows to inf at the grid's ends: exp(-inf) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = thermal_state(ThermalParameters(1.0, 1.0), MomentumGrid(3, 1e200))
+            assert state.weights[[0, 2]].tolist() == [0.0, 0.0]
+            assert state.weights[1] == pytest.approx(1e-200, rel=1e-15)
+            assert maxwell_boltzmann_density(np.array([1e200]), 1.0, 1.0).tolist() == [0.0]
+
 
 class TestTimeTranslation:
     def test_diagonal_invariance(self):
@@ -205,7 +214,6 @@ class TestTimeTranslation:
             for t0 in (1.0, 0.0):
                 with pytest.raises(DomainError, match="t0="):
                     time_translate_diagonal(state, t0, tp)
-
 
 class TestCsvExports:
     def test_energy_density_export(self):
