@@ -62,5 +62,4 @@ def smeared_pure_density(
 
     Narrower than :func:`smeared_mixture_density` for every sigma > 0.
     """
-    width2 = sigma**2 + 2.0 * alpha**2
-    return np.exp(-((x - shift) ** 2) / width2) / math.sqrt(math.pi * width2)
+    return norm_pdf(x, shift, (sigma**2 + 2.0 * alpha**2) / 2.0)

@@ -138,8 +138,7 @@ def _effective_params(args: argparse.Namespace) -> tuple[dict, Path]:
 
 
 def _run_verify(params: dict, out_dir: Path, tolerance_scale: float) -> int:
-    figures = {figure_id: build_figure(figure_id, params) for figure_id in FIGURE_IDS}
-    results = run_checks(params, figures, tolerance_scale)
+    results, figures = run_checks(params, tolerance_scale)
     rows = [
         [r.name, r.parameters, fmt(r.residual), fmt(r.tolerance), "pass" if r.passed else "fail"]
         for r in results

@@ -159,20 +159,26 @@ def _normalized(grid: PositionGrid, amps: np.ndarray) -> WaveFunction:
     return WaveFunction(grid, amps / nrm)
 
 
-def gaussian_wavepacket(grid: PositionGrid, alpha: float, center: float = 0.0) -> WaveFunction:
-    """Gaussian packet exp(-(x-center)^2 / 4 alpha^2), grid-normalized.
-
-    The position density of the packet is a Gaussian of variance alpha^2.
-    """
+def _packet_profile(grid: PositionGrid, alpha: float, center: float) -> np.ndarray:
+    """Unnormalized Gaussian exp(-(x-center)^2 / 4 alpha^2) on the grid points."""
     alpha = positive("alpha", alpha)
+    center = finite("center", center)
     if 8.0 * alpha >= grid.extent:
         raise DomainError(
             f"packet width {alpha} does not fit the box: need 8*alpha < extent={grid.extent}"
         )
     # alpha * alpha underflows to 0 or overflows to inf (where alpha**2 would raise)
     width = positive(f"4*alpha^2 (alpha={alpha})", 4.0 * alpha * alpha)
-    x = grid.points()
-    return _normalized(grid, np.exp(-((x - center) ** 2) / width).astype(complex))
+    with np.errstate(over="ignore"):  # an exponent of -inf gives exp(-inf) = 0, the exact value
+        return np.exp(-((grid.points() - center) ** 2) / width)
+
+
+def gaussian_wavepacket(grid: PositionGrid, alpha: float, center: float = 0.0) -> WaveFunction:
+    """Gaussian packet exp(-(x-center)^2 / 4 alpha^2), grid-normalized.
+
+    The position density of the packet is a Gaussian of variance alpha^2.
+    """
+    return _normalized(grid, _packet_profile(grid, alpha, center).astype(complex))
 
 
 class _Dephasing:
@@ -237,7 +243,8 @@ class _Dephasing:
 
 def _dephasing_pays(n_terms: int, n_inputs: int, n: int) -> bool:
     """The purity path rule: one length-2n FFT per pair of inputs and one inverse
-    (5 m log2 m flops each) against the Gram matrix's 4 n_terms^2 n real flops."""
+    (5 m log2 m flops each) against the 4 n_terms^2 n real multiplications of
+    the complex Gram product."""
     ffts = n_inputs * (n_inputs + 1) // 2 + 1
     return ffts * 10 * n * math.log2(2 * n) < 4 * n_terms * n_terms * n
 
@@ -373,37 +380,26 @@ def purity(state: PureMixture) -> float:
 
     Any other mixture, including a channel output with few terms (a single
     Dirac) or many input terms, uses sum_ij w_i w_j |<psi_i|psi_j>|^2 from
-    the Gram matrix of term overlaps, formed in real arithmetic:
-    Re G = V V^T with V the amplitudes viewed as interleaved floats (one
-    symmetric rank-k update), and Im G = X Y^T - (X Y^T)^T with X, Y the
-    real and imaginary parts (one real product), so no conjugated copy is
-    made.
+    one complex Gram product of the term amplitudes.
     """
     record = getattr(state, "_dephasing", None)
     if record is not None:
         return record.purity()
     weights = np.array([w for w, _ in state.terms])
     amps = np.stack([psi.amplitudes for _, psi in state.terms])
-    floats = amps.view(float)
-    re = floats @ floats.T
-    xy = amps.real @ amps.imag.T
-    im = xy - xy.T
-    return float(weights @ (re * re + im * im) @ weights) * state.grid.spacing**2
+    gram = amps.conj() @ amps.T
+    return float(weights @ (gram.real**2 + gram.imag**2) @ weights) * state.grid.spacing**2
 
 
 def two_gaussian_superposition(
     grid: PositionGrid, alpha: float, a2: float, sign: int = +1
 ) -> WaveFunction:
-    """Normalized sum or difference of Gaussians centered at 0 and a2."""
+    """Normalized sum or difference of the packet profiles centered at 0 and a2."""
     if sign not in (+1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
-    alpha = positive("alpha", alpha)
     if sign == -1 and a2 == 0.0:
         raise DomainError("difference of coincident Gaussians is the zero function")
-    x = grid.points()
-    amps = np.exp(-(x**2) / (4.0 * alpha**2)) + sign * np.exp(
-        -((x - a2) ** 2) / (4.0 * alpha**2)
-    )
+    amps = _packet_profile(grid, alpha, 0.0) + sign * _packet_profile(grid, alpha, a2)
     return _normalized(grid, amps.astype(complex))
 
 

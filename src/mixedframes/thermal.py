@@ -45,6 +45,7 @@ class ThermalParameters:
     def __post_init__(self) -> None:
         positive("beta", self.beta)
         positive("mass", self.mass)
+        positive(f"m*hbar/beta of {self}", self.momentum_variance)
 
     @property
     def momentum_variance(self) -> float:
@@ -67,6 +68,8 @@ class MomentumGrid:
             raise DomainError(f"n_points must be at least 2, got {n}")
         positive("p_max", self.p_max)
         finite("center", self.center)
+        positive(f"spacing 2*p_max/(n_points-1) of {self}", self.spacing)
+        finite(f"outermost point |center|+p_max of {self}", abs(self.center) + self.p_max)
 
     @property
     def spacing(self) -> float:
@@ -124,7 +127,7 @@ def momentum_smearing_density(tp: ThermalParameters, p_grid: np.ndarray) -> np.n
     """Gaussian momentum density with variance m hbar / beta, centered at 0."""
     p = np.asarray(p_grid, dtype=float)
     hbar = tp.constants.hbar
-    coeff = tp.beta / (2.0 * tp.mass * hbar)
+    coeff = positive(f"beta/(2 m hbar) of {tp}", tp.beta / (2.0 * tp.mass * hbar))
     # an exponent that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
         exponent = coeff * p * p
@@ -147,13 +150,15 @@ def energy_momentum_consistency(tp: ThermalParameters) -> float:
 
 
 def beta_of_temperature(T: float, constants: PhysicalConstants = NATURAL_UNITS) -> float:
-    """beta = hbar / (k_B T)."""
-    return constants.hbar / (constants.k_boltzmann * positive("temperature", T))
+    """beta = hbar / (k_B T); the product and the quotient can underflow or overflow."""
+    kt = positive(f"k_B*T (T={T})", constants.k_boltzmann * positive("temperature", T))
+    return positive(f"hbar/(k_B*T) (T={T})", constants.hbar / kt)
 
 
 def temperature_of_beta(beta: float, constants: PhysicalConstants = NATURAL_UNITS) -> float:
     """T = hbar / (k_B beta); inverse of :func:`beta_of_temperature`."""
-    return constants.hbar / (constants.k_boltzmann * positive("beta", beta))
+    kb = positive(f"k_B*beta (beta={beta})", constants.k_boltzmann * positive("beta", beta))
+    return positive(f"hbar/(k_B*beta) (beta={beta})", constants.hbar / kb)
 
 
 def maxwell_boltzmann_density(
@@ -165,12 +170,13 @@ def maxwell_boltzmann_density(
     """1-D Maxwell-Boltzmann momentum distribution at temperature T."""
     T, mass = positive("temperature", T), positive("mass", mass)
     mkt = mass * constants.k_boltzmann * T
-    positive("2 pi m k_B T", 2.0 * np.pi * mkt)  # the product can underflow or overflow
+    # the product and its reciprocal can underflow or overflow
+    norm = positive("1/(2 pi m k_B T)", 1.0 / positive("2 pi m k_B T", 2.0 * np.pi * mkt))
     p = np.asarray(p_grid, dtype=float)
     # an exponent that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
         exponent = p * p / (2.0 * mkt)
-    return np.sqrt(1.0 / (2.0 * np.pi * mkt)) * np.exp(-exponent)
+    return np.sqrt(norm) * np.exp(-exponent)
 
 
 def thermal_state(tp: ThermalParameters, p_grid: MomentumGrid) -> MomentumMixture:
@@ -183,7 +189,7 @@ def thermal_state(tp: ThermalParameters, p_grid: MomentumGrid) -> MomentumMixtur
             f"grid p_max={p_grid.p_max} truncates the thermal state: need >= {8.0 * sd}"
         )
     weights = momentum_smearing_density(tp, p_grid.points())
-    weights = weights / p_grid.integrate(weights)
+    weights = weights / positive(f"thermal weight on {p_grid}", p_grid.integrate(weights))
     return MomentumMixture(p_grid, weights)
 
 

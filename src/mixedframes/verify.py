@@ -16,11 +16,7 @@ from . import group_algebra as ga
 from . import quantum_system as qs
 from . import thermal as th
 from .analytic import norm_pdf, superposition_density
-from .figures import Artifact
-
-# run_checks receives the figures it judges; this binding stays because
-# perfbench/selftest.py checks that tracing wraps verify.build_figure.
-from .figures import build_figure  # noqa: F401
+from .figures import FIGURE_IDS, Artifact, build_figure
 from .galilei import (
     GalileiParams,
     apply_boost_factored,
@@ -67,10 +63,6 @@ def _random_density(
             mean = float(rng.uniform(-3.0, 3.0))
             comps.append((float(w), ga.GaussianComponent(mean, float(rng.uniform(*variances)))))
     return ga.GroupDensity(tuple(comps))
-
-
-# the channel checks smear with at most three components and narrower Gaussians
-SMEARING_RANGES = (3, 0.2, 4.0, (0.04, 1.0))
 
 
 def _weight_sum_error(rho: ga.GroupDensity) -> float:
@@ -287,17 +279,25 @@ def _random_state(rng: np.random.Generator, grid: qs.PositionGrid) -> qs.PureMix
     return qs.PureMixture(grid, tuple(terms))
 
 
+def _smeared_output(
+    rng: np.random.Generator, grid: qs.PositionGrid
+) -> tuple[qs.PureMixture, qs.PureMixture]:
+    """A random state and its channel output under a narrow random smearing, at 24 nodes."""
+    state = _random_state(rng, grid)
+    rho = _random_density(rng, 3, 0.2, 4.0, (0.04, 1.0))
+    return state, qs.act_mixed(rho, state, quad_order=24)
+
+
 def check_channel_density_convolution(grid_n: int = 1024) -> list[CheckResult]:
     """Channel output density equals (reflected rho) convolved with |psi|^2."""
     grid = qs.PositionGrid(grid_n, 40.0)
     dx = grid.spacing
     psi = qs.gaussian_wavepacket(grid, 0.8, 0.3)
     base = qs.position_density(qs.pure_state(psi)).values
-    step = 40.0 / grid_n
     cases = [
-        ga.mix([(0.5, ga.make_delta(-32 * step)), (0.5, ga.make_delta(64 * step))]),
+        ga.mix([(0.5, ga.make_delta(-32 * dx)), (0.5, ga.make_delta(64 * dx))]),
         ga.make_gaussian(0.5, 0.49),
-        ga.mix([(0.25, ga.make_delta(16 * step)), (0.75, ga.make_gaussian(-0.4, 0.36))]),
+        ga.mix([(0.25, ga.make_delta(16 * dx)), (0.75, ga.make_gaussian(-0.4, 0.36))]),
     ]
     worst = 0.0
     for rho in cases:
@@ -313,9 +313,7 @@ def check_purity_channel_law() -> list[CheckResult]:
     grid = qs.PositionGrid(512, 40.0)
     worst_increase = -math.inf
     for _ in range(PURITY_PAIRS):
-        state = _random_state(rng, grid)
-        rho = _random_density(rng, *SMEARING_RANGES)
-        out = qs.act_mixed(rho, state, quad_order=24)
+        state, out = _smeared_output(rng, grid)
         worst_increase = max(worst_increase, qs.purity(out) - qs.purity(state))
 
     delta_gap = 0.0
@@ -338,9 +336,7 @@ def check_purity_dense_oracle() -> list[CheckResult]:
     grid = qs.PositionGrid(256, 40.0)
     worst = 0.0
     for _ in range(DENSE_ORACLE_CASES):
-        state = _random_state(rng, grid)
-        out = qs.act_mixed(_random_density(rng, *SMEARING_RANGES), state, quad_order=24)
-        for mixture in (state, out):
+        for mixture in _smeared_output(rng, grid):
             amps = np.stack([psi.amplitudes for _, psi in mixture.terms])
             weights = np.array([w for w, _ in mixture.terms])
             rho_matrix = (amps.T * weights) @ amps.conj() * grid.spacing
@@ -370,8 +366,7 @@ def check_state_normalization() -> list[CheckResult]:
     grid = qs.PositionGrid(512, 40.0)
     worst = 0.0
     for _ in range(NORMALIZATION_CASES):
-        state = _random_state(rng, grid)
-        out = qs.act_mixed(_random_density(rng, *SMEARING_RANGES), state, quad_order=24)
+        _, out = _smeared_output(rng, grid)
         worst = max(worst, abs(math.fsum(w for w, _ in out.terms) - 1.0))
         for _, psi in out.terms[:3]:
             worst = max(worst, abs(psi.norm() - 1.0))
@@ -642,14 +637,14 @@ def check_boost_composition() -> list[CheckResult]:
 
 
 def run_checks(
-    params: dict, figures: dict[str, Artifact], tolerance_scale: float = 1.0
-) -> list[CheckResult]:
+    params: dict, tolerance_scale: float = 1.0
+) -> tuple[list[CheckResult], dict[str, Artifact]]:
     """Run every invariant suite; ``tolerance_scale`` exists for fault injection.
 
-    ``params`` are the CLI's effective parameters and ``figures`` maps each
-    figure id to the artifact ``build_figure`` made from them, so the caller
-    writes the same artifacts that :func:`check_figures` judged.
+    Returns the results and the figures built first from ``params``, the CLI's
+    effective parameters, so the caller writes what :func:`check_figures` judged.
     """
+    figures = {figure_id: build_figure(figure_id, params) for figure_id in FIGURE_IDS}
     grid_n, quad_order = params["grid_n"], params["quad_order"]
     galilei_n = min(max(grid_n // 4, 256), 1024)
     results: list[CheckResult] = []
@@ -676,4 +671,4 @@ def run_checks(
             CheckResult(r.name, r.parameters, r.residual, r.tolerance * tolerance_scale)
             for r in results
         ]
-    return results
+    return results, figures

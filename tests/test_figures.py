@@ -1,9 +1,11 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mixedframes.cli import DEFAULTS
 from mixedframes.figures import FIGURE_IDS, build_demo, build_figure
+from mixedframes.textio import columns_csv, write_text_atomic
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -42,3 +44,17 @@ def test_unknown_ids_rejected():
         build_figure("fig9", dict(DEFAULTS))
     with pytest.raises(ValueError):
         build_demo("nope", dict(DEFAULTS))
+
+
+def test_failed_atomic_write_keeps_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(path, "x\udcff")  # a lone surrogate has no encoding
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv"]
+
+
+def test_columns_csv_rejects_a_header_of_another_length():
+    with pytest.raises(ValueError, match="same length"):
+        columns_csv(["x"], [np.zeros(2), np.ones(2)])

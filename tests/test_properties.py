@@ -1,7 +1,7 @@
 """Property-based tests of the component merge, the semigroup laws, the
 invertibility scan, the channel's purity law, the periodic quadrature, the
-boost exponential, the scalar input checks, CSV formatting and the command
-line."""
+boost exponential, the scalar input checks, CSV formatting, the state and
+thermal builders at extreme scalars, and the command line."""
 
 import io
 import json
@@ -37,8 +37,19 @@ from mixedframes.quantum_system import (
     pure_state,
     purity,
     translate,
+    two_gaussian_superposition,
 )
 from mixedframes.textio import columns_csv, csv_table, fmt
+from mixedframes.thermal import (
+    MomentumGrid,
+    PhysicalConstants,
+    ThermalParameters,
+    beta_of_temperature,
+    maxwell_boltzmann_density,
+    momentum_smearing_density,
+    temperature_of_beta,
+    thermal_state,
+)
 
 # Near-tie scale: far below density_gap's default tolerance, far above the
 # rounding of the parameters, so near-ties stay apart in the canonical form
@@ -444,6 +455,80 @@ def test_scalar_checks_accept_exactly_their_domain(x):
         else:
             with pytest.raises(DomainError, match="^x must be"):
                 check("x", x)
+
+
+LIBRARY_GRID = PositionGrid(256, 40.0)
+# finite momenta from zero and a subnormal to the largest floats
+MOMENTA = np.array([-1e308, -3.5, -5e-324, 0.0, 1e-300, 1.0, 1.7976931348623157e308])
+extreme_scalars = st.sampled_from(
+    (0.0, 5e-324, 1e-320, 1e-300, 1e-200, 1e-10, 0.8, 1.0, 1e10, 1e200, 1e300, 1e308,
+     -1e308, 1.7976931348623157e308, math.nan, math.inf, -math.inf)
+) | st.floats()
+
+
+def _thermal(beta, mass, hbar=1.0):
+    return ThermalParameters(beta, mass, PhysicalConstants(hbar, 1.0))
+
+
+def _thermal_weights(beta, mass, n, p_max):
+    return thermal_state(ThermalParameters(beta, mass), MomentumGrid(n, p_max)).weights
+
+
+X, N = extreme_scalars, st.integers(-1, 9)
+# name: (the call, a strategy per argument)
+LIBRARY_CALLS = {
+    "gaussian_wavepacket": (
+        lambda alpha, center: gaussian_wavepacket(LIBRARY_GRID, alpha, center).amplitudes, (X, X)),
+    "two_gaussian_superposition": (
+        lambda alpha, a2: two_gaussian_superposition(LIBRARY_GRID, alpha, a2).amplitudes, (X, X)),
+    "two_gaussian_superposition(-1)": (
+        lambda alpha, a2: two_gaussian_superposition(LIBRARY_GRID, alpha, a2, -1).amplitudes, (X, X)),
+    "ThermalParameters.momentum_variance": (
+        lambda beta, mass, hbar: _thermal(beta, mass, hbar).momentum_variance, (X, X, X)),
+    "MomentumGrid.points": (lambda n, p_max, center: MomentumGrid(n, p_max, center).points(), (N, X, X)),
+    "thermal_state": (_thermal_weights, (X, X, N, X)),
+    "momentum_smearing_density": (
+        lambda beta, mass, hbar: momentum_smearing_density(_thermal(beta, mass, hbar), MOMENTA),
+        (X, X, X)),
+    "maxwell_boltzmann_density": (
+        lambda T, mass, k_b: maxwell_boltzmann_density(MOMENTA, T, mass, PhysicalConstants(1.0, k_b)),
+        (X, X, X)),
+    "beta_of_temperature": (
+        lambda T, hbar, k_b: beta_of_temperature(T, PhysicalConstants(hbar, k_b)), (X, X, X)),
+    "temperature_of_beta": (
+        lambda beta, hbar, k_b: temperature_of_beta(beta, PhysicalConstants(hbar, k_b)), (X, X, X)),
+}
+library_calls = st.one_of(
+    *(st.tuples(st.just(name), st.tuples(*args)) for name, (_, args) in LIBRARY_CALLS.items())
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(library_calls)
+# each of these raised outside ValueError, warned, or returned inf or NaN
+@example(("two_gaussian_superposition", (1e200, 1.0)))
+@example(("two_gaussian_superposition", (1e-200, 1.0)))
+@example(("two_gaussian_superposition", (0.8, 1e200)))
+@example(("gaussian_wavepacket", (0.8, math.nan)))
+@example(("gaussian_wavepacket", (0.8, 1e200)))
+@example(("beta_of_temperature", (1e-320, 1.0, 1e-10)))
+@example(("temperature_of_beta", (1e-320, 1.0, 1e-10)))
+@example(("beta_of_temperature", (1e-320, 1.0, 1.0)))
+@example(("ThermalParameters.momentum_variance", (1e-320, 1e-10, 1.0)))
+@example(("momentum_smearing_density", (1e300, 1e-10, 1.0)))
+@example(("thermal_state", (1e300, 1e-10, 9, 1.0)))
+@example(("maxwell_boltzmann_density", (1e-300, 1e-10, 1.0)))
+@example(("MomentumGrid.points", (3, 1e308, 0.0)))
+def test_library_returns_finite_values_or_raises_value_error(call):
+    name, args = call
+    try:
+        result = LIBRARY_CALLS[name][0](*args)
+    except ValueError as exc:
+        event(f"{name}: {type(exc).__name__}")
+        return
+    event(f"{name}: returned")
+    assert np.all(np.isfinite(result))
 
 
 COMMANDS = [("figure", f) for f in FIGURE_IDS] + [("demo", d) for d in DEMO_IDS]
