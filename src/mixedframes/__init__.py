@@ -34,6 +34,7 @@ from .group_algebra import (
     to_text,
 )
 from .quantum_system import (
+    ChannelOutput,
     PositionDensity,
     PositionGrid,
     PureMixture,

@@ -4,22 +4,27 @@ Pure states are unit-norm wavefunctions on a power-of-two position grid;
 translations act spectrally (FFT phase multiplication), so they are exactly
 unitary. A mixed translation, i.e. a probability density on the group,
 acts as a mixture-of-unitaries channel and produces a convex combination
-of translated copies of the input state. Every copy of one input term
-shares that term's spectrum, and every copy at one offset shares that
-offset's phase, so the channel costs one forward FFT per input term, one
-half-spectrum exponential per offset and one inverse FFT per output term.
+of translated copies of the input state. ``act_mixed`` checks its offsets
+and returns them with the input terms and the weights, and runs no
+transform. Every copy of one input term shares that term's spectrum, and
+every copy at one offset shares that offset's phase, so a pass over the
+output's rows costs one forward FFT per input term, one half-spectrum
+exponential per offset and one inverse FFT per output term, and holds a
+block of ``ROW_BLOCK`` rows; ``position_density`` streams the rows, and
+they are kept only once ``terms`` is read.
 
 In the momentum basis the channel multiplies the density matrix by the
 characteristic function of its offsets, rho_out(k, k') = rho_in(k, k')
 chi(k - k'): the dephasing that makes a state pure in one frame mixed in
 another. So Tr rho_out^2 = (dx/n)^2 sum_d S(d) |chi(d dk)|^2, S(d) the
 weight of |rho_in|^2 on the d-th off-diagonal, at one length-2n FFT
-correlation per pair of input terms. ``act_mixed`` accumulates chi at
-d = 0..n-1 from the phases it already forms, and hands it with the input
-spectra to ``purity``, when that count is below the Gram matrix's over all
-output terms; a single Dirac, many input terms or a mixture built directly
-keep the Gram matrix. At the Nyquist lag d = n/2, |chi| is read at
-k = -(n/2) dk, where ``fftfreq`` puts that wavenumber.
+correlation per pair of input terms. The output's first pass accumulates
+chi at d = 0..n-1 from the phases it forms, and ``purity`` reads it with
+the input spectra, when that count is below the Gram matrix's over all
+output terms; ``purity`` first runs a pass with no inverse FFT. A single
+Dirac, many input terms or a mixture built directly keep the Gram matrix.
+At the Nyquist lag d = n/2, |chi| is read at k = -(n/2) dk, where
+``fftfreq`` puts that wavenumber.
 
 Sign convention: ``translate(psi, a)`` returns ``psi(x + a)``, so the
 density peak of a packet translated by ``a`` sits at ``x = -a``.
@@ -28,9 +33,10 @@ density peak of a packet translated by ``a`` sits at ``x = -a``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -51,6 +57,8 @@ NORM_TOL = 1e-9
 DENSITY_INTEGRAL_TOL = 1e-8
 DEFAULT_QUAD_ORDER = 64
 TERM_CAP = 4096
+# Output rows formed by one batched inverse FFT: 8 rows of n = 8192 are 1 MiB.
+ROW_BLOCK = 8
 
 # Half-width, in standard deviations, of the node comb used to discretize
 # Gaussian smearing. 8 sigma truncates below 1.3e-15 of the mass and keeps
@@ -91,6 +99,15 @@ class PositionGrid:
         return math.sqrt(self.integrate(np.abs(amps) ** 2))
 
 
+def _checked_density(grid: PositionGrid, amps: np.ndarray) -> np.ndarray:
+    """|amps|^2, once the grid norm it gives is 1 within NORM_TOL."""
+    density = np.abs(amps) ** 2
+    nrm = math.sqrt(grid.integrate(density))
+    if not abs(nrm - 1.0) <= NORM_TOL:
+        raise NormalizationError(f"wavefunction norm is {nrm!r}, expected 1")
+    return density
+
+
 @dataclass(frozen=True)
 class WaveFunction:
     """Unit-norm complex amplitudes on a position grid."""
@@ -102,9 +119,7 @@ class WaveFunction:
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (self.grid.n_points,):
             raise ValueError("amplitudes must match the grid size")
-        nrm = self.grid.norm(amps)
-        if not abs(nrm - 1.0) <= NORM_TOL:
-            raise NormalizationError(f"wavefunction norm is {nrm!r}, expected 1")
+        _checked_density(self.grid, amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -181,66 +196,6 @@ def gaussian_wavepacket(grid: PositionGrid, alpha: float, center: float = 0.0) -
     return _normalized(grid, _packet_profile(grid, alpha, center).astype(complex))
 
 
-class _Dephasing:
-    """What :func:`purity` reads of a channel output: input weights, input
-    spectra and chi of the weighted offsets at the differences d dk.
-
-    chi is accumulated from the half-spectrum phases exp(i k_j a),
-    j = 0..n/2, of the translation: ``low = sum w exp(i k_j a)`` and
-    ``high = sum w exp(-i n dk a) exp(i k_j a)``. Since ``fftfreq`` puts
-    k = -(n/2) dk at j = n/2, low[j] is chi(j dk) for j < n/2 and low[n/2]
-    has the modulus of chi(n/2 dk); high[j] = chi(-(n - j) dk) covers
-    d = n - j > n/2.
-    """
-
-    def __init__(
-        self,
-        grid: PositionGrid,
-        input_weights: Sequence[float],
-        offsets: Sequence[tuple[float, float]],
-    ) -> None:
-        half = grid.n_points // 2
-        self.grid = grid
-        self.input_weights = input_weights
-        self.offsets = offsets
-        self.spectra: list[np.ndarray] = []
-        self.wrap = -2j * np.pi * grid.n_points / grid.extent
-        self.low = np.zeros(half + 1, dtype=complex)
-        self.high = np.zeros(half + 1, dtype=complex)
-
-    def add(self, i: int, phase: np.ndarray | None) -> None:
-        """Accumulate offset i; ``phase`` is None for a zero offset."""
-        w, a = self.offsets[i]
-        if phase is None:
-            self.low += w
-            self.high += w
-        else:
-            self.low += w * phase
-            self.high += (w * np.exp(self.wrap * a)) * phase
-
-    def purity(self) -> float:
-        """(dx/n)^2 sum_d S(d) |chi(d dk)|^2 over the differences d = -(n-1)..n-1.
-
-        S(d) = sum_st v_s v_t corr(conj(u_s) u_t)(d), the lag-d autocorrelation
-        of the products of the fftshifted input spectra u; the sum over each
-        pair and its transpose is real and even in d.
-        """
-        n = self.grid.n_points
-        half = n // 2
-        chi = np.concatenate([self.low, self.high[half - 1 : 0 : -1]])
-        chi_sq = chi.real**2 + chi.imag**2
-        spectra = np.fft.fftshift(np.stack(self.spectra), axes=-1)
-        v = self.input_weights
-        power = np.zeros(2 * n)
-        for s in range(len(spectra)):
-            for t in range(s, len(spectra)):
-                corr = np.fft.fft(spectra[s].conj() * spectra[t], 2 * n)
-                both = 1.0 if s == t else 2.0
-                power += (both * v[s] * v[t]) * (corr.real**2 + corr.imag**2)
-        lag = np.fft.ifft(power).real[:n]
-        return float(2.0 * (lag @ chi_sq) - lag[0] * chi_sq[0]) * (self.grid.spacing / n) ** 2
-
-
 def _dephasing_pays(n_terms: int, n_inputs: int, n: int) -> bool:
     """The purity path rule: one length-2n FFT per pair of inputs and one inverse
     (5 m log2 m flops each) against the 4 n_terms^2 n real multiplications of
@@ -249,53 +204,106 @@ def _dephasing_pays(n_terms: int, n_inputs: int, n: int) -> bool:
     return ffts * 10 * n * math.log2(2 * n) < 4 * n_terms * n_terms * n
 
 
-def _translated(
-    grid: PositionGrid,
-    psis: Sequence[WaveFunction],
-    shifts: Iterable[float],
-    record: _Dephasing | None = None,
-) -> Iterator[WaveFunction]:
-    """psi(x + a) for every shift a (outer) and state psi (inner), lazily.
+@dataclass(frozen=True, eq=False)
+class ChannelOutput:
+    """A mixture of translated copies of the ``inputs`` terms, formed on demand.
 
-    Every shift is checked before any transform. Each state then costs one
-    forward FFT, each shift one exponential over the n//2 + 1 wavenumbers of
-    non-negative index, and each output one inverse FFT; a zero shift yields
-    the states themselves. ``fftfreq`` is antisymmetric, k[n-j] = -k[j]
-    exactly, so the upper half of the phase is the conjugate of the lower
-    half, bit for bit the exponential of ``ik * a``. A ``record`` receives
-    the spectra and each shift's half-spectrum phase.
+    Output term j at offset i is input term j translated by ``shifts[i]``, of
+    weight ``weights[i * len(inputs.terms) + j]``: offset-major, term-minor.
+    Only ``terms`` keeps rows: it builds each as a :class:`WaveFunction` on
+    first read. When ``dephasing``, the first complete pass over the offsets,
+    whichever reads first, fills ``chi`` for :func:`purity` from the
+    half-spectrum phases exp(i k_j a), j = 0..n/2, w the ``offset_weights``:
+    ``chi[0] = sum w exp(i k_j a)`` and ``chi[1] = sum w exp(-i n dk a)
+    exp(i k_j a)``. Since ``fftfreq`` puts k = -(n/2) dk at j = n/2,
+    chi[0][j] is chi(j dk) for j < n/2 and chi[0][n/2] has the modulus of
+    chi(n/2 dk); chi[1][j] = chi(-(n - j) dk) covers d = n - j > n/2.
     """
-    shifts = [finite("translation parameter", a) for a in shifts]
+
+    inputs: PureMixture | ChannelOutput
+    shifts: tuple[float, ...]
+    offset_weights: tuple[float, ...]
+    weights: tuple[float, ...]
+    dephasing: bool
+    chi: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+
+    @property
+    def grid(self) -> PositionGrid:
+        return self.inputs.grid
+
+    @functools.cached_property
+    def spectra(self) -> np.ndarray:
+        """The forward FFT of every input term, one per row."""
+        return np.fft.fft([psi.amplitudes for _, psi in self.inputs.terms])
+
+    @functools.cached_property
+    def terms(self) -> tuple[tuple[float, WaveFunction], ...]:
+        # rows come first, so the pass runs to its end and fills chi
+        psis = itertools.cycle([psi for _, psi in self.inputs.terms])
+        return tuple(
+            (w, psi if row is psi.amplitudes else WaveFunction(self.grid, row))
+            for row, w, psi in zip(self.rows(), self.weights, psis)
+        )
+
+    def rows(self, inverse: bool = True) -> Iterator[np.ndarray]:
+        """The amplitudes of every output term in order, lazily, or none if not ``inverse``.
+
+        ``ROW_BLOCK`` rows at a time share one exponential call over the
+        n//2 + 1 wavenumbers of non-negative index per offset and one batched
+        inverse FFT, into buffers that the next block reuses; a zero offset
+        yields the input amplitudes. ``fftfreq`` is antisymmetric,
+        k[n-j] = -k[j] exactly, so the upper half of each phase is the
+        conjugate of the lower half, bit for bit the exponential of ``ik * a``.
+        """
+        n, half = self.grid.n_points, self.grid.n_points // 2
+        ik = 1j * self.grid.wavenumbers()[: half + 1]
+        wrap = -2j * np.pi * n / self.grid.extent
+        chi = np.zeros((2, half + 1), dtype=complex) if self.dephasing and not self.chi else None
+        psis = [psi for _, psi in self.inputs.terms]
+        per = max(1, ROW_BLOCK // len(psis))  # offsets per block
+        phase_buffer = np.empty((per, n), dtype=complex)
+        row_buffer = np.empty((per, len(psis), n), dtype=complex)
+        for start in range(0, len(self.shifts), per):
+            shifts = self.shifts[start : start + per]
+            phases = phase_buffer[: len(shifts)]
+            np.exp(ik * np.array(shifts)[:, None], out=phases[:, : half + 1])
+            if chi is not None:
+                for w, a, phase in zip(self.offset_weights[start:], shifts, phases[:, : half + 1]):
+                    chi[0] += w if a == 0.0 else w * phase
+                    chi[1] += w if a == 0.0 else (w * np.exp(wrap * a)) * phase
+            if inverse:
+                np.conjugate(phases[:, half - 1 : 0 : -1], out=phases[:, half + 1 :])
+                block = np.multiply(phases[:, None], self.spectra, out=row_buffer[: len(shifts)])
+                np.fft.ifft(block, out=block)
+                for a, shifted in zip(shifts, block):
+                    yield from ([psi.amplitudes for psi in psis] if a == 0.0 else shifted)
+        if chi is not None:
+            self.chi.extend(chi)
+
+
+def _translated(
+    state: PureMixture | ChannelOutput, offsets: Iterable[tuple[float, float]], dephasing: bool
+) -> ChannelOutput:
+    """The weighted offsets (w, a) applied to ``state``, weights divided by their
+    sum; every offset is checked against the box before any transform."""
+    offsets = list(offsets)
+    shifts = tuple(finite("translation parameter", a) for _, a in offsets)
     widest = max(map(abs, shifts))
-    if widest >= 0.5 * grid.extent:
+    if widest >= 0.5 * state.grid.extent:
         raise DomainError(
             f"translation parameter |a|={widest} is too large for the periodic box"
-            f" of extent {grid.extent}"
+            f" of extent {state.grid.extent}"
         )
-    half = grid.n_points // 2
-    ik = 1j * grid.wavenumbers()[: half + 1]
-    spectra = [np.fft.fft(psi.amplitudes) for psi in psis]
-    if record is not None:
-        record.spectra = spectra
-    phase = np.empty(grid.n_points, dtype=complex)
-    for i, a in enumerate(shifts):
-        if a == 0.0:
-            if record is not None:
-                record.add(i, None)
-            yield from psis
-            continue
-        np.exp(ik * a, out=phase[: half + 1])
-        if record is not None:
-            record.add(i, phase[: half + 1])
-        np.conjugate(phase[half - 1 : 0 : -1], out=phase[half + 1 :])
-        for spectrum in spectra:
-            row = phase * spectrum
-            yield WaveFunction(grid, np.fft.ifft(row, out=row))
+    weights = [wa * wt for wa, _ in offsets for wt, _ in state.terms]
+    total = math.fsum(weights)
+    offset_weights = tuple(w / total for w, _ in offsets)
+    weights = [float(w / total) for w in weights]
+    return ChannelOutput(state, shifts, offset_weights, tuple(weights), dephasing)
 
 
 def translate(psi: WaveFunction, a: float) -> WaveFunction:
     """Exact spectral translation: returns the state with values psi(x + a)."""
-    return next(_translated(psi.grid, [psi], [a]))
+    return _translated(pure_state(psi), [(1.0, a)], False).terms[0][1]
 
 
 def _gaussian_comb(comp: GaussianComponent, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -309,8 +317,8 @@ def _gaussian_comb(comp: GaussianComponent, order: int) -> tuple[np.ndarray, np.
 
 
 def act_mixed(
-    rho_R: GroupDensity, state: PureMixture, quad_order: int = DEFAULT_QUAD_ORDER
-) -> PureMixture:
+    rho_R: GroupDensity, state: PureMixture | ChannelOutput, quad_order: int = DEFAULT_QUAD_ORDER
+) -> ChannelOutput:
     """Mixed translation channel: average of unitary translations under rho_R.
 
     Dirac components contribute one translated copy per input term; Gaussian
@@ -320,12 +328,14 @@ def act_mixed(
     translation is the Dirac case, ``act_mixed(make_delta(a), state)``.
     ``quad_order`` must be an integer, even for a Dirac-only density. The
     output size is checked against ``TERM_CAP`` before any comb is built,
-    and every offset before any FFT. The cost is one forward FFT per input
+    and every offset before any transform. No transform runs here: the
+    :class:`ChannelOutput` holds the input terms, the offsets and the
+    weights, ordered offset-major, term-minor, and keeps no row unless its
+    ``terms`` are read. A pass over its rows costs one forward FFT per input
     term, one half-spectrum exponential per offset and one inverse FFT per
-    output term; outputs are ordered offset-major, term-minor. When the
-    dephasing path of :func:`purity` is the cheaper one, each offset also
-    adds its phase to the two chi accumulators of a private record attached
-    to the output (``_Dephasing``), with weights divided by their sum.
+    output term. When the dephasing path of :func:`purity` is the cheaper
+    one, the first pass also accumulates chi of the offsets, with weights
+    divided by their sum.
     """
     quad_order = integer("quad_order", quad_order)
     n_offsets = sum(1 if isinstance(c, DiracComponent) else quad_order for _, c in rho_R.components)
@@ -342,31 +352,54 @@ def act_mixed(
         else:
             nodes, node_weights = _gaussian_comb(comp, quad_order)
             offsets.extend(zip(w * node_weights, nodes))
-
-    weights = [wa * wt for wa, _ in offsets for wt, _ in state.terms]
-    total = math.fsum(weights)
-    record = None
-    if _dephasing_pays(n_out, len(state.terms), state.grid.n_points):
-        input_weights = [w for w, _ in state.terms]
-        record = _Dephasing(state.grid, input_weights, [(w / total, a) for w, a in offsets])
-    psis = [psi for _, psi in state.terms]
-    shifted = _translated(state.grid, psis, [a for _, a in offsets], record)
-    new_terms = list(zip(weights, shifted, strict=True))
-    out = PureMixture(state.grid, tuple((w / total, psi) for w, psi in new_terms))
-    if record is not None:
-        object.__setattr__(out, "_dephasing", record)
-    return out
+    dephasing = _dephasing_pays(n_out, len(state.terms), state.grid.n_points)
+    return _translated(state, offsets, dephasing)
 
 
-def position_density(state: PureMixture) -> PositionDensity:
-    """Weighted sum of term densities |psi_i(x)|^2."""
+def position_density(state: PureMixture | ChannelOutput) -> PositionDensity:
+    """Weighted sum of term densities |psi_i(x)|^2, each term's norm checked.
+
+    A channel output's rows are streamed in order and none is kept, so the
+    cost is one pass over its rows (see :func:`act_mixed`).
+    """
+    if isinstance(state, ChannelOutput):
+        rows = zip(state.weights, state.rows(), strict=True)
+    else:
+        rows = ((w, psi.amplitudes) for w, psi in state.terms)
     values = np.zeros(state.grid.n_points)
-    for w, psi in state.terms:
-        values += w * np.abs(psi.amplitudes) ** 2
+    for w, amps in rows:
+        values += w * _checked_density(state.grid, amps)
     return PositionDensity(state.grid, values)
 
 
-def purity(state: PureMixture) -> float:
+def _dephased_purity(out: ChannelOutput) -> float:
+    """(dx/n)^2 sum_d S(d) |chi(d dk)|^2 over the differences d = -(n-1)..n-1.
+
+    S(d) = sum_st v_s v_t corr(conj(u_s) u_t)(d), the lag-d autocorrelation
+    of the products of the fftshifted input spectra u; the sum over each
+    pair and its transpose is real and even in d. When no pass has run, one
+    runs that forms the phases and no inverse FFT.
+    """
+    if not out.chi:
+        next(out.rows(inverse=False), None)  # yields nothing: runs the whole pass
+    n, half = out.grid.n_points, out.grid.n_points // 2
+    low, high = out.chi
+    chi = np.concatenate([low, high[half - 1 : 0 : -1]])
+    chi_sq = chi.real**2 + chi.imag**2
+    spectra = np.fft.fftshift(out.spectra, axes=-1)
+    v = [w for w, _ in out.inputs.terms]
+    power = np.zeros(2 * n)
+    for s in range(len(spectra)):
+        for t in range(s, len(spectra)):
+            corr = np.fft.fft(spectra[s].conj() * spectra[t], 2 * n)
+            both = 1.0 if s == t else 2.0
+            power += (both * v[s] * v[t]) * (corr.real**2 + corr.imag**2)
+    # on a real array the forward transform scaled by 1/m has the inverse's real part, bit for bit
+    lag = np.fft.fft(power, norm="forward").real[:n]
+    return float(2.0 * (lag @ chi_sq) - lag[0] * chi_sq[0]) * (out.grid.spacing / n) ** 2
+
+
+def purity(state: PureMixture | ChannelOutput) -> float:
     """Tr rho^2 of a mixture, by one of two paths.
 
     A channel output from :func:`act_mixed` is rho_in(k, k') chi(k - k') in
@@ -374,17 +407,18 @@ def purity(state: PureMixture) -> float:
     S(d) = sum_{k - k' = d dk} |rho_in(k, k')|^2 from one FFT correlation of
     length 2n per pair of input terms; chi reaches |d| = n - 1, and its
     modulus at the Nyquist lag d = n/2 comes from k = -(n/2) dk, where
-    ``fftfreq`` puts that wavenumber. ``act_mixed`` prepares this path only
+    ``fftfreq`` puts that wavenumber. ``act_mixed`` takes this path only
     when its operation count is below the Gram matrix's (``_dephasing_pays``),
-    as for smeared offsets on a few input terms.
+    as for smeared offsets on a few input terms. It reads chi from the
+    output's first pass over its offsets, or runs one without inverse FFTs,
+    and builds no row.
 
     Any other mixture, including a channel output with few terms (a single
     Dirac) or many input terms, uses sum_ij w_i w_j |<psi_i|psi_j>|^2 from
     one complex Gram product of the term amplitudes.
     """
-    record = getattr(state, "_dephasing", None)
-    if record is not None:
-        return record.purity()
+    if isinstance(state, ChannelOutput) and state.dephasing:
+        return _dephased_purity(state)
     weights = np.array([w for w, _ in state.terms])
     amps = np.stack([psi.amplitudes for _, psi in state.terms])
     gram = amps.conj() @ amps.T
@@ -413,11 +447,14 @@ def coherently_translated(
     Returns the normalized quadrature of integral da rho(a) psi(x + a); this
     is a pure state, unlike the output of :func:`act_mixed`, and its density
     is always narrower than the channel output for the same smearing width.
+    The translated rows are summed as they stream, each with its norm check.
     """
     nodes, weights = _gaussian_comb(smear, integer("quad_order", quad_order))
     amps = np.zeros(psi.grid.n_points, dtype=complex)
-    for w, shifted in zip(weights, _translated(psi.grid, [psi], nodes)):
-        amps += w * shifted.amplitudes
+    rows = _translated(pure_state(psi), zip(weights, nodes), False).rows()
+    for w, row in zip(weights, rows, strict=True):
+        _checked_density(psi.grid, row)
+        amps += w * row
     return _normalized(psi.grid, amps)
 
 

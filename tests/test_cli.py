@@ -326,6 +326,34 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "a1a2.csv").exists()
 
 
+PEAK_RSS_SCRIPT = """
+import sys
+from pathlib import Path
+from mixedframes.cli import main
+argv = ["figure", "gaussian-smear", "--grid-n", "8192", "--quad-order", "2048", "--sigma", "0.5"]
+assert main([*argv, "--out", sys.argv[1]]) == 0
+status = Path("/proc/self/status").read_text().splitlines()
+print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_smeared_figure_keeps_no_channel_row(tmp_path):
+    # 2048 rows of 8192 amplitudes are 256 MiB when stored; streamed, the run stays
+    # near the interpreter's own size. The child reports the peak of its own address
+    # space (VmHWM): its ru_maxrss would start from the size of this process, which
+    # it was forked from, and RUSAGE_CHILDREN here would hold every earlier child.
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    peak_kib = int(result.stdout.splitlines()[-1])
+    assert peak_kib < 60 * 1024
+
+
 NO_SCIPY_SCRIPT = """
 import sys
 import numpy as np

@@ -17,7 +17,7 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize_scalar
 
-from mixedframes import group_algebra as ga
+from mixedframes import group_algebra as ga, quantum_system as qs
 from mixedframes.cli import DEFAULTS, main
 from mixedframes.errors import DomainError, finite, positive
 from mixedframes.figures import DEMO_IDS, FIGURE_IDS
@@ -360,8 +360,126 @@ def test_channel_output_purity_matches_the_complex_gram_formula(n, states, smear
     grid = PositionGrid(n, 40.0)
     state = PureMixture(grid, _normalize([(w, _broadband(grid, seed)) for w, seed in states]))
     out = act_mixed(ga.GroupDensity(_normalize(smear)), state, quad_order=16)
-    event("dephasing" if hasattr(out, "_dephasing") else "gram")
+    event("dephasing" if out.dephasing else "gram")
     assert abs(purity(out) - _complex_gram_purity(out)) <= 1e-13
+
+
+def _stored_channel(rho, state, quad_order):
+    """The channel as a stored mixture: every row from ``translate``, offset-major,
+    with the weights divided by their fsum, as (offsets, terms)."""
+    offsets = []
+    for w, comp in rho.components:
+        if isinstance(comp, ga.DiracComponent):
+            offsets.append((w, comp.location))
+        else:
+            nodes, node_weights = qs._gaussian_comb(comp, quad_order)
+            offsets.extend(zip(w * node_weights, nodes))
+    total = math.fsum(wa * wt for wa, _ in offsets for wt, _ in state.terms)
+    terms = tuple(
+        (float(wa * wt / total), translate(psi, a)) for wa, a in offsets for wt, psi in state.terms
+    )
+    return [(wa / total, a) for wa, a in offsets], terms
+
+
+def _stored_density(terms):
+    values = np.zeros(terms[0][1].grid.n_points)
+    for w, psi in terms:
+        values += w * np.abs(psi.amplitudes) ** 2
+    return values
+
+
+def _stored_purity(state, offsets, terms):
+    """Tr rho^2 by the rule's path: the Gram matrix of the stored rows, or
+    sum_d S(d) |chi(d dk)|^2 with chi summed over the full-spectrum phases."""
+    grid = state.grid
+    n, half = grid.n_points, grid.n_points // 2
+    if not qs._dephasing_pays(len(terms), len(state.terms), n):
+        weights = np.array([w for w, _ in terms])
+        amps = np.stack([psi.amplitudes for _, psi in terms])
+        gram = amps.conj() @ amps.T
+        return float(weights @ (gram.real**2 + gram.imag**2) @ weights) * grid.spacing**2
+    ik = 1j * grid.wavenumbers()
+    wrap = -2j * np.pi * n / grid.extent
+    low = np.zeros(half + 1, dtype=complex)
+    high = np.zeros(half + 1, dtype=complex)
+    for w, a in offsets:
+        if a == 0.0:
+            low += w
+            high += w
+        else:
+            phase = np.exp(ik * a)[: half + 1]
+            low += w * phase
+            high += (w * np.exp(wrap * a)) * phase
+    chi = np.concatenate([low, high[half - 1 : 0 : -1]])
+    chi_sq = chi.real**2 + chi.imag**2
+    spectra = np.fft.fftshift(np.stack([np.fft.fft(psi.amplitudes) for _, psi in state.terms]), axes=-1)
+    v = [w for w, _ in state.terms]
+    power = np.zeros(2 * n)
+    for s in range(len(spectra)):
+        for t in range(s, len(spectra)):
+            corr = np.fft.fft(spectra[s].conj() * spectra[t], 2 * n)
+            power += ((1.0 if s == t else 2.0) * v[s] * v[t]) * (corr.real**2 + corr.imag**2)
+    lag = np.fft.ifft(power).real[:n]
+    return float(2.0 * (lag @ chi_sq) - lag[0] * chi_sq[0]) * (grid.spacing / n) ** 2
+
+
+def _same_terms(got, expected):
+    return len(got) == len(expected) and all(
+        w1 == w2 and np.array_equal(p1.amplitudes, p2.amplitudes)
+        for (w1, p1), (w2, p2) in zip(got, expected)
+    )
+
+
+channel_components = (
+    st.just(ga.DiracComponent(0.0))
+    | st.builds(ga.DiracComponent, st.floats(-4.0, 4.0))
+    | st.builds(ga.GaussianComponent, st.floats(-3.0, 3.0), st.floats(0.01, 1.0))
+)
+NESTED = ga.mix([(0.5, ga.make_delta(0.0)), (0.5, ga.make_delta(-0.7))])
+
+
+# an input term: a packet (alpha, center) or a broadband state (seed), whose
+# spectrum reaches the lags above n/2 that chi[1] covers
+channel_terms = st.tuples(
+    st.floats(0.2, 1.0), st.tuples(st.floats(0.3, 1.2), st.floats(-3.0, 3.0)) | st.integers(0, 99)
+)
+
+
+# the streamed output against the channel stored row by row: every bit the same
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((64, 128, 256, 512, 1024)),
+    st.lists(channel_terms, min_size=1, max_size=3),
+    st.lists(st.tuples(st.floats(0.2, 1.0), channel_components), min_size=1, max_size=3),
+    st.sampled_from((16, 24)),
+    st.booleans(),
+)
+@example(256, [(1.0, (0.75, 0.0))], [(1.0, ga.DiracComponent(0.0))], 16, True)
+@example(512, [(0.5, (0.5, -1.0)), (0.5, 7)],
+         [(0.5, ga.DiracComponent(0.0)), (0.5, ga.GaussianComponent(0.4, 0.3))], 16, False)
+def test_streamed_channel_output_matches_the_stored_rule(n, term_params, smear, quad_order,
+                                                         purity_first):
+    grid = PositionGrid(n, 40.0)
+    state = PureMixture(grid, _normalize([
+        (w, _broadband(grid, spec) if isinstance(spec, int) else gaussian_wavepacket(grid, *spec))
+        for w, spec in term_params
+    ]))
+    rho = ga.GroupDensity(_normalize(smear))
+    offsets, terms = _stored_channel(rho, state, quad_order)
+    out = act_mixed(rho, state, quad_order)
+    event("dephasing" if out.dephasing else "gram")
+    if purity_first:
+        assert purity(out) == _stored_purity(state, offsets, terms)
+    assert np.array_equal(position_density(out).values, _stored_density(terms))
+    assert purity(out) == _stored_purity(state, offsets, terms)
+    assert _same_terms(out.terms, terms)
+
+    stored = PureMixture(grid, terms)
+    nested_offsets, nested_terms = _stored_channel(NESTED, stored, quad_order)
+    nested = act_mixed(NESTED, out, quad_order)
+    assert np.array_equal(position_density(nested).values, _stored_density(nested_terms))
+    assert purity(nested) == _stored_purity(stored, nested_offsets, nested_terms)
+    assert _same_terms(nested.terms, nested_terms)
 
 
 def _single(component):

@@ -165,11 +165,14 @@ class TestTranslated:
         edge = math.nextafter(20.0, 0.0)
         shifts = [5e-324, -5e-324, 1e-300, -1e-300, -0.0, 0.0, 19.99999, -19.99999,
                   edge, -edge, 0.3, -7.25, grid.spacing, -0.5 * grid.spacing]
-        rows = list(quantum_system._translated(grid, psis, shifts))
+        state = quantum_system.PureMixture(grid, tuple((0.5, psi) for psi in psis))
+        out = quantum_system._translated(state, [(1.0, a) for a in shifts], False)
+        rows = [row.copy() for row in out.rows()]  # the streamed rows reuse their buffers
         expected = [(a, psi) for a in shifts for psi in psis]
-        assert len(rows) == len(expected)
-        for row, (a, psi) in zip(rows, expected):
-            assert np.array_equal(row.amplitudes, spectral_shift(psi, a))
+        assert len(rows) == len(out.terms) == len(expected)
+        for row, (_, term), (a, psi) in zip(rows, out.terms, expected):
+            assert np.array_equal(row, spectral_shift(psi, a))
+            assert np.array_equal(term.amplitudes, row)
 
 
 class TestActMixed:
@@ -310,6 +313,51 @@ class TestPositionDensity:
             PositionDensity(grid, np.full(grid.n_points, np.nan))
 
 
+class TestChannelOutput:
+    """What act_mixed returns forms its rows only when they are read."""
+
+    def test_purity_first_runs_no_inverse_fft(self, grid, monkeypatch):
+        state = mixture_of_two(grid)
+        expected = purity(act_mixed(make_gaussian(0.3, 0.5), state, 16))
+
+        def no_ifft(*args, **kwargs):
+            raise AssertionError("inverse FFT on the way to purity")
+
+        monkeypatch.setattr(quantum_system.np.fft, "ifft", no_ifft)
+        assert purity(act_mixed(make_gaussian(0.3, 0.5), state, 16)) == expected
+
+    def test_density_and_purity_build_no_wavefunction(self, grid, monkeypatch):
+        out = act_mixed(make_gaussian(0.3, 0.5), mixture_of_two(grid), 16)
+        built = []
+        check = WaveFunction.__post_init__
+
+        def counted(psi):
+            built.append(psi)
+            check(psi)
+
+        monkeypatch.setattr(WaveFunction, "__post_init__", counted)
+        position_density(out)
+        purity(out)
+        assert out.dephasing and built == []
+        assert len(out.terms) == len(built) == 32  # the count sees the rows once they are read
+
+    def test_each_streamed_row_keeps_its_norm_check(self, grid, monkeypatch):
+        psi = gaussian_wavepacket(grid, 0.75)
+        out = act_mixed(make_gaussian(0.3, 0.5), pure_state(psi), 16)
+        ifft = np.fft.ifft
+
+        def scaled_ifft(*args, **kwargs):
+            rows = ifft(*args, **kwargs)
+            rows *= 1.01  # in place, also where the caller passed ``out``
+            return rows
+
+        monkeypatch.setattr(quantum_system.np.fft, "ifft", scaled_ifft)
+        with pytest.raises(NormalizationError, match="^wavefunction norm is"):
+            position_density(out)
+        with pytest.raises(NormalizationError, match="^wavefunction norm is"):
+            coherently_translated(GaussianComponent(0.3, 0.5), psi, 16)
+
+
 class TestPurity:
     def test_single_term_is_pure(self, grid):
         assert purity(pure_state(gaussian_wavepacket(grid, 0.75))) == pytest.approx(1.0, abs=1e-12)
@@ -347,15 +395,22 @@ class TestPurity:
             oracle = float(np.real(np.trace(dense @ dense)))
             assert purity(state) == pytest.approx(oracle, abs=1e-10)
 
-    def test_dephasing_path_leaves_the_mixture_public_form_alone(self, grid):
-        # a smeared output carries the private record, a sharp one and a rebuilt one do not
+    def test_dephasing_path_leaves_the_mixture_public_form_alone(self, grid, monkeypatch):
+        # the dephasing path needs FFTs; the Gram path of a built mixture does not
         state = pure_state(gaussian_wavepacket(grid, 0.75))
         smeared = act_mixed(make_gaussian(0.4, 0.5), state, 16)
+        expected = purity(smeared)
         rebuilt = quantum_system.PureMixture(grid, smeared.terms)
-        assert hasattr(smeared, "_dephasing") and not hasattr(rebuilt, "_dephasing")
-        assert not hasattr(act_mixed(make_delta(1.3), state), "_dephasing")
-        assert smeared == rebuilt
-        assert abs(purity(smeared) - purity(rebuilt)) <= 1e-13
+        sharp = act_mixed(make_delta(1.3), state)
+        assert smeared.dephasing and not sharp.dephasing and len(sharp.terms) == 1
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("FFT on the Gram path")
+
+        monkeypatch.setattr(quantum_system.np.fft, "fft", no_fft)
+        monkeypatch.setattr(quantum_system.np.fft, "ifft", no_fft)
+        assert abs(purity(rebuilt) - expected) <= 1e-13
+        assert purity(sharp) == pytest.approx(purity(state), abs=1e-12)
 
     def test_non_increasing_under_channel(self, grid):
         rng = np.random.default_rng(6)
