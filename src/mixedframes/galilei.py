@@ -8,7 +8,10 @@ instant t. A sharp boost by velocity v maps the momentum eigenstate |p> to
 that is the translation by -t v, and a global phase. :func:`bch_residual`
 checks that identity on the grid against the exponential exp(i v K / hbar)
 itself, applied to the state as a Chebyshev series in K (Tal-Ezer &
-Kosloff, J. Chem. Phys. 81, 3967, 1984).
+Kosloff, J. Chem. Phys. 81, 3967, 1984) whose Bessel coefficients come from
+one FFT (Jacobi-Anger). The dense matrices of the Hermiticity check are built
+in row blocks into one reused buffer. Nothing here needs scipy except
+:func:`expm`.
 
 Phase bookkeeping: :func:`boost_pure_label` records the eigenstate phase
 -t (v p - m v^2 / 2) / hbar, which follows the momentum-kernel convention
@@ -31,12 +34,14 @@ from .quantum_system import PositionGrid, WaveFunction, _normalized, translate
 from .thermal import MomentumGrid, MomentumMixture
 
 DENSE_SIZE_CAP = 2048
+BOOST_SERIES_CAP = 100_000  # |z| = |v| R / hbar, about the boost series' term count
+DENSE_BLOCK = 32  # rows of the identity per apply, and the tile of the in-place transpose
 TWO_PI = 2.0 * math.pi
 
 
 # The boost oracle needs no dense exponential. expm stays for the dense cross-check
 # test and because perfbench/tracer.py and perfbench/selftest.py trace galilei.expm;
-# scipy loads on the first call, so importing the package loads no scipy module.
+# it needs scipy (the ``test`` extra), which loads on the first call only.
 def expm(a: np.ndarray) -> np.ndarray:
     from scipy.linalg import expm as dense_expm
 
@@ -84,18 +89,24 @@ class OperatorGrid:
         self._x = grid.points()
         self._k = grid.wavenumbers()
 
-    def _dense(self, apply) -> np.ndarray:
-        """Matrix of a spectral map, which acts along the last axis: apply(I) is its transpose."""
-        return apply(np.eye(self.grid.n_points)).T
+    def _dense(self, apply, out: np.ndarray | None = None) -> np.ndarray:
+        """Matrix of a spectral map, which acts along the last axis: apply(I) is its transpose.
+        It is filled into ``out`` (else a new array), ``DENSE_BLOCK`` identity rows per apply."""
+        n = self.grid.n_points
+        out = np.empty((n, n), dtype=complex) if out is None else out
+        for i in range(0, n, DENSE_BLOCK):
+            out[:, i:i + DENSE_BLOCK] = apply(np.eye(min(DENSE_BLOCK, n - i), n, k=i)).T
+        return out
 
     def hermiticity_residuals(self) -> dict[str, float]:
-        """Anti-Hermitian part of each generator's dense matrix, built from its map."""
-        if self.grid.n_points > DENSE_SIZE_CAP:
-            raise ResourceLimitError(
-                f"dense operators are capped at {DENSE_SIZE_CAP} points, got {self.grid.n_points}"
-            )
+        """Anti-Hermitian part of each generator's dense matrix, built from its map. The four
+        matrices take turns in one n x n buffer, and no other n x n array is made."""
+        n = self.grid.n_points
+        if n > DENSE_SIZE_CAP:
+            raise ResourceLimitError(f"dense operators are capped at {DENSE_SIZE_CAP} points, got {n}")
+        buffer = np.empty((n, n), dtype=complex)
         maps = {"x": self.apply_x, "p": self.apply_p, "h": self.apply_h, "k": self.apply_k}
-        return {name: _anti_hermitian(self._dense(apply)) for name, apply in maps.items()}
+        return {name: _anti_hermitian(self._dense(apply, buffer)) for name, apply in maps.items()}
 
     def apply_x(self, amps: np.ndarray) -> np.ndarray:
         return self._x * amps
@@ -112,8 +123,18 @@ class OperatorGrid:
 
 
 def _anti_hermitian(op: np.ndarray) -> float:
-    """Frobenius norm of the anti-Hermitian part (bounds the spectral norm)."""
-    return float(np.linalg.norm(op - op.conj().T)) / 2.0
+    """Frobenius norm of the anti-Hermitian part (bounds the spectral norm); overwrites ``op``.
+
+    ``op`` becomes op - op^H tile pair by tile pair. IEEE subtraction is sign-symmetric,
+    so every entry, and the norm, equal those of ``norm(op - op.conj().T) / 2`` bit for bit.
+    """
+    n, b = op.shape[0], DENSE_BLOCK
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            upper = op[i:i + b, j:j + b] - op[j:j + b, i:i + b].conj().T
+            op[j:j + b, i:i + b] = -upper.conj().T
+            op[i:i + b, j:j + b] = upper
+    return float(np.linalg.norm(op)) / 2.0
 
 
 def build_operators(grid: PositionGrid, params: GalileiParams) -> OperatorGrid:
@@ -204,13 +225,13 @@ def apply_boost_exponential(v: float, psi: WaveFunction, ops: OperatorGrid) -> W
     Hermitian K = m x - t p, the series exp(i z y) = J_0(z) + 2 sum_n i^n
     J_n(z) T_n(y) in y = K / R and z = v R / hbar converges on the spectrum;
     each Chebyshev term T_n(y) psi costs one ``apply_k`` by the three-term
-    recurrence. The series stops at the first n > |z| with |J_n(z)| < 1e-17,
-    past which the Bessel coefficients decay faster than geometrically.
+    recurrence. The coefficients i^n J_n(z) come from :func:`_bessel_coefficients`.
 
     A momentum kick |m v| / hbar beyond the grid band max|k| raises
     :class:`DomainError` before the series starts: the kicked state does not
-    fit the grid, so the identity has no meaning there, and the series
-    length grows with |v|.
+    fit the grid, so the identity has no meaning there. The series takes
+    about |z| terms, so |z| above ``BOOST_SERIES_CAP`` raises
+    :class:`ResourceLimitError` before the coefficients or the series are formed.
     """
     if psi.grid != ops.grid:
         raise GridMismatchError("state grid does not match the operators")
@@ -225,20 +246,34 @@ def apply_boost_exponential(v: float, psi: WaveFunction, ops: OperatorGrid) -> W
         raise DomainError(
             f"boost momentum |m*v|/hbar for v={v!r} and mass={m!r} exceeds the grid band {k_max!r}"
         )
-    from scipy.special import jv
-
+    if abs(z) > BOOST_SERIES_CAP:
+        raise ResourceLimitError(f"boost series for v={v!r} and mass={m!r} needs about "
+                                 f"{abs(z):.3g} terms (|v|*R/hbar), above the cap {BOOST_SERIES_CAP}")
+    coeffs = _bessel_coefficients(z)
     prev, curr = None, psi.amplitudes
-    total = jv(0, z) * curr
-    n = 0
-    while True:
-        n += 1
-        coeff = jv(n, z)
-        if n > abs(z) and abs(coeff) < 1e-17:
-            break
+    total = coeffs[0] * curr
+    for coeff in coeffs[1:]:
         y_curr = ops.apply_k(curr) / radius
         prev, curr = curr, y_curr if prev is None else 2.0 * y_curr - prev
-        total += 2.0 * 1j ** (n % 4) * coeff * curr
+        total += 2.0 * coeff * curr
     return WaveFunction(psi.grid, total)
+
+
+def _bessel_coefficients(z: float) -> np.ndarray:
+    """i^n J_n(z) for n = 0, 1, ... up to where the boost series stops.
+
+    By Jacobi-Anger, exp(i z cos theta) = sum_n i^n J_n(z) e^{i n theta} (DLMF 10.12),
+    so one FFT of M samples gives them. Past n = |z| + 12.4 |z|^(1/3), Debye's
+    asymptotics put |J_n(z)| below 1e-18, so M = 2^ceil(log2(2|z| + 26 |z|^(1/3) + 128))
+    keeps aliasing below that. The rounding of z cos theta leaves about eps sqrt|z| in
+    each coefficient, so the table stops at the first n > |z| with |J_n| < 1e-15
+    max(1, sqrt|z|); past n = |z| the coefficients fall faster than geometrically.
+    """
+    size = 2 ** math.ceil(math.log2(2.0 * abs(z) + 26.0 * abs(z) ** (1.0 / 3.0) + 128.0))
+    table = np.fft.fft(np.exp(1j * z * np.cos(TWO_PI * np.arange(size) / size)))[: size // 2] / size
+    n = np.arange(size // 2)
+    stop = np.flatnonzero((n > abs(z)) & (np.abs(table) < 1e-15 * max(1.0, math.sqrt(abs(z)))))[0]
+    return table[:stop]
 
 
 def momentum_bump(grid: PositionGrid, p_center: float, params: GalileiParams) -> WaveFunction:

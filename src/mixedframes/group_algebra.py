@@ -13,6 +13,7 @@ function test below makes decidable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -27,6 +28,8 @@ MATCH_TOL = 1e-10
 SCAN_POINTS = 20001
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_MAX_STEPS = 200  # each step shrinks a bracket by GOLDEN; 200 steps by 1e-42
+QUAD_NODES = 10  # Gauss-Legendre nodes per panel of evaluate's adaptive rule
+QUAD_MAX_SPLITS = 200
 
 
 @dataclass(frozen=True)
@@ -121,30 +124,56 @@ def mix(parts: Sequence[tuple[float, GroupDensity]]) -> GroupDensity:
 def evaluate(rho: GroupDensity, f: Callable[[float], float]) -> float:
     """Expectation of a bounded continuous test function under the density.
 
-    Dirac components evaluate ``f`` pointwise; Gaussian components use
-    adaptive quadrature over mean +- 10 sigma at relative tolerance 1e-10.
+    Dirac components evaluate ``f`` pointwise. A Gaussian component is
+    integrated over mean +- 10 sigma by adaptive composite Gauss-Legendre
+    quadrature (Gander & Gautschi, BIT 40, 2000), calling ``f`` one float at
+    a time: a panel whose ``QUAD_NODES``-point rule differs from the sum over
+    its two halves by more than its width's share of the tolerance is split,
+    otherwise its halves are kept. The tolerance is 1e-10 relative to the
+    integral of ``|f|`` times the density (1e-13 at least), so a kink such as
+    exp(-|a|) is resolved by splits around it. Raises :class:`QuadratureError`
+    on a non-finite value or after ``QUAD_MAX_SPLITS`` splits of one component.
     """
-    from scipy import integrate
-
+    nodes, weights = _legendre_nodes(QUAD_NODES)
     total = 0.0
     for w, comp in rho.components:
         if isinstance(comp, DiracComponent):
             total += w * f(comp.location)
-        else:
-            sd = math.sqrt(comp.variance)
-            value, abserr, info, *tail = integrate.quad(
-                lambda a: f(a) * norm_pdf(a, comp.mean, comp.variance),
-                comp.mean - 10.0 * sd,
-                comp.mean + 10.0 * sd,
-                epsrel=1e-10,
-                epsabs=1e-13,
-                limit=200,
-                full_output=True,
-            )
-            if tail or not math.isfinite(value):
-                raise QuadratureError(f"quadrature failed for component {comp}")
-            total += w * value
+            continue
+
+        def rule(a: float, b: float) -> np.ndarray:
+            x = (a + b) / 2.0 + (b - a) / 2.0 * nodes
+            values = np.array([f(t) for t in x.tolist()], dtype=float)  # f takes one float
+            return (b - a) / 2.0 * weights * values * norm_pdf(x, comp.mean, comp.variance)
+
+        sd = math.sqrt(comp.variance)
+        lo, hi = comp.mean - 10.0 * sd, comp.mean + 10.0 * sd
+        first = rule(lo, hi)
+        tol = max(1e-13, 1e-10 * float(np.sum(np.abs(first)))) / (hi - lo)
+        todo, kept, splits = [(lo, hi, float(np.sum(first)))], [], 0
+        while todo:
+            a, b, whole = todo.pop()
+            mid = (a + b) / 2.0
+            left, right = float(np.sum(rule(a, mid))), float(np.sum(rule(mid, b)))
+            if abs(left + right - whole) <= tol * (b - a):
+                kept.append(left + right)
+                continue
+            splits += 1
+            if splits > QUAD_MAX_SPLITS or not math.isfinite(left + right):
+                raise QuadratureError(f"quadrature failed after {splits} splits for component {comp}")
+            todo += [(a, mid, left), (mid, b, right)]
+        total += w * math.fsum(kept)
     return total
+
+
+@functools.cache
+def _legendre_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]; numpy.polynomial loads on the first call."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False  # one copy serves every caller
+    return nodes, weights
 
 
 def convolve(rho1: GroupDensity, rho2: GroupDensity) -> GroupDensity:

@@ -359,7 +359,7 @@ import sys
 import numpy as np
 import mixedframes
 from mixedframes.cli import main
-for argv in (["figure", "a1a2"], ["demo", "semigroup"]):
+for argv in (["figure", "a1a2"], ["demo", "semigroup"], ["verify", "--grid-n", "256"]):
     assert main([*argv, "--out", sys.argv[1]]) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 from scipy.linalg import expm
@@ -370,6 +370,7 @@ print(float(np.max(np.abs(galilei_expm(a) - expm(a)))))
 
 
 def test_package_and_figure_commands_load_no_scipy(tmp_path):
+    # verify included: its quadratures and Bessel coefficients run on numpy alone
     # a fresh interpreter, so that modules pytest or other tests imported do not count
     result = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
@@ -381,3 +382,50 @@ def test_package_and_figure_commands_load_no_scipy(tmp_path):
     loaded, gap = result.stdout.splitlines()[-2:]  # after the paths main prints
     assert loaded == "[]"
     assert float(gap) == 0.0
+
+
+IMPORT_SCRIPT = """
+import sys
+import {module}
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial")))
+"""
+
+
+@pytest.mark.parametrize("module", ["mixedframes", "mixedframes.cli"])
+def test_import_loads_no_scipy_and_no_numpy_polynomial(module):
+    # numpy.polynomial loads inside the quadratures that use it, so an import does not pay for it
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_SCRIPT.format(module=module)],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+HERMITICITY_PEAK_SCRIPT = """
+from pathlib import Path
+from mixedframes import GalileiParams, PositionGrid, build_operators
+def peak_kib():
+    status = Path("/proc/self/status").read_text().splitlines()
+    return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+ops = build_operators(PositionGrid(1024, 40.0), GalileiParams(mass=1.0, time=0.5))
+before = peak_kib()
+ops.hermiticity_residuals()
+print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_hermiticity_residuals_hold_one_dense_matrix():
+    # one 1024 x 1024 complex buffer is 16 MiB. Building each matrix whole and then its
+    # conjugate transpose and difference as new arrays grew the peak by about 56 MiB.
+    result = subprocess.run(
+        [sys.executable, "-c", HERMITICITY_PEAK_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout.splitlines()[-1]) < 24 * 1024

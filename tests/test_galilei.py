@@ -54,6 +54,15 @@ class TestOperators:
         with pytest.raises(ResourceLimitError):
             ops.hermiticity_residuals()
 
+    @pytest.mark.parametrize("n", [64, 256, 1024, 2048])
+    def test_hermiticity_equals_the_dense_formula_bit_for_bit(self, n):
+        ops = build_operators(PositionGrid(n, 40.0), GalileiParams(mass=1.0, time=0.5))
+        residuals = ops.hermiticity_residuals()
+        maps = {"x": ops.apply_x, "p": ops.apply_p, "h": ops.apply_h, "k": ops.apply_k}
+        for name, apply in maps.items():
+            op = apply(np.eye(n)).T  # the full matrix and its full conjugate transpose
+            assert residuals[name] == float(np.linalg.norm(op - op.conj().T)) / 2.0, name
+
     def test_dense_matches_spectral_application(self, ops_setup):
         grid, _, ops = ops_setup
         psi = gaussian_wavepacket(grid, 1.0, 0.5)
@@ -152,6 +161,17 @@ class TestBCH:
         ops.apply_k = lambda amps: pytest.fail("the series started")
         with pytest.raises(DomainError, match=r"v=10000\.0 and mass=1\.0"):
             apply_boost_exponential(1e4, gaussian_wavepacket(grid, 1.0), ops)
+
+    def test_series_past_the_term_cap_rejected_before_any_work(self, monkeypatch):
+        grid = PositionGrid(1024, 40.0)
+        # |m*v| = 1 is inside the grid band (about 80), but |z| = |v|*R/hbar is about 8e7
+        ops = build_operators(grid, GalileiParams(mass=1e-6, time=1.0, hbar=1.0))
+        psi = gaussian_wavepacket(grid, 1.0)
+        ops.apply_k = lambda amps: pytest.fail("the series started")
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **k: pytest.fail("the Bessel table was built"))
+        named = r"v=1000000\.0 and mass=1e-06 needs about 8\.04e\+07 terms"
+        with pytest.raises(ResourceLimitError, match=named):
+            apply_boost_exponential(1e6, psi, ops)
 
     @pytest.mark.parametrize("v", [math.nan, math.inf, 1e308])
     def test_nonfinite_phase_rejected(self, ops_setup, v):

@@ -27,9 +27,17 @@ from mixedframes import (
     sample_on_grid,
     to_text,
 )
+from mixedframes import group_algebra as ga
+from mixedframes.errors import QuadratureError
 from mixedframes.group_algebra import density_gap, mass_within, parse_densities
 
 RNG = np.random.default_rng(42)
+QUAD_FNS = {
+    "cos": lambda a: math.cos(0.7 * a),
+    "cauchy": lambda a: 1.0 / (1.0 + a * a),
+    "square": lambda a: a * a,
+    "kink": lambda a: math.exp(-abs(a)),
+}
 
 
 def random_density(rng, max_components=5):
@@ -176,6 +184,41 @@ class TestEvaluate:
         got = evaluate(make_gaussian(0.0, 1.0), lambda t: t * t)
         assert got == pytest.approx(float(oracle), abs=1e-9)
         assert got == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(QUAD_FNS))
+    @pytest.mark.parametrize("mean, variance", [(0.0, 1.0), (0.5, 0.8), (-3.0, 0.05), (2.0, 25.0),
+                                                (-1.1, 0.6), (10.0, 1e-4)])
+    def test_matches_scipy_quad(self, name, mean, variance):
+        f = QUAD_FNS[name]
+        sd = math.sqrt(variance)
+        g = lambda a: f(a) * math.exp(-((a - mean) ** 2) / (2.0 * variance)) / math.sqrt(
+            2.0 * math.pi * variance
+        )
+        # quad is told where the kink of exp(-|a|) is; evaluate has to find it
+        options = dict(epsrel=1e-13, epsabs=1e-15, limit=500,
+                       points=[0.0] if name == "kink" and abs(mean) < 10.0 * sd else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            exact, _ = integrate.quad(g, mean - 10.0 * sd, mean + 10.0 * sd, **options)
+            scale, _ = integrate.quad(lambda a: abs(g(a)), mean - 10 * sd, mean + 10 * sd, **options)
+        # the contract: 1e-10 relative to the integral of |f| times the density
+        assert abs(evaluate(make_gaussian(mean, variance), f) - exact) <= 1e-10 * scale + 1e-13
+
+    def test_split_limit_raises_and_bounds_the_work(self):
+        calls = []
+
+        def fast(a):  # resolving 1e4 rad per unit takes about 1e5 panels over +-10 sigma
+            calls.append(a)
+            return math.sin(1e4 * a + 0.3)  # not odd: symmetric nodes would cancel it exactly
+
+        with pytest.raises(QuadratureError, match=f"after {ga.QUAD_MAX_SPLITS + 1} splits"):
+            evaluate(make_gaussian(0.0, 1.0), fast)
+        assert len(calls) <= (4 * ga.QUAD_MAX_SPLITS + 5) * ga.QUAD_NODES
+
+    def test_kink_off_the_panel_edges_needs_more_than_ten_splits(self, monkeypatch):
+        monkeypatch.setattr(ga, "QUAD_MAX_SPLITS", 10)
+        with pytest.raises(QuadratureError, match="after 11 splits"):
+            evaluate(make_gaussian(0.5, 0.8), QUAD_FNS["kink"])
 
 
 class TestConvolve:

@@ -1,7 +1,8 @@
 """Property-based tests of the component merge, the semigroup laws, the
 invertibility scan, the channel's purity law, the periodic quadrature, the
 boost exponential, the scalar input checks, CSV formatting, the state and
-thermal builders at extreme scalars, and the command line."""
+thermal builders at extreme scalars, the boost series' Bessel table, and the
+command line."""
 
 import io
 import json
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize_scalar
+from scipy.special import jv
 
 from mixedframes import group_algebra as ga, quantum_system as qs
 from mixedframes.cli import DEFAULTS, main
@@ -23,6 +25,7 @@ from mixedframes.errors import DomainError, finite, positive
 from mixedframes.figures import DEMO_IDS, FIGURE_IDS
 from mixedframes.galilei import (
     GalileiParams,
+    _bessel_coefficients,
     apply_boost_exponential,
     apply_boost_factored,
     build_operators,
@@ -563,6 +566,22 @@ def test_boost_exponential_is_unitary_and_factorizes(mass, time, v):
     assert boosted.norm() == pytest.approx(1.0, abs=1e-12)
     factored = apply_boost_factored(v, BOOST_PACKET, params)
     assert BOOST_GRID.norm(boosted.amplitudes - factored.amplitudes) <= 1e-6
+
+
+# the FFT table is accurate to about eps*sqrt|z| (the rounding of the phase z cos theta)
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1000.0, 1000.0))
+@example(960.0)  # a table of 2|z| + 128 samples, rounded up to 2048, would alias here
+@example(0.0)
+def test_fft_bessel_table_matches_scipy_jv(z):
+    table = _bessel_coefficients(z)
+    n = np.arange(table.size)
+    scale = max(1.0, math.sqrt(abs(z)))
+    assert table.size > abs(z)
+    assert np.max(np.abs(table - 1j ** (n % 4) * jv(n, z))) <= 4e-15 * scale
+    # the dropped tail starts at the table's rounding level and falls from there
+    assert abs(jv(table.size, z)) <= 4e-15 * scale
+    assert np.sum(np.abs(jv(np.arange(table.size, table.size + 400), z))) <= 2e-14 * scale
 
 
 @given(st.floats())
