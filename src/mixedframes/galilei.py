@@ -9,9 +9,9 @@ that is the translation by -t v, and a global phase. :func:`bch_residual`
 checks that identity on the grid against the exponential exp(i v K / hbar)
 itself, applied to the state as a Chebyshev series in K (Tal-Ezer &
 Kosloff, J. Chem. Phys. 81, 3967, 1984) whose Bessel coefficients come from
-one FFT (Jacobi-Anger). The dense matrices of the Hermiticity check are built
-in row blocks into one reused buffer. Nothing here needs scipy except
-:func:`expm`.
+one FFT (Jacobi-Anger). The Hermiticity check reads each generator's matrix
+one column block at a time and keeps at most a quarter of it; no n x n array
+is made. Nothing here needs scipy except :func:`expm`.
 
 Phase bookkeeping: :func:`boost_pure_label` records the eigenstate phase
 -t (v p - m v^2 / 2) / hbar, which follows the momentum-kernel convention
@@ -33,9 +33,10 @@ from . import group_algebra as ga
 from .quantum_system import PositionGrid, WaveFunction, _normalized, translate
 from .thermal import MomentumGrid, MomentumMixture
 
+# bounds the n^2 / 4 complex entries the Hermiticity check keeps alive: 16 MiB at 2048
 DENSE_SIZE_CAP = 2048
 BOOST_SERIES_CAP = 100_000  # |z| = |v| R / hbar, about the boost series' term count
-DENSE_BLOCK = 32  # rows of the identity per apply, and the tile of the in-place transpose
+DENSE_BLOCK = 32  # rows of the identity per apply, and the side of the Hermiticity check's tiles
 TWO_PI = 2.0 * math.pi
 
 
@@ -79,8 +80,8 @@ class OperatorGrid:
     Each generator has one realization, its spectral map ``apply_*``, which
     acts on a state in O(n log n) and holds no matrix. Every check applies
     these maps; the boost exponential in :func:`bch_residual` is a series in
-    ``apply_k``. Dense matrices are built only by
-    :meth:`hermiticity_residuals`, which is size-capped.
+    ``apply_k``. Only :meth:`hermiticity_residuals`, which is size-capped,
+    reads matrix entries, one tile at a time.
     """
 
     def __init__(self, grid: PositionGrid, params: GalileiParams):
@@ -89,24 +90,14 @@ class OperatorGrid:
         self._x = grid.points()
         self._k = grid.wavenumbers()
 
-    def _dense(self, apply, out: np.ndarray | None = None) -> np.ndarray:
-        """Matrix of a spectral map, which acts along the last axis: apply(I) is its transpose.
-        It is filled into ``out`` (else a new array), ``DENSE_BLOCK`` identity rows per apply."""
-        n = self.grid.n_points
-        out = np.empty((n, n), dtype=complex) if out is None else out
-        for i in range(0, n, DENSE_BLOCK):
-            out[:, i:i + DENSE_BLOCK] = apply(np.eye(min(DENSE_BLOCK, n - i), n, k=i)).T
-        return out
-
     def hermiticity_residuals(self) -> dict[str, float]:
-        """Anti-Hermitian part of each generator's dense matrix, built from its map. The four
-        matrices take turns in one n x n buffer, and no other n x n array is made."""
+        """Anti-Hermitian part of each generator's dense matrix, read from its map by
+        :func:`_anti_hermitian`; no n x n array is made."""
         n = self.grid.n_points
         if n > DENSE_SIZE_CAP:
             raise ResourceLimitError(f"dense operators are capped at {DENSE_SIZE_CAP} points, got {n}")
-        buffer = np.empty((n, n), dtype=complex)
         maps = {"x": self.apply_x, "p": self.apply_p, "h": self.apply_h, "k": self.apply_k}
-        return {name: _anti_hermitian(self._dense(apply, buffer)) for name, apply in maps.items()}
+        return {name: _anti_hermitian(apply, n) for name, apply in maps.items()}
 
     def apply_x(self, amps: np.ndarray) -> np.ndarray:
         return self._x * amps
@@ -122,19 +113,34 @@ class OperatorGrid:
         return self.params.mass * self.apply_x(amps) - self.params.time * self.apply_p(amps)
 
 
-def _anti_hermitian(op: np.ndarray) -> float:
-    """Frobenius norm of the anti-Hermitian part (bounds the spectral norm); overwrites ``op``.
+def _anti_hermitian(apply, n: int) -> float:
+    """Frobenius norm of (A - A^H) / 2 (it bounds the spectral norm) for the matrix A of
+    ``apply``, a map acting along the last axis, so that apply(I) is the transpose of A.
 
-    ``op`` becomes op - op^H tile pair by tile pair. IEEE subtraction is sign-symmetric,
-    so every entry, and the norm, equal those of ``norm(op - op.conj().T) / 2`` bit for bit.
+    A arrives one column block of ``DENSE_BLOCK`` identity rows per apply. A tile A[I, J]
+    above the diagonal pairs with the stored tile A[J, I] as A[I, J] - A[J, I]^H and counts
+    twice, since IEEE subtraction is sign-symmetric; a diagonal tile pairs with itself.
+    The tiles below the diagonal wait in one list per row block, dropped when that row
+    block is reached, so at most n^2 / 4 entries are alive. Each tile's squared moduli are
+    summed by ``np.sum`` and the tile sums by ``math.fsum``. No BLAS call is made, so the
+    bits do not depend on the BLAS thread count.
     """
-    n, b = op.shape[0], DENSE_BLOCK
-    for i in range(0, n, b):
-        for j in range(i, n, b):
-            upper = op[i:i + b, j:j + b] - op[j:j + b, i:i + b].conj().T
-            op[j:j + b, i:i + b] = -upper.conj().T
-            op[i:i + b, j:j + b] = upper
-    return float(np.linalg.norm(op)) / 2.0
+    b = DENSE_BLOCK
+    waiting: list[list[np.ndarray]] = [[] for _ in range(0, n, b)]  # waiting[0]: next row block
+    sums = []
+    for j in range(0, n, b):
+        column = apply(np.eye(min(b, n - j), n, k=j)).T  # A[:, j:j + b]
+        for i, lower in zip(range(0, j, b), waiting.pop(0)):
+            sums.append(2.0 * _square_sum(column[i:i + b] - lower.conj().T))
+        diagonal = column[j:j + b]
+        sums.append(_square_sum(diagonal - diagonal.conj().T))
+        for i, row in zip(range(j + b, n, b), waiting):
+            row.append(column[i:i + b].copy())
+    return math.sqrt(math.fsum(sums)) / 2.0
+
+
+def _square_sum(tile: np.ndarray) -> float:
+    return float(np.sum(tile.real ** 2 + tile.imag ** 2))
 
 
 def build_operators(grid: PositionGrid, params: GalileiParams) -> OperatorGrid:

@@ -457,10 +457,11 @@ def _thermal_parameter_sets() -> list[th.ThermalParameters]:
 def check_thermal_densities() -> list[CheckResult]:
     norm_err = 0.0
     for tp in _thermal_parameter_sets():
-        # substitute u = sqrt(E): the transformed integrand is smooth at zero
+        # substitute u = sqrt(E): the transformed integrand is smooth at zero, and the
+        # Gauss-Legendre nodes are interior, so the density is never asked for E = 0
         integrand = lambda u: 2.0 * u * th.energy_smearing_density(tp, u * u)
         upper = 8.0 * math.sqrt(tp.constants.hbar / tp.beta)
-        norm_err = max(norm_err, abs(_legendre_panels(integrand, 1e-12, upper) - 1.0))
+        norm_err = max(norm_err, abs(_legendre_panels(integrand, 0.0, upper) - 1.0))
 
     mb_err = 0.0
     constants = th.PhysicalConstants()

@@ -6,10 +6,15 @@ are asserted as hard ceilings.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import mixedframes
 from mixedframes import group_algebra as ga
 from mixedframes import quantum_system as qs
 from mixedframes.cli import DEFAULTS, main
@@ -27,6 +32,8 @@ from mixedframes.verify import (
     check_thermal_invariance,
     classifier_cases,
 )
+
+SRC = str(Path(mixedframes.__file__).parent.parent)
 
 
 class _Clock:
@@ -200,6 +207,15 @@ def test_criterion_8_galilei_sector():
     )
 
 
+def _verify_child(out, blas_threads: int) -> int:
+    """``verify --grid-n 256`` in a fresh interpreter with the given BLAS thread count."""
+    threads = str(blas_threads)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    args = ["-m", "mixedframes.cli", "verify", "--grid-n", "256", "--out", str(out)]
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env).returncode
+
+
 def test_criterion_9_verify_determinism(tmp_path, capsys):
     clock = _Clock(120.0)
     out_a, out_b = tmp_path / "runA", tmp_path / "runB"
@@ -209,6 +225,18 @@ def test_criterion_9_verify_determinism(tmp_path, capsys):
     capsys.readouterr()
     files = ["verify_report.csv", "a1a2.csv", "a1a2diff.csv", "gaussian-smear.csv"]
     identical = all((out_a / f).read_bytes() == (out_b / f).read_bytes() for f in files)
-    ok = code_a == 0 and code_b == 0 and identical
+    # the bytes must not follow the BLAS thread count either, which is fixed per process
+    runs = {t: tmp_path / f"threads{t}" for t in (1, 2)}
+    codes = tuple(_verify_child(out, t) for t, out in runs.items())
+    across_threads = codes == (0, 0) and all(
+        len({(out / f).read_bytes() for out in (out_a, *runs.values())}) == 1 for f in files
+    )
+    ok = code_a == 0 and code_b == 0 and identical and across_threads
     with capsys.disabled():
-        _report("9 determinism", ok, clock, f"exit=({code_a},{code_b}) identical={identical}")
+        _report(
+            "9 determinism",
+            ok,
+            clock,
+            f"exit=({code_a},{code_b}) identical={identical} "
+            f"children={codes} identical_across_blas_threads={across_threads}",
+        )

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -37,6 +38,11 @@ from mixedframes.quantum_system import _normalized
 TWO_PI = 2.0 * math.pi
 
 
+def _dense(apply, n):
+    """Matrix of a spectral map, which acts along the last axis: apply(I) is its transpose."""
+    return apply(np.eye(n)).T
+
+
 @pytest.fixture(scope="module")
 def ops_setup():
     grid = PositionGrid(1024, 40.0)
@@ -56,17 +62,22 @@ class TestOperators:
 
     @pytest.mark.parametrize("n", [64, 256, 1024, 2048])
     def test_hermiticity_equals_the_dense_formula_bit_for_bit(self, n):
+        # the oracle is the exactly rounded sum of all n^2 squared moduli, so its bits,
+        # unlike those of np.linalg.norm, do not depend on the BLAS thread count
         ops = build_operators(PositionGrid(n, 40.0), GalileiParams(mass=1.0, time=0.5))
         residuals = ops.hermiticity_residuals()
         maps = {"x": ops.apply_x, "p": ops.apply_p, "h": ops.apply_h, "k": ops.apply_k}
         for name, apply in maps.items():
-            op = apply(np.eye(n)).T  # the full matrix and its full conjugate transpose
-            assert residuals[name] == float(np.linalg.norm(op - op.conj().T)) / 2.0, name
+            op = _dense(apply, n)
+            diff = op - op.conj().T  # the full matrix minus its full conjugate transpose
+            squares = diff.real ** 2 + diff.imag ** 2
+            exact = math.fsum(itertools.chain.from_iterable(map(np.ndarray.tolist, squares)))
+            assert residuals[name] == math.sqrt(exact) / 2.0, name
 
     def test_dense_matches_spectral_application(self, ops_setup):
         grid, _, ops = ops_setup
         psi = gaussian_wavepacket(grid, 1.0, 0.5)
-        dense = ops._dense(ops.apply_k) @ psi.amplitudes
+        dense = _dense(ops.apply_k, grid.n_points) @ psi.amplitudes
         fast = ops.apply_k(psi.amplitudes)
         assert np.max(np.abs(dense - fast)) < 1e-9
 
@@ -148,7 +159,7 @@ class TestBCH:
         for mass in (0.5, 1.0, 2.0):
             for time in (0.0, 0.5, 1.0):
                 ops = build_operators(grid, GalileiParams(mass=mass, time=time, hbar=1.0))
-                k_dense = ops._dense(ops.apply_k)
+                k_dense = _dense(ops.apply_k, grid.n_points)
                 for v in (-2.0, -1.0, 0.3, 1.2):
                     dense = expm(1j * v * k_dense) @ psi.amplitudes
                     series = apply_boost_exponential(v, psi, ops).amplitudes

@@ -22,6 +22,7 @@ from mixedframes import (
     time_translate_diagonal,
 )
 from mixedframes.thermal import grid_purity_proxy
+from mixedframes.verify import check_thermal_densities
 
 UNIT_SYSTEMS = [PhysicalConstants(), PhysicalConstants(hbar=0.7, k_boltzmann=1.3)]
 
@@ -39,6 +40,12 @@ class TestEnergyDensity:
         upper = 8.0 * math.sqrt(constants.hbar / tp.beta)
         val, _ = integrate.quad(integrand, 1e-12, upper, epsabs=1e-14, epsrel=1e-12)
         assert val == pytest.approx(1.0, abs=1e-8)
+
+    def test_verify_normalization_row_measures_the_density(self):
+        # a lower limit above E = 0 would show as its own sliver, 2 sqrt(beta / (pi hbar)) per
+        # unit of u, not as the density's normalization error
+        row = next(r for r in check_thermal_densities() if r.name == "thermal_energy_normalization")
+        assert row.residual <= 1e-14
 
     def test_rejects_nonpositive_energy(self):
         tp = ThermalParameters(1.0, 1.0)
