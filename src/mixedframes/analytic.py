@@ -17,17 +17,19 @@ import numpy as np
 from .errors import DomainError
 
 
+def gaussian_kernel(x: np.ndarray, mean: float, variance: float) -> np.ndarray:
+    """The unnormalized Gaussian exp(-(x - mean)^2 / (2 variance))."""
+    return np.exp(-((x - mean) ** 2) / (2.0 * variance))
+
+
 def norm_pdf(x: np.ndarray, mean: float, variance: float) -> np.ndarray:
-    return np.exp(-((x - mean) ** 2) / (2.0 * variance)) / math.sqrt(
-        2.0 * math.pi * variance
-    )
+    return gaussian_kernel(x, mean, variance) / math.sqrt(2.0 * math.pi * variance)
 
 
 def two_point_mixed_density(x: np.ndarray, alpha: float, a2: float) -> np.ndarray:
     """Equal-weight mixture of a packet at 0 and a packet at a2."""
-    return (
-        np.exp(-((x - a2) ** 2) / (2.0 * alpha**2)) + np.exp(-(x**2) / (2.0 * alpha**2))
-    ) / (2.0 * math.sqrt(2.0 * math.pi) * alpha)
+    both = gaussian_kernel(x, a2, alpha**2) + gaussian_kernel(x, 0.0, alpha**2)
+    return both / (2.0 * math.sqrt(2.0 * math.pi) * alpha)
 
 
 def superposition_density(x: np.ndarray, alpha: float, a2: float, sign: int = +1) -> np.ndarray:
@@ -39,8 +41,8 @@ def superposition_density(x: np.ndarray, alpha: float, a2: float, sign: int = +1
     """
     if sign not in (+1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
-    g0 = np.exp(-(x**2) / (4.0 * alpha**2))
-    g2 = np.exp(-((x - a2) ** 2) / (4.0 * alpha**2))
+    g0 = gaussian_kernel(x, 0.0, 2.0 * alpha**2)
+    g2 = gaussian_kernel(x, a2, 2.0 * alpha**2)
     exponent = -(a2 * a2) / (8.0 * alpha**2)  # a2**2 would raise on overflow
     # 1 - exp(x) cancels to exactly 0 once |x| is below machine epsilon; expm1 does not
     overlap_term = 1.0 + math.exp(exponent) if sign == +1 else -math.expm1(exponent)

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, ResourceLimitError, finite, positive
 from . import group_algebra as ga
+from .analytic import gaussian_kernel
 from .quantum_system import PositionGrid, WaveFunction, _normalized, translate
 from .thermal import MomentumGrid, MomentumMixture
 
@@ -290,7 +291,7 @@ def momentum_bump(grid: PositionGrid, p_center: float, params: GalileiParams) ->
     k_center = p_center / params.hbar
     if abs(k_center) > 0.5 * k_max:
         raise DomainError(f"bump momentum {p_center} is outside half the spectral band")
-    spectrum = np.exp(-((k - k_center) ** 2) / (4.0 * width**2)).astype(complex)
+    spectrum = gaussian_kernel(k, k_center, 2.0 * width**2).astype(complex)
     return _normalized(grid, np.fft.ifft(spectrum))
 
 

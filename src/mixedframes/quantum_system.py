@@ -18,13 +18,15 @@ characteristic function of its offsets, rho_out(k, k') = rho_in(k, k')
 chi(k - k'): the dephasing that makes a state pure in one frame mixed in
 another. So Tr rho_out^2 = (dx/n)^2 sum_d S(d) |chi(d dk)|^2, S(d) the
 weight of |rho_in|^2 on the d-th off-diagonal, at one length-2n FFT
-correlation per pair of input terms. The output's first pass accumulates
-chi at d = 0..n-1 from the phases it forms, and ``purity`` reads it with
-the input spectra, when that count is below the Gram matrix's over all
-output terms; ``purity`` first runs a pass with no inverse FFT. A single
-Dirac, many input terms or a mixture built directly keep the Gram matrix.
-At the Nyquist lag d = n/2, |chi| is read at k = -(n/2) dk, where
-``fftfreq`` puts that wavenumber.
+correlation per pair of input terms. Every pass over the output
+accumulates chi at d = 0..n-1 from the phases it forms, and ``purity``
+picks this path when that count is below the Gram matrix's over all
+output terms, reading chi with the input spectra or first running a pass
+with no inverse FFT. So a mixture built directly, and an output with few
+offsets per input term, keep the Gram matrix: at n = 4096, at most 8
+offsets on one input term and at most 4 on many. At the Nyquist lag
+d = n/2, |chi| is read at k = -(n/2) dk, where ``fftfreq`` puts that
+wavenumber.
 
 Sign convention: ``translate(psi, a)`` returns ``psi(x + a)``, so the
 density peak of a packet translated by ``a`` sits at ``x = -a``.
@@ -36,7 +38,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -50,7 +52,8 @@ from .errors import (
     positive,
     probability_weights,
 )
-from .group_algebra import DiracComponent, GaussianComponent, GroupDensity
+from .analytic import gaussian_kernel
+from .group_algebra import DiracComponent, GaussianComponent, GroupDensity, make_delta
 from .textio import csv_table
 
 NORM_TOL = 1e-9
@@ -211,8 +214,8 @@ class ChannelOutput:
     Output term j at offset i is input term j translated by ``shifts[i]``, of
     weight ``weights[i * len(inputs.terms) + j]``: offset-major, term-minor.
     Only ``terms`` keeps rows: it builds each as a :class:`WaveFunction` on
-    first read. When ``dephasing``, the first complete pass over the offsets,
-    whichever reads first, fills ``chi`` for :func:`purity` from the
+    first read. Every pass over the offsets accumulates ``chi`` for
+    :func:`purity`, and the first to finish stores it, from the
     half-spectrum phases exp(i k_j a), j = 0..n/2, w the ``offset_weights``:
     ``chi[0] = sum w exp(i k_j a)`` and ``chi[1] = sum w exp(-i n dk a)
     exp(i k_j a)``. Since ``fftfreq`` puts k = -(n/2) dk at j = n/2,
@@ -224,7 +227,6 @@ class ChannelOutput:
     shifts: tuple[float, ...]
     offset_weights: tuple[float, ...]
     weights: tuple[float, ...]
-    dephasing: bool
     chi: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
 
     @property
@@ -242,68 +244,48 @@ class ChannelOutput:
         psis = itertools.cycle([psi for _, psi in self.inputs.terms])
         return tuple(
             (w, psi if row is psi.amplitudes else WaveFunction(self.grid, row))
-            for row, w, psi in zip(self.rows(), self.weights, psis)
+            for row, w, psi in zip(self._rows(), self.weights, psis)
         )
 
-    def rows(self, inverse: bool = True) -> Iterator[np.ndarray]:
+    def _rows(self, inverse: bool = True) -> Iterator[np.ndarray]:
         """The amplitudes of every output term in order, lazily, or none if not ``inverse``.
 
         ``ROW_BLOCK`` rows at a time share one exponential call over the
         n//2 + 1 wavenumbers of non-negative index per offset and one batched
-        inverse FFT, into buffers that the next block reuses; a zero offset
-        yields the input amplitudes. ``fftfreq`` is antisymmetric,
-        k[n-j] = -k[j] exactly, so the upper half of each phase is the
-        conjugate of the lower half, bit for bit the exponential of ``ik * a``.
+        inverse FFT, into buffers that the next block overwrites, so a row is
+        valid only until the next block; a zero offset yields the input
+        amplitudes. ``fftfreq`` is antisymmetric, k[n-j] = -k[j] exactly, so
+        the upper half of each phase is the conjugate of the lower half, bit
+        for bit the exponential of ``ik * a``.
         """
         n, half = self.grid.n_points, self.grid.n_points // 2
         ik = 1j * self.grid.wavenumbers()[: half + 1]
         wrap = -2j * np.pi * n / self.grid.extent
-        chi = np.zeros((2, half + 1), dtype=complex) if self.dephasing and not self.chi else None
+        chi = np.zeros((2, half + 1), dtype=complex)
         psis = [psi for _, psi in self.inputs.terms]
-        per = max(1, ROW_BLOCK // len(psis))  # offsets per block
+        per = min(len(self.shifts), max(1, ROW_BLOCK // len(psis)))  # offsets per block
         phase_buffer = np.empty((per, n), dtype=complex)
         row_buffer = np.empty((per, len(psis), n), dtype=complex)
         for start in range(0, len(self.shifts), per):
             shifts = self.shifts[start : start + per]
             phases = phase_buffer[: len(shifts)]
             np.exp(ik * np.array(shifts)[:, None], out=phases[:, : half + 1])
-            if chi is not None:
-                for w, a, phase in zip(self.offset_weights[start:], shifts, phases[:, : half + 1]):
-                    chi[0] += w if a == 0.0 else w * phase
-                    chi[1] += w if a == 0.0 else (w * np.exp(wrap * a)) * phase
+            for w, a, phase in zip(self.offset_weights[start:], shifts, phases[:, : half + 1]):
+                chi[0] += w if a == 0.0 else w * phase
+                chi[1] += w if a == 0.0 else (w * np.exp(wrap * a)) * phase
             if inverse:
                 np.conjugate(phases[:, half - 1 : 0 : -1], out=phases[:, half + 1 :])
                 block = np.multiply(phases[:, None], self.spectra, out=row_buffer[: len(shifts)])
                 np.fft.ifft(block, out=block)
                 for a, shifted in zip(shifts, block):
                     yield from ([psi.amplitudes for psi in psis] if a == 0.0 else shifted)
-        if chi is not None:
+        if not self.chi:  # an overlapping pass may have finished first
             self.chi.extend(chi)
-
-
-def _translated(
-    state: PureMixture | ChannelOutput, offsets: Iterable[tuple[float, float]], dephasing: bool
-) -> ChannelOutput:
-    """The weighted offsets (w, a) applied to ``state``, weights divided by their
-    sum; every offset is checked against the box before any transform."""
-    offsets = list(offsets)
-    shifts = tuple(finite("translation parameter", a) for _, a in offsets)
-    widest = max(map(abs, shifts))
-    if widest >= 0.5 * state.grid.extent:
-        raise DomainError(
-            f"translation parameter |a|={widest} is too large for the periodic box"
-            f" of extent {state.grid.extent}"
-        )
-    weights = [wa * wt for wa, _ in offsets for wt, _ in state.terms]
-    total = math.fsum(weights)
-    offset_weights = tuple(w / total for w, _ in offsets)
-    weights = [float(w / total) for w in weights]
-    return ChannelOutput(state, shifts, offset_weights, tuple(weights), dephasing)
 
 
 def translate(psi: WaveFunction, a: float) -> WaveFunction:
     """Exact spectral translation: returns the state with values psi(x + a)."""
-    return _translated(pure_state(psi), [(1.0, a)], False).terms[0][1]
+    return act_mixed(make_delta(a), pure_state(psi)).terms[0][1]
 
 
 def _gaussian_comb(comp: GaussianComponent, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -312,7 +294,7 @@ def _gaussian_comb(comp: GaussianComponent, order: int) -> tuple[np.ndarray, np.
         raise DomainError(f"quad_order must be >= 16 for Gaussian components, got {order}")
     sd = math.sqrt(comp.variance)
     nodes = comp.mean + sd * np.linspace(-COMB_HALF_WIDTH, COMB_HALF_WIDTH, order)
-    weights = np.exp(-((nodes - comp.mean) ** 2) / (2.0 * comp.variance))
+    weights = gaussian_kernel(nodes, comp.mean, comp.variance)
     return nodes, weights / weights.sum()
 
 
@@ -331,11 +313,7 @@ def act_mixed(
     and every offset before any transform. No transform runs here: the
     :class:`ChannelOutput` holds the input terms, the offsets and the
     weights, ordered offset-major, term-minor, and keeps no row unless its
-    ``terms`` are read. A pass over its rows costs one forward FFT per input
-    term, one half-spectrum exponential per offset and one inverse FFT per
-    output term. When the dephasing path of :func:`purity` is the cheaper
-    one, the first pass also accumulates chi of the offsets, with weights
-    divided by their sum.
+    ``terms`` are read; the module note gives the cost of a pass over its rows.
     """
     quad_order = integer("quad_order", quad_order)
     n_offsets = sum(1 if isinstance(c, DiracComponent) else quad_order for _, c in rho_R.components)
@@ -352,8 +330,17 @@ def act_mixed(
         else:
             nodes, node_weights = _gaussian_comb(comp, quad_order)
             offsets.extend(zip(w * node_weights, nodes))
-    dephasing = _dephasing_pays(n_out, len(state.terms), state.grid.n_points)
-    return _translated(state, offsets, dephasing)
+    shifts = tuple(float(a) for _, a in offsets)
+    widest = max(map(abs, shifts))
+    if widest >= 0.5 * state.grid.extent:
+        raise DomainError(
+            f"translation parameter |a|={widest} is too large for the periodic box"
+            f" of extent {state.grid.extent}"
+        )
+    weights = [wa * wt for wa, _ in offsets for wt, _ in state.terms]
+    total = math.fsum(weights)
+    offset_weights = tuple(w / total for w, _ in offsets)
+    return ChannelOutput(state, shifts, offset_weights, tuple(float(w / total) for w in weights))
 
 
 def position_density(state: PureMixture | ChannelOutput) -> PositionDensity:
@@ -363,7 +350,7 @@ def position_density(state: PureMixture | ChannelOutput) -> PositionDensity:
     cost is one pass over its rows (see :func:`act_mixed`).
     """
     if isinstance(state, ChannelOutput):
-        rows = zip(state.weights, state.rows(), strict=True)
+        rows = zip(state.weights, state._rows(), strict=True)
     else:
         rows = ((w, psi.amplitudes) for w, psi in state.terms)
     values = np.zeros(state.grid.n_points)
@@ -381,7 +368,7 @@ def _dephased_purity(out: ChannelOutput) -> float:
     runs that forms the phases and no inverse FFT.
     """
     if not out.chi:
-        next(out.rows(inverse=False), None)  # yields nothing: runs the whole pass
+        next(out._rows(inverse=False), None)  # yields nothing: runs the whole pass
     n, half = out.grid.n_points, out.grid.n_points // 2
     low, high = out.chi
     chi = np.concatenate([low, high[half - 1 : 0 : -1]])
@@ -407,17 +394,20 @@ def purity(state: PureMixture | ChannelOutput) -> float:
     S(d) = sum_{k - k' = d dk} |rho_in(k, k')|^2 from one FFT correlation of
     length 2n per pair of input terms; chi reaches |d| = n - 1, and its
     modulus at the Nyquist lag d = n/2 comes from k = -(n/2) dk, where
-    ``fftfreq`` puts that wavenumber. ``act_mixed`` takes this path only
-    when its operation count is below the Gram matrix's (``_dephasing_pays``),
-    as for smeared offsets on a few input terms. It reads chi from the
-    output's first pass over its offsets, or runs one without inverse FFTs,
-    and builds no row.
+    ``fftfreq`` puts that wavenumber. ``purity`` picks this path when its
+    operation count is below the Gram matrix's (``_dephasing_pays``), that
+    is, when the output has many offsets per input term. It reads chi from
+    the output's first pass over its offsets, or runs one without inverse
+    FFTs, and builds no row.
 
-    Any other mixture, including a channel output with few terms (a single
-    Dirac) or many input terms, uses sum_ij w_i w_j |<psi_i|psi_j>|^2 from
-    one complex Gram product of the term amplitudes.
+    Any other mixture, including a channel output with few offsets per input
+    term (at n = 4096, at most 8 on one input term and at most 4 on many),
+    uses sum_ij w_i w_j |<psi_i|psi_j>|^2 from one complex Gram product of
+    the term amplitudes.
     """
-    if isinstance(state, ChannelOutput) and state.dephasing:
+    if isinstance(state, ChannelOutput) and _dephasing_pays(
+        len(state.weights), len(state.inputs.terms), state.grid.n_points
+    ):
         return _dephased_purity(state)
     weights = np.array([w for w, _ in state.terms])
     amps = np.stack([psi.amplitudes for _, psi in state.terms])
@@ -447,12 +437,13 @@ def coherently_translated(
     Returns the normalized quadrature of integral da rho(a) psi(x + a); this
     is a pure state, unlike the output of :func:`act_mixed`, and its density
     is always narrower than the channel output for the same smearing width.
-    The translated rows are summed as they stream, each with its norm check.
+    The rows of ``act_mixed`` are summed as they stream, each with its norm
+    check, under the comb's own weights, not the channel's renormalized ones.
     """
-    nodes, weights = _gaussian_comb(smear, integer("quad_order", quad_order))
+    out = act_mixed(GroupDensity(((1.0, smear),)), pure_state(psi), quad_order)
     amps = np.zeros(psi.grid.n_points, dtype=complex)
-    rows = _translated(pure_state(psi), zip(weights, nodes), False).rows()
-    for w, row in zip(weights, rows, strict=True):
+    _, weights = _gaussian_comb(smear, quad_order)
+    for w, row in zip(weights, out._rows(), strict=True):
         _checked_density(psi.grid, row)
         amps += w * row
     return _normalized(psi.grid, amps)

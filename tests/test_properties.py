@@ -363,7 +363,7 @@ def test_channel_output_purity_matches_the_complex_gram_formula(n, states, smear
     grid = PositionGrid(n, 40.0)
     state = PureMixture(grid, _normalize([(w, _broadband(grid, seed)) for w, seed in states]))
     out = act_mixed(ga.GroupDensity(_normalize(smear)), state, quad_order=16)
-    event("dephasing" if out.dephasing else "gram")
+    event("dephasing" if qs._dephasing_pays(len(out.weights), len(state.terms), n) else "gram")
     assert abs(purity(out) - _complex_gram_purity(out)) <= 1e-13
 
 
@@ -470,7 +470,7 @@ def test_streamed_channel_output_matches_the_stored_rule(n, term_params, smear, 
     rho = ga.GroupDensity(_normalize(smear))
     offsets, terms = _stored_channel(rho, state, quad_order)
     out = act_mixed(rho, state, quad_order)
-    event("dephasing" if out.dephasing else "gram")
+    event("dephasing" if qs._dephasing_pays(len(out.weights), len(state.terms), n) else "gram")
     if purity_first:
         assert purity(out) == _stored_purity(state, offsets, terms)
     assert np.array_equal(position_density(out).values, _stored_density(terms))

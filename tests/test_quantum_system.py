@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from mixedframes import (
     two_gaussian_superposition,
 )
 from mixedframes import analytic, quantum_system
-from mixedframes.group_algebra import DiracComponent, antipode, sample_on_grid
+from mixedframes.group_algebra import DiracComponent, GroupDensity, antipode, sample_on_grid
 from mixedframes.quantum_system import density_mean, density_variance
 
 from conftest import dense_density_matrix
@@ -155,6 +156,10 @@ CHANNEL_DENSITIES = {
 }
 
 
+def takes_dephasing_path(out):
+    return quantum_system._dephasing_pays(len(out.weights), len(out.inputs.terms), out.grid.n_points)
+
+
 class TestTranslated:
     @pytest.mark.parametrize("n", [64, 256, 8192])
     def test_rows_equal_the_full_spectrum_rule(self, n):
@@ -166,13 +171,26 @@ class TestTranslated:
         shifts = [5e-324, -5e-324, 1e-300, -1e-300, -0.0, 0.0, 19.99999, -19.99999,
                   edge, -edge, 0.3, -7.25, grid.spacing, -0.5 * grid.spacing]
         state = quantum_system.PureMixture(grid, tuple((0.5, psi) for psi in psis))
-        out = quantum_system._translated(state, [(1.0, a) for a in shifts], False)
-        rows = [row.copy() for row in out.rows()]  # the streamed rows reuse their buffers
+        diracs = GroupDensity(tuple((1 / len(shifts), DiracComponent(a)) for a in shifts))
+        out = act_mixed(diracs, state)
+        rows = [row.copy() for row in out._rows()]  # the streamed rows reuse their buffers
         expected = [(a, psi) for a in shifts for psi in psis]
         assert len(rows) == len(out.terms) == len(expected)
         for row, (_, term), (a, psi) in zip(rows, out.terms, expected):
             assert np.array_equal(row, spectral_shift(psi, a))
             assert np.array_equal(term.amplitudes, row)
+
+    def test_one_translate_sizes_its_buffers_to_one_row(self):
+        # a single offset needs one row of each buffer, not ROW_BLOCK of them
+        psi = gaussian_wavepacket(PositionGrid(8192, 40.0), 0.75)
+        translate(psi, 0.3)  # warm-up: FFT plan caches stay out of the count
+        tracemalloc.start()
+        try:
+            translate(psi, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 class TestActMixed:
@@ -286,6 +304,16 @@ class TestActMixed:
         with pytest.raises(ResourceLimitError):
             act_mixed(make_gaussian(0.0, 1.0), pure_state(psi), quad_order=10**6)
 
+    def test_coherent_smearing_has_the_same_term_cap(self, grid, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("node comb or FFT before the term-cap check")
+
+        psi = gaussian_wavepacket(grid, 0.75)
+        monkeypatch.setattr(quantum_system, "_gaussian_comb", fail)
+        monkeypatch.setattr(quantum_system.np.fft, "fft", fail)
+        with pytest.raises(ResourceLimitError):
+            coherently_translated(GaussianComponent(0.0, 1.0), psi, 10**6)
+
 
 class TestPositionDensity:
     def test_pure_density(self, grid):
@@ -338,8 +366,20 @@ class TestChannelOutput:
         monkeypatch.setattr(WaveFunction, "__post_init__", counted)
         position_density(out)
         purity(out)
-        assert out.dephasing and built == []
+        assert takes_dephasing_path(out) and built == []
         assert len(out.terms) == len(built) == 32  # the count sees the rows once they are read
+
+    def test_a_pass_inside_another_leaves_purity_alone(self):
+        grid = PositionGrid(256, 40.0)
+        state = pure_state(gaussian_wavepacket(grid, 0.75))
+        expected = purity(act_mixed(make_gaussian(0.3, 0.5), state, 16))
+        out = act_mixed(make_gaussian(0.3, 0.5), state, 16)
+        rows = out._rows()
+        next(rows)
+        position_density(out)  # a second full pass, finished inside the first
+        for _ in rows:
+            pass
+        assert takes_dephasing_path(out) and purity(out) == expected
 
     def test_each_streamed_row_keeps_its_norm_check(self, grid, monkeypatch):
         psi = gaussian_wavepacket(grid, 0.75)
@@ -402,7 +442,8 @@ class TestPurity:
         expected = purity(smeared)
         rebuilt = quantum_system.PureMixture(grid, smeared.terms)
         sharp = act_mixed(make_delta(1.3), state)
-        assert smeared.dephasing and not sharp.dephasing and len(sharp.terms) == 1
+        assert takes_dephasing_path(smeared) and not takes_dephasing_path(sharp)
+        assert len(sharp.terms) == 1
 
         def no_fft(*args, **kwargs):
             raise AssertionError("FFT on the Gram path")
