@@ -20,13 +20,10 @@ another. So Tr rho_out^2 = (dx/n)^2 sum_d S(d) |chi(d dk)|^2, S(d) the
 weight of |rho_in|^2 on the d-th off-diagonal, at one length-2n FFT
 correlation per pair of input terms. Every pass over the output
 accumulates chi at d = 0..n-1 from the phases it forms, and ``purity``
-picks this path when that count is below the Gram matrix's over all
-output terms, reading chi with the input spectra or first running a pass
-with no inverse FFT. So a mixture built directly, and an output with few
-offsets per input term, keep the Gram matrix: at n = 4096, at most 8
-offsets on one input term and at most 4 on many. At the Nyquist lag
-d = n/2, |chi| is read at k = -(n/2) dk, where ``fftfreq`` puts that
-wavenumber.
+of every channel output reads chi with the input spectra, or first runs a
+pass with no inverse FFT; a mixture built directly takes the Gram matrix.
+At the Nyquist lag d = n/2, |chi| is read at k = -(n/2) dk, where
+``fftfreq`` puts that wavenumber.
 
 Sign convention: ``translate(psi, a)`` returns ``psi(x + a)``, so the
 density peak of a packet translated by ``a`` sits at ``x = -a``.
@@ -199,14 +196,6 @@ def gaussian_wavepacket(grid: PositionGrid, alpha: float, center: float = 0.0) -
     return _normalized(grid, _packet_profile(grid, alpha, center).astype(complex))
 
 
-def _dephasing_pays(n_terms: int, n_inputs: int, n: int) -> bool:
-    """The purity path rule: one length-2n FFT per pair of inputs and one inverse
-    (5 m log2 m flops each) against the 4 n_terms^2 n real multiplications of
-    the complex Gram product."""
-    ffts = n_inputs * (n_inputs + 1) // 2 + 1
-    return ffts * 10 * n * math.log2(2 * n) < 4 * n_terms * n_terms * n
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelOutput:
     """A mixture of translated copies of the ``inputs`` terms, formed on demand.
@@ -215,12 +204,13 @@ class ChannelOutput:
     weight ``weights[i * len(inputs.terms) + j]``: offset-major, term-minor.
     Only ``terms`` keeps rows: it builds each as a :class:`WaveFunction` on
     first read. Every pass over the offsets accumulates ``chi`` for
-    :func:`purity`, and the first to finish stores it, from the
-    half-spectrum phases exp(i k_j a), j = 0..n/2, w the ``offset_weights``:
-    ``chi[0] = sum w exp(i k_j a)`` and ``chi[1] = sum w exp(-i n dk a)
-    exp(i k_j a)``. Since ``fftfreq`` puts k = -(n/2) dk at j = n/2,
-    chi[0][j] is chi(j dk) for j < n/2 and chi[0][n/2] has the modulus of
-    chi(n/2 dk); chi[1][j] = chi(-(n - j) dk) covers d = n - j > n/2.
+    :func:`purity` and stores it at its end, the same bits from every pass,
+    from the half-spectrum phases exp(i k_j a), j = 0..n/2, w the
+    ``offset_weights``: ``chi[0] = sum w exp(i k_j a)`` and
+    ``chi[1] = sum w exp(-i n dk a) exp(i k_j a)``. Since ``fftfreq`` puts
+    k = -(n/2) dk at j = n/2, chi[0][j] is chi(j dk) for j < n/2 and
+    chi[0][n/2] has the modulus of chi(n/2 dk); chi[1][j] = chi(-(n - j) dk)
+    covers d = n - j > n/2.
     """
 
     inputs: PureMixture | ChannelOutput
@@ -271,16 +261,15 @@ class ChannelOutput:
             phases = phase_buffer[: len(shifts)]
             np.exp(ik * np.array(shifts)[:, None], out=phases[:, : half + 1])
             for w, a, phase in zip(self.offset_weights[start:], shifts, phases[:, : half + 1]):
-                chi[0] += w if a == 0.0 else w * phase
-                chi[1] += w if a == 0.0 else (w * np.exp(wrap * a)) * phase
+                chi[0] += w * phase
+                chi[1] += (w * np.exp(wrap * a)) * phase
             if inverse:
                 np.conjugate(phases[:, half - 1 : 0 : -1], out=phases[:, half + 1 :])
                 block = np.multiply(phases[:, None], self.spectra, out=row_buffer[: len(shifts)])
                 np.fft.ifft(block, out=block)
                 for a, shifted in zip(shifts, block):
                     yield from ([psi.amplitudes for psi in psis] if a == 0.0 else shifted)
-        if not self.chi:  # an overlapping pass may have finished first
-            self.chi.extend(chi)
+        self.chi[:] = chi
 
 
 def translate(psi: WaveFunction, a: float) -> WaveFunction:
@@ -293,6 +282,9 @@ def _gaussian_comb(comp: GaussianComponent, order: int) -> tuple[np.ndarray, np.
     if order < 16:
         raise DomainError(f"quad_order must be >= 16 for Gaussian components, got {order}")
     sd = math.sqrt(comp.variance)
+    # the kernel divides squares up to (8 sigma)^2 by 2 sigma^2: both must stay finite
+    if math.isinf(2.0 * COMB_HALF_WIDTH**2 * comp.variance):
+        raise DomainError(f"Gaussian variance {comp.variance!r} is too wide for the node comb")
     nodes = comp.mean + sd * np.linspace(-COMB_HALF_WIDTH, COMB_HALF_WIDTH, order)
     weights = gaussian_kernel(nodes, comp.mean, comp.variance)
     return nodes, weights / weights.sum()
@@ -387,32 +379,30 @@ def _dephased_purity(out: ChannelOutput) -> float:
 
 
 def purity(state: PureMixture | ChannelOutput) -> float:
-    """Tr rho^2 of a mixture, by one of two paths.
+    """Tr rho^2 of a mixture: one path for a channel output, one for any other.
 
     A channel output from :func:`act_mixed` is rho_in(k, k') chi(k - k') in
     the momentum basis, so Tr rho^2 = (dx/n)^2 sum_d S(d) |chi(d dk)|^2 with
     S(d) = sum_{k - k' = d dk} |rho_in(k, k')|^2 from one FFT correlation of
     length 2n per pair of input terms; chi reaches |d| = n - 1, and its
     modulus at the Nyquist lag d = n/2 comes from k = -(n/2) dk, where
-    ``fftfreq`` puts that wavenumber. ``purity`` picks this path when its
-    operation count is below the Gram matrix's (``_dephasing_pays``), that
-    is, when the output has many offsets per input term. It reads chi from
-    the output's first pass over its offsets, or runs one without inverse
-    FFTs, and builds no row.
-
-    Any other mixture, including a channel output with few offsets per input
-    term (at n = 4096, at most 8 on one input term and at most 4 on many),
-    uses sum_ij w_i w_j |<psi_i|psi_j>|^2 from one complex Gram product of
-    the term amplitudes.
+    ``fftfreq`` puts that wavenumber. chi comes from the output's last pass
+    over its offsets, or from one run without inverse FFTs, and no row is
+    built; the cost grows with the square of the input terms, whatever the
+    number of offsets. Any other mixture uses sum_ij w_i w_j
+    |<psi_i|psi_j>|^2 from one complex Gram product of the term amplitudes.
+    A grid spacing outside [1e-100, 1e100] raises :class:`DomainError`.
     """
-    if isinstance(state, ChannelOutput) and _dephasing_pays(
-        len(state.weights), len(state.inputs.terms), state.grid.n_points
-    ):
+    dx = state.grid.spacing
+    # the sums reach (n/dx)^2 2n and dx^2: inside the float range for every n below 1e35
+    if not 1e-100 <= dx <= 1e100:
+        raise DomainError(f"purity needs a grid spacing in [1e-100, 1e100], got {dx!r}")
+    if isinstance(state, ChannelOutput):
         return _dephased_purity(state)
     weights = np.array([w for w, _ in state.terms])
     amps = np.stack([psi.amplitudes for _, psi in state.terms])
     gram = amps.conj() @ amps.T
-    return float(weights @ (gram.real**2 + gram.imag**2) @ weights) * state.grid.spacing**2
+    return float(weights @ (gram.real**2 + gram.imag**2) @ weights) * dx**2
 
 
 def two_gaussian_superposition(

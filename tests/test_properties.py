@@ -350,7 +350,7 @@ def _broadband(grid, seed):
     return WaveFunction(grid, amps / grid.norm(amps))
 
 
-# a single Dirac keeps the Gram matrix; a 16-node comb takes the dephasing path
+# every channel output takes the dephasing path, from a single Dirac to a 16-node comb
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from((64, 128, 256, 512)),
@@ -363,7 +363,6 @@ def test_channel_output_purity_matches_the_complex_gram_formula(n, states, smear
     grid = PositionGrid(n, 40.0)
     state = PureMixture(grid, _normalize([(w, _broadband(grid, seed)) for w, seed in states]))
     out = act_mixed(ga.GroupDensity(_normalize(smear)), state, quad_order=16)
-    event("dephasing" if qs._dephasing_pays(len(out.weights), len(state.terms), n) else "gram")
     assert abs(purity(out) - _complex_gram_purity(out)) <= 1e-13
 
 
@@ -391,16 +390,11 @@ def _stored_density(terms):
     return values
 
 
-def _stored_purity(state, offsets, terms):
-    """Tr rho^2 by the rule's path: the Gram matrix of the stored rows, or
-    sum_d S(d) |chi(d dk)|^2 with chi summed over the full-spectrum phases."""
+def _stored_purity(state, offsets):
+    """Tr rho^2 of the channel output: sum_d S(d) |chi(d dk)|^2 with chi summed
+    over the full-spectrum phases, a zero offset adding its weight as it is."""
     grid = state.grid
     n, half = grid.n_points, grid.n_points // 2
-    if not qs._dephasing_pays(len(terms), len(state.terms), n):
-        weights = np.array([w for w, _ in terms])
-        amps = np.stack([psi.amplitudes for _, psi in terms])
-        gram = amps.conj() @ amps.T
-        return float(weights @ (gram.real**2 + gram.imag**2) @ weights) * grid.spacing**2
     ik = 1j * grid.wavenumbers()
     wrap = -2j * np.pi * n / grid.extent
     low = np.zeros(half + 1, dtype=complex)
@@ -470,18 +464,17 @@ def test_streamed_channel_output_matches_the_stored_rule(n, term_params, smear, 
     rho = ga.GroupDensity(_normalize(smear))
     offsets, terms = _stored_channel(rho, state, quad_order)
     out = act_mixed(rho, state, quad_order)
-    event("dephasing" if qs._dephasing_pays(len(out.weights), len(state.terms), n) else "gram")
     if purity_first:
-        assert purity(out) == _stored_purity(state, offsets, terms)
+        assert purity(out) == _stored_purity(state, offsets)
     assert np.array_equal(position_density(out).values, _stored_density(terms))
-    assert purity(out) == _stored_purity(state, offsets, terms)
+    assert purity(out) == _stored_purity(state, offsets)
     assert _same_terms(out.terms, terms)
 
     stored = PureMixture(grid, terms)
     nested_offsets, nested_terms = _stored_channel(NESTED, stored, quad_order)
     nested = act_mixed(NESTED, out, quad_order)
     assert np.array_equal(position_density(nested).values, _stored_density(nested_terms))
-    assert purity(nested) == _stored_purity(stored, nested_offsets, nested_terms)
+    assert purity(nested) == _stored_purity(stored, nested_offsets)
     assert _same_terms(nested.terms, nested_terms)
 
 
@@ -666,6 +659,48 @@ def test_library_returns_finite_values_or_raises_value_error(call):
         return
     event(f"{name}: returned")
     assert np.all(np.isfinite(result))
+
+
+def _log_scale(low, high):
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+# a packet and a Gaussian smearing on grids of every extent: the purity of both
+# states and the density of the channel output, computed or rejected up front
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((64, 256)),
+    _log_scale(-323.0, 308.25),
+    _log_scale(-160.0, -1.0),
+    _log_scale(-323.0, 308.25),
+)
+# a spacing whose square overflows (bare OverflowError) or whose Gram entries do (a warning)
+@example(64, 1e300, 1e-150, 1.0)
+@example(64, 6.4e-159, 1e-160 / 6.4e-159, 1.0)
+# a smearing whose comb weights were NaN, with two warnings
+@example(64, 1e300, 1e-150, 1.7e308)
+def test_purity_and_the_channel_return_or_raise_domain_error_at_any_extent(
+    n, extent, alpha_fraction, variance
+):
+    try:
+        state = pure_state(gaussian_wavepacket(PositionGrid(n, extent), extent * alpha_fraction))
+    except DomainError:
+        event("packet: DomainError")
+        return
+
+    def channel():
+        out = act_mixed(ga.make_gaussian(0.0, variance), state, quad_order=16)
+        return float(np.sum(position_density(out).values)) + purity(out)
+
+    for name, call in (("purity", lambda: purity(state)), ("channel", channel)):
+        try:
+            value = call()
+        except DomainError:
+            event(f"{name}: DomainError")
+        else:
+            event(f"{name}: returned")
+            assert math.isfinite(value)
 
 
 COMMANDS = [("figure", f) for f in FIGURE_IDS] + [("demo", d) for d in DEMO_IDS]

@@ -156,10 +156,6 @@ CHANNEL_DENSITIES = {
 }
 
 
-def takes_dephasing_path(out):
-    return quantum_system._dephasing_pays(len(out.weights), len(out.inputs.terms), out.grid.n_points)
-
-
 class TestTranslated:
     @pytest.mark.parametrize("n", [64, 256, 8192])
     def test_rows_equal_the_full_spectrum_rule(self, n):
@@ -366,8 +362,24 @@ class TestChannelOutput:
         monkeypatch.setattr(WaveFunction, "__post_init__", counted)
         position_density(out)
         purity(out)
-        assert takes_dephasing_path(out) and built == []
+        assert built == []
         assert len(out.terms) == len(built) == 32  # the count sees the rows once they are read
+
+    def test_purity_of_one_offset_builds_no_wavefunction(self, grid, monkeypatch):
+        # one sharp offset takes the dephasing path too: its rows are never formed
+        state = mixture_of_two(grid)
+        expected = purity(state)
+        out = act_mixed(make_delta(1.3), state)
+        built = []
+        check = WaveFunction.__post_init__
+
+        def counted(psi):
+            built.append(psi)
+            check(psi)
+
+        monkeypatch.setattr(WaveFunction, "__post_init__", counted)
+        assert purity(out) == pytest.approx(expected, abs=1e-12)
+        assert built == []
 
     def test_a_pass_inside_another_leaves_purity_alone(self):
         grid = PositionGrid(256, 40.0)
@@ -379,7 +391,7 @@ class TestChannelOutput:
         position_density(out)  # a second full pass, finished inside the first
         for _ in rows:
             pass
-        assert takes_dephasing_path(out) and purity(out) == expected
+        assert purity(out) == expected
 
     def test_each_streamed_row_keeps_its_norm_check(self, grid, monkeypatch):
         psi = gaussian_wavepacket(grid, 0.75)
@@ -436,14 +448,20 @@ class TestPurity:
             assert purity(state) == pytest.approx(oracle, abs=1e-10)
 
     def test_dephasing_path_leaves_the_mixture_public_form_alone(self, grid, monkeypatch):
-        # the dephasing path needs FFTs; the Gram path of a built mixture does not
+        # every channel output, a sharp one too, takes the dephasing path, which
+        # needs FFTs; the Gram path of a built mixture does not
         state = pure_state(gaussian_wavepacket(grid, 0.75))
         smeared = act_mixed(make_gaussian(0.4, 0.5), state, 16)
         expected = purity(smeared)
         rebuilt = quantum_system.PureMixture(grid, smeared.terms)
         sharp = act_mixed(make_delta(1.3), state)
-        assert takes_dephasing_path(smeared) and not takes_dephasing_path(sharp)
-        assert len(sharp.terms) == 1
+        dephased = []
+        dephased_purity = quantum_system._dephased_purity
+        monkeypatch.setattr(
+            quantum_system, "_dephased_purity", lambda out: dephased.append(out) or dephased_purity(out)
+        )
+        assert purity(sharp) == pytest.approx(purity(state), abs=1e-12)
+        assert dephased == [sharp]
 
         def no_fft(*args, **kwargs):
             raise AssertionError("FFT on the Gram path")
@@ -451,7 +469,7 @@ class TestPurity:
         monkeypatch.setattr(quantum_system.np.fft, "fft", no_fft)
         monkeypatch.setattr(quantum_system.np.fft, "ifft", no_fft)
         assert abs(purity(rebuilt) - expected) <= 1e-13
-        assert purity(sharp) == pytest.approx(purity(state), abs=1e-12)
+        assert dephased == [sharp]
 
     def test_non_increasing_under_channel(self, grid):
         rng = np.random.default_rng(6)
