@@ -24,7 +24,6 @@ from .group_algebra import (
     convolve,
     densities_close,
     evaluate,
-    from_text,
     is_invertible,
     is_pure,
     make_delta,

@@ -20,7 +20,7 @@ from . import analytic
 from . import group_algebra as ga
 from . import quantum_system as qs
 from . import thermal as th
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .galilei import GalileiParams, boost_mixed
 from .textio import columns_csv, csv_table, fmt, write_metadata, write_text_atomic
 
@@ -29,6 +29,7 @@ DEMO_IDS = ("thermal", "galilei-boost", "semigroup")
 
 DEMO_MOMENTUM_POINTS = 2001
 DEMO_ENERGY_POINTS = 2000
+LOADED_COMPONENT_CAP = 16  # N components give N^2 in the product that is convolved and scanned
 
 
 @dataclass(frozen=True)
@@ -282,6 +283,9 @@ def _demo_semigroup(params: dict, extra_densities: list[ga.GroupDensity]) -> Art
         ("delta_gaussian", ga.make_delta(a0), ga.make_gaussian(0.0, 1.0)),
     ]
     for i, rho in enumerate(extra_densities):
+        if len(rho.components) > LOADED_COMPONENT_CAP:
+            raise ResourceLimitError(f"loaded density {i} has {len(rho.components)} components, "
+                                     f"above the cap {LOADED_COMPONENT_CAP}")
         cases.append((f"loaded_{i}_antipode", rho, ga.antipode(rho)))
     header = ["case", "lhs", "rhs", "product", "product_pure", "product_invertible", "witness_p"]
     rows = []

@@ -197,24 +197,25 @@ def antipode(rho: GroupDensity) -> GroupDensity:
 def characteristic_function(rho: GroupDensity, p: np.ndarray) -> np.ndarray:
     """chi(p) = integral of rho(a) exp(-i a p) da at every dual point ``p``.
 
-    Any array of finite points is accepted; the one input check is that the
-    largest phase ``location * p`` is finite, which also rejects NaN and
-    infinite points with :class:`DomainError`.
+    Each component adds ``w exp(-i loc p - var p^2 / 2)`` from :func:`_moments`;
+    a Dirac is the variance-0 case, whose decay ``0.5 * 0.0 * p * p`` is +0.0
+    even where ``p * p`` overflows. Any array of finite points is accepted; the
+    one input check is that the largest phase ``location * p`` is finite, which
+    also rejects NaN and infinite points with :class:`DomainError`.
     """
     p = np.asarray(p, dtype=float)
-    far = max(abs(_moments(c)[0]) for _, c in rho.components)
+    moments = [(w, *_moments(c)) for w, c in rho.components]
+    far = max(abs(loc) for _, loc, _ in moments)
     # Python floats: the product is inf or NaN without a numpy warning
     widest = float(np.max(np.abs(p), initial=0.0))
     finite(f"phase location*p at location {far!r} and |p| {widest!r}", far * widest)
     values = np.zeros(p.shape, dtype=complex)
-    for w, comp in rho.components:
-        if isinstance(comp, DiracComponent):
-            values += w * np.exp(-1j * comp.location * p)
-        else:
-            # a decay that overflows to inf gives exp(-inf) = 0, the right value
-            with np.errstate(over="ignore"):
-                decay = 0.5 * comp.variance * p * p
-            values += w * np.exp(-1j * comp.mean * p - decay)
+    # a decay that overflows to inf gives exp(-inf) = 0, the right value
+    with np.errstate(over="ignore"):
+        for w, loc, var in moments:
+            term = np.asarray(-1j * loc * p)  # a 0-d p gives a scalar, whose parts are read-only
+            term.real -= 0.5 * var * p * p
+            values += w * np.exp(term, out=term)
     return values
 
 
@@ -390,53 +391,48 @@ def sample_on_grid(rho: GroupDensity, a_grid: np.ndarray) -> np.ndarray:
     return values
 
 
+_KINDS = {"dirac": (DiracComponent, ("weight", "a")),
+          "gauss": (GaussianComponent, ("weight", "mean", "var"))}
+
+
 def to_text(rho: GroupDensity) -> str:
     """Serialize to the plain-text component format, one line per component."""
     lines = []
     for w, comp in rho.components:
-        if isinstance(comp, DiracComponent):
-            lines.append(f"dirac weight={w!r} a={comp.location!r}")
-        else:
-            lines.append(f"gauss weight={w!r} mean={comp.mean!r} var={comp.variance!r}")
+        kind = "dirac" if isinstance(comp, DiracComponent) else "gauss"
+        pairs = zip(_KINDS[kind][1], (w, *_moments(comp)))  # stops before a Dirac's variance
+        lines.append(" ".join([kind, *(f"{key}={value!r}" for key, value in pairs)]))
     return "\n".join(lines) + "\n"
 
 
-def from_text(text: str) -> GroupDensity:
-    """Parse the plain-text component format produced by :func:`to_text`."""
-    components: list[WeightedComponent] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kind, *pairs = line.split()
-        fields: dict[str, float] = {}
-        for pair in pairs:
-            key, sep, value = pair.partition("=")
-            if not sep:
-                raise ValueError(f"line {lineno}: expected key=value, got {pair!r}")
-            fields[key] = float(value)
-        if kind == "dirac":
-            if set(fields) != {"weight", "a"}:
-                raise ValueError(f"line {lineno}: dirac needs weight= and a=")
-            components.append((fields["weight"], DiracComponent(fields["a"])))
-        elif kind == "gauss":
-            if set(fields) != {"weight", "mean", "var"}:
-                raise ValueError(f"line {lineno}: gauss needs weight=, mean= and var=")
-            components.append((fields["weight"], GaussianComponent(fields["mean"], fields["var"])))
-        else:
-            raise ValueError(f"line {lineno}: unknown component kind {kind!r}")
-    if not components:
-        raise ValueError("no components found")
-    return GroupDensity(tuple(components))
-
-
 def parse_densities(text: str) -> list[GroupDensity]:
-    """Parse several densities separated by blank lines; comment-only lines separate nothing."""
-    blocks: list[list[str]] = [[]]
-    for raw in text.splitlines():
-        if not raw.strip():
-            if blocks[-1]:
-                blocks.append([])
-        elif raw.split("#", 1)[0].strip():
-            blocks[-1].append(raw)
-    return [from_text("\n".join(block)) for block in blocks if block]
+    """Parse densities in the format of :func:`to_text`, separated by blank lines.
+
+    ``#`` starts a comment, and a comment-only line separates nothing. An error
+    keeps its type and names its line, counted from 1, or the lines of a density
+    whose weights do not sum to one.
+    """
+    densities: list[GroupDensity] = []
+    block: list[tuple[int, WeightedComponent]] = []  # (line number, component)
+    for lineno, raw in enumerate([*text.splitlines(), ""], start=1):  # "" ends the last block
+        tokens = raw.split("#", 1)[0].split()
+        where = f"line {lineno}"
+        try:
+            if tokens:
+                kind, *pairs = tokens
+                if kind not in _KINDS:
+                    raise ValueError(f"unknown component kind {kind!r}")
+                cls, names = _KINDS[kind]
+                parts = [pair.partition("=") for pair in pairs]
+                if sorted(key + sep for key, sep, _ in parts) != sorted(f"{key}=" for key in names):
+                    raise ValueError(f"{kind} takes {' '.join(key + '=' for key in names)} once each")
+                fields = {key: value for key, _, value in parts}
+                weight, *params = (float(fields[key]) for key in names)
+                block.append((lineno, (weight, cls(*params))))
+            elif not raw.strip() and block:
+                where = f"lines {block[0][0]}-{block[-1][0]}"
+                densities.append(GroupDensity(tuple(comp for _, comp in block)))
+                block = []
+        except ValueError as exc:
+            raise type(exc)(f"{where}: {exc}") from None
+    return densities

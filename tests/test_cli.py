@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -9,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import mixedframes
-from mixedframes import cli
+from mixedframes import cli, group_algebra as ga
 from mixedframes.cli import ConfigError, DEFAULTS, main, parse_config_file
 from mixedframes.errors import QuadratureError
-from mixedframes.figures import FIGURE_IDS, build_figure
+from mixedframes.figures import DEMO_IDS, FIGURE_IDS, LOADED_COMPONENT_CAP, build_figure
 from mixedframes.verify import check_figures
 
 FAST = ["--grid-n", "256"]
@@ -268,6 +269,67 @@ class TestDemoCommand:
         )
         assert code == 2
         assert "densities" in err
+
+
+    def test_semigroup_error_names_the_line_of_the_file(self, tmp_path, capsys):
+        density_file = tmp_path / "states.txt"
+        density_file.write_text("dirac weight=1 a=0\n\n# second density\ngauss weight=1 mean=0\n")
+        code, _, err = run_cli(
+            ["demo", "semigroup", "--densities", str(density_file), "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2 and err.count("\n") == 1
+        assert "line 4: gauss takes weight= mean= var=" in err
+
+    def test_semigroup_caps_loaded_components_before_any_convolution(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_convolution(*args):
+            raise AssertionError("convolve ran")
+
+        monkeypatch.setattr(ga, "convolve", no_convolution)
+        density_file = tmp_path / "states.txt"
+
+        def loaded(n):
+            return "".join(f"dirac weight={1 / n!r} a={float(i)!r}\n" for i in range(n))
+
+        density_file.write_text("dirac weight=1 a=0\n\n" + loaded(LOADED_COMPONENT_CAP + 1))
+        code, _, err = run_cli(
+            ["demo", "semigroup", "--densities", str(density_file), "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2 and err.count("\n") == 1
+        assert f"loaded density 1 has {LOADED_COMPONENT_CAP + 1} components" in err
+        # at the cap the file is accepted and reaches the convolution
+        density_file.write_text(loaded(LOADED_COMPONENT_CAP))
+        with pytest.raises(AssertionError, match="convolve ran"):
+            main(["demo", "semigroup", "--densities", str(density_file), "--out", str(tmp_path)])
+
+    # SHA-256 of every file the default demos write: a change that moves a
+    # demo byte has to update these on purpose
+    DEMO_DIGESTS = {
+        "thermal": {
+            "thermal.json": "25481d55cfdb2dd77dc5e71d933b4b07aaa3dfd66077a59565c0285d19fcf13c",
+            "thermal_energy.csv": "5c485c1fba804ce48687c1d51b5da9975f957a00a1f2504cd0ecde8262b4b49c",
+            "thermal_overlay.csv": "672475ad8b6e159e4aedf02d275793c00abb45e847971929a35a2be9e146b2fe",
+        },
+        "galilei-boost": {
+            "galilei_boost.json": "92827b8bdb8635592c4a16a7d21e03c2317b935d812bd621e59ed95b2817a767",
+            "galilei_boost_overlay.csv":
+                "42259710fe84c1b646f185b1721d2e2c419fa5719ce097b8df02d80ddcdf00ae",
+        },
+        "semigroup": {
+            "semigroup.csv": "b77c2634dabe828aac8c1e0b5e61d789435d8f11cedc83ebbd6cd263a424bc9c",
+            "semigroup.json": "de991fc06dc6f03941c62a12b1a8882650e5269a3fd3634fc1a0d64d62727ff9",
+        },
+    }
+
+    @pytest.mark.parametrize("demo_id", DEMO_IDS)
+    def test_default_demo_files_keep_their_digests(self, tmp_path, capsys, demo_id):
+        code, _, _ = run_cli(["demo", demo_id, "--out", str(tmp_path)], capsys)
+        assert code == 0
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+        assert digests == self.DEMO_DIGESTS[demo_id]
 
 
 class TestVerifyCommand:

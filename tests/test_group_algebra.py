@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from mixedframes import (
@@ -18,7 +19,6 @@ from mixedframes import (
     convolve,
     densities_close,
     evaluate,
-    from_text,
     is_invertible,
     is_pure,
     make_delta,
@@ -292,7 +292,7 @@ class TestAntipode:
 
 
 def _exponential_sum_chi(rho, p):
-    """chi(p) summed component by component: the same formula, written out as the oracle."""
+    """chi(p) with a Dirac branch beside the Gaussian one: the reference for the one formula."""
     values = np.zeros(p.shape, dtype=complex)
     for w, comp in rho.components:
         if isinstance(comp, DiracComponent):
@@ -346,7 +346,7 @@ class TestCharacteristicFunction:
 
     def test_equals_the_component_sum_bit_for_bit(self):
         rng = np.random.default_rng(13)
-        p = np.concatenate((np.linspace(-40.0, 40.0, 801), [1e5, -1e9, 5e-324]))
+        p = np.concatenate((np.linspace(-40.0, 40.0, 801), [1e5, -1e9, 5e-324, 1e200]))
         for _ in range(50):
             rho = random_density(rng)
             assert np.array_equal(characteristic_function(rho, p), _exponential_sum_chi(rho, p))
@@ -456,7 +456,8 @@ class TestSemigroupProperties:
 class TestSerialization:
     def test_round_trip(self):
         rho = mix([(0.25, make_delta(-1.5)), (0.75, make_gaussian(0.5, 0.3))])
-        assert density_gap(from_text(to_text(rho)), rho) == 0.0
+        (parsed,) = parse_densities(to_text(rho))
+        assert density_gap(parsed, rho) == 0.0
 
     def test_format_shape(self):
         text = to_text(mix([(0.5, make_delta(0.0)), (0.5, make_gaussian(1.0, 2.0))]))
@@ -466,11 +467,67 @@ class TestSerialization:
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
-            from_text("splork weight=1.0 a=0.0")
+            parse_densities("splork weight=1.0 a=0.0")
         with pytest.raises(ValueError):
-            from_text("dirac weight=1.0")
-        with pytest.raises(ValueError):
-            from_text("")
+            parse_densities("dirac weight=1.0")
+        assert parse_densities("") == []
+
+    # each bad line is line 6, after a density, a blank line and comment-only lines
+    @pytest.mark.parametrize(
+        "bad, error, says",
+        [
+            ("splork weight=1.0 a=0.0", ValueError, "unknown component kind 'splork'"),
+            ("gauss weight=0.5 mean=0.0", ValueError, "gauss takes weight= mean= var="),
+            ("dirac weight=0.5 a=1.0 extra", ValueError, "dirac takes weight= a="),
+            ("dirac weight=0.5 a=1.0 a=2.0", ValueError, "dirac takes weight= a="),
+            ("dirac weight=0.5 a=zz", ValueError, "'zz'"),
+            ("dirac weight=0.5 a=nan", DomainError, "Dirac location must be finite"),
+            ("gauss weight=0.5 mean=0.0 var=0", DomainError, "Gaussian variance must be positive"),
+        ],
+    )
+    def test_errors_name_their_line_of_the_text(self, bad, error, says):
+        text = f"dirac weight=1 a=0\n\n# second density\n  # indented note\ndirac weight=0.5 a=3\n{bad}\n"
+        with pytest.raises(error, match=r"^line 6: ") as caught:
+            parse_densities(text)
+        assert says in str(caught.value)
+
+    def test_weights_that_do_not_sum_to_one_name_the_lines_of_their_density(self):
+        text = "dirac weight=1 a=0\n\n# second\ndirac weight=0.5 a=0\n# inside\ndirac weight=0.4 a=1\n"
+        with pytest.raises(NormalizationError, match=r"^lines 4-6: component weights sum to 0\.9"):
+            parse_densities(text)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.floats(0.01, 1.0),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.data(),
+    )
+    def test_several_densities_round_trip(self, parts, data):
+        densities = []
+        for part in parts:
+            total = math.fsum(w for w, _, _ in part)
+            densities.append(GroupDensity(tuple(
+                (w / total, DiracComponent(loc) if var is None else GaussianComponent(loc, var))
+                for w, loc, var in part
+            )))
+        lines = [line for rho in densities for line in [*to_text(rho).splitlines(), ""]]
+        for _ in range(data.draw(st.integers(0, 6))):
+            lines.insert(data.draw(st.integers(0, len(lines))), "  # comment only")
+        parsed = parse_densities("\n".join(lines))
+        assert len(parsed) == len(densities)
+        for got, want in zip(parsed, densities):
+            assert density_gap(got, want) == 0.0
 
     def test_parse_multiple_densities(self):
         text = "dirac weight=1.0 a=0.5\n\n# comment\ngauss weight=1.0 mean=0.0 var=1.0\n"
