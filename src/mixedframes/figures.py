@@ -20,7 +20,7 @@ from . import analytic
 from . import group_algebra as ga
 from . import quantum_system as qs
 from . import thermal as th
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, positive
 from .galilei import GalileiParams, boost_mixed
 from .textio import columns_csv, csv_table, fmt, write_metadata, write_text_atomic
 
@@ -258,17 +258,17 @@ def _density_label(rho: ga.GroupDensity) -> str:
     return "; ".join(to_line for to_line in ga.to_text(rho).strip().splitlines())
 
 
-def _default_band(rho: ga.GroupDensity) -> float:
-    """Dual-variable window wide enough to expose zeros or Gaussian decay."""
+def _default_band(label: str, rho: ga.GroupDensity) -> float:
+    """Dual-variable window wide enough to expose zeros or Gaussian decay; it must be finite."""
     locs = sorted(
         c.location for _, c in rho.components if isinstance(c, ga.DiracComponent)
     )
-    # the Dirac gaps and the Gaussian standard deviations
-    scales = [b - a for a, b in zip(locs, locs[1:]) if b - a > 1e-9]
+    # every Dirac gap (canonical locations are distinct) and the Gaussian standard deviations
+    scales = [b - a for a, b in zip(locs, locs[1:])]
     scales += [
         math.sqrt(c.variance) for _, c in rho.components if isinstance(c, ga.GaussianComponent)
     ]
-    return 10.0 / min(scales) if scales else 10.0
+    return positive(f"the scan band of {label}", 10.0 / min(scales) if scales else 10.0)
 
 
 def _demo_semigroup(params: dict, extra_densities: list[ga.GroupDensity]) -> Artifact:
@@ -291,7 +291,7 @@ def _demo_semigroup(params: dict, extra_densities: list[ga.GroupDensity]) -> Art
     rows = []
     for label, lhs, rhs in cases:
         product = ga.convolve(lhs, rhs)
-        invertible, witness = ga.is_invertible(product, band=_default_band(product), floor=1e-3)
+        invertible, witness = ga.is_invertible(product, band=_default_band(label, product), floor=1e-3)
         rows.append(
             [
                 label,

@@ -8,10 +8,10 @@ of translated copies of the input state. ``act_mixed`` checks its offsets
 and returns them with the input terms and the weights, and runs no
 transform. Every copy of one input term shares that term's spectrum, and
 every copy at one offset shares that offset's phase, so a pass over the
-output's rows costs one forward FFT per input term, one half-spectrum
-exponential per offset and one inverse FFT per output term, and holds a
-block of ``ROW_BLOCK`` rows; ``position_density`` streams the rows, and
-they are kept only once ``terms`` is read.
+output's rows costs one forward FFT per input term, a half-spectrum cos
+and sin per offset (at n = 4096, longer than a row's inverse FFT) and one
+inverse FFT per output term, batched ``ROW_BLOCK`` rows to a block; it
+holds one block, and rows are kept only once ``terms`` is read.
 
 In the momentum basis the channel multiplies the density matrix by the
 characteristic function of its offsets, rho_out(k, k') = rho_in(k, k')
@@ -100,11 +100,12 @@ class PositionGrid:
 
 
 def _checked_density(grid: PositionGrid, amps: np.ndarray) -> np.ndarray:
-    """|amps|^2, once the grid norm it gives is 1 within NORM_TOL."""
+    """|amps|^2 of a row or a block of rows, once each row's grid norm is 1 within NORM_TOL."""
     density = np.abs(amps) ** 2
-    nrm = math.sqrt(grid.integrate(density))
-    if not abs(nrm - 1.0) <= NORM_TOL:
-        raise NormalizationError(f"wavefunction norm is {nrm!r}, expected 1")
+    for total in np.ravel(density.sum(axis=-1)).tolist():
+        nrm = math.sqrt(total * grid.spacing)
+        if not abs(nrm - 1.0) <= NORM_TOL:
+            raise NormalizationError(f"wavefunction norm is {nrm!r}, expected 1")
     return density
 
 
@@ -202,8 +203,8 @@ class ChannelOutput:
 
     Output term j at offset i is input term j translated by ``shifts[i]``, of
     weight ``weights[i * len(inputs.terms) + j]``: offset-major, term-minor.
-    Only ``terms`` keeps rows: it builds each as a :class:`WaveFunction` on
-    first read. Every pass over the offsets accumulates ``chi`` for
+    A pass forms rows by the block (``_blocks``, flattened by ``_rows``); only
+    ``terms`` keeps them. Every pass over the offsets accumulates ``chi`` for
     :func:`purity` and stores it at its end, the same bits from every pass,
     from the half-spectrum phases exp(i k_j a), j = 0..n/2, w the
     ``offset_weights``: ``chi[0] = sum w exp(i k_j a)`` and
@@ -237,38 +238,51 @@ class ChannelOutput:
             for row, w, psi in zip(self._rows(), self.weights, psis)
         )
 
-    def _rows(self, inverse: bool = True) -> Iterator[np.ndarray]:
-        """The amplitudes of every output term in order, lazily, or none if not ``inverse``.
+    def _rows(self) -> Iterator[np.ndarray]:
+        """Every output row in order, valid until the next block; zero offsets yield the inputs'."""
+        amps = [psi.amplitudes for _, psi in self.inputs.terms]
+        for shifts, block in self._blocks():
+            for a, shifted in zip(shifts, block):
+                yield from (amps if a == 0.0 else shifted)
 
-        ``ROW_BLOCK`` rows at a time share one exponential call over the
-        n//2 + 1 wavenumbers of non-negative index per offset and one batched
-        inverse FFT, into buffers that the next block overwrites, so a row is
-        valid only until the next block; a zero offset yields the input
-        amplitudes. ``fftfreq`` is antisymmetric, k[n-j] = -k[j] exactly, so
-        the upper half of each phase is the conjugate of the lower half, bit
-        for bit the exponential of ``ik * a``.
+    def _blocks(self, inverse: bool = True) -> Iterator[tuple[tuple[float, ...], np.ndarray]]:
+        """Each block's offsets and rows, shape (offsets, input terms, n); none if not ``inverse``.
+
+        Up to ``ROW_BLOCK`` rows, in buffers the next block overwrites, take one cos, one sin
+        and one inverse FFT call; a zero offset's rows hold the inputs. The angle over the
+        n//2 + 1 wavenumbers of non-negative index is Im(ik * a), ``a * k`` + 0.0 but at the
+        Nyquist index (Re(ik) = -0.0 there), so the phases are ``np.exp(ik * a)`` bit for bit
+        where both reach libm, and k[n-j] = -k[j] makes the upper half their conjugate. chi
+        takes each scalar first: numpy rounds ``phase * c`` to other bits than ``c * phase``.
         """
         n, half = self.grid.n_points, self.grid.n_points // 2
-        ik = 1j * self.grid.wavenumbers()[: half + 1]
+        k = self.grid.wavenumbers()[: half + 1]
         wrap = -2j * np.pi * n / self.grid.extent
         chi = np.zeros((2, half + 1), dtype=complex)
-        psis = [psi for _, psi in self.inputs.terms]
-        per = min(len(self.shifts), max(1, ROW_BLOCK // len(psis)))  # offsets per block
+        scratch = np.empty(half + 1, dtype=complex)
+        amps = [psi.amplitudes for _, psi in self.inputs.terms]
+        per = min(len(self.shifts), max(1, ROW_BLOCK // len(amps)))  # offsets per block
         phase_buffer = np.empty((per, n), dtype=complex)
-        row_buffer = np.empty((per, len(psis), n), dtype=complex)
+        row_buffer = np.empty((per, len(amps), n), dtype=complex)
         for start in range(0, len(self.shifts), per):
             shifts = self.shifts[start : start + per]
             phases = phase_buffer[: len(shifts)]
-            np.exp(ik * np.array(shifts)[:, None], out=phases[:, : half + 1])
-            for w, a, phase in zip(self.offset_weights[start:], shifts, phases[:, : half + 1]):
-                chi[0] += w * phase
-                chi[1] += (w * np.exp(wrap * a)) * phase
+            low = phases[:, : half + 1]
+            spare = phases[:, half + 1 :].view(float)  # unused until the conjugate fills it
+            angle = np.multiply(np.array(shifts)[:, None], k, out=spare[:, : half + 1])
+            angle[:, :half] += 0.0
+            np.cos(angle, out=low.real)
+            np.sin(angle, out=low.imag)
+            for w, a, phase in zip(self.offset_weights[start:], shifts, low):
+                chi[0] += np.multiply(w, phase, out=scratch)
+                chi[1] += np.multiply(w * np.exp(wrap * a), phase, out=scratch)
             if inverse:
                 np.conjugate(phases[:, half - 1 : 0 : -1], out=phases[:, half + 1 :])
                 block = np.multiply(phases[:, None], self.spectra, out=row_buffer[: len(shifts)])
                 np.fft.ifft(block, out=block)
-                for a, shifted in zip(shifts, block):
-                    yield from ([psi.amplitudes for psi in psis] if a == 0.0 else shifted)
+                if 0.0 in shifts:
+                    block[np.equal(shifts, 0.0)] = amps
+                yield shifts, block
         self.chi[:] = chi
 
 
@@ -338,16 +352,18 @@ def act_mixed(
 def position_density(state: PureMixture | ChannelOutput) -> PositionDensity:
     """Weighted sum of term densities |psi_i(x)|^2, each term's norm checked.
 
-    A channel output's rows are streamed in order and none is kept, so the
-    cost is one pass over its rows (see :func:`act_mixed`).
+    A channel output's densities and norms come a block at a time and are
+    added row by row, in order, keeping no row: one pass (see the module note).
     """
+    n = state.grid.n_points
     if isinstance(state, ChannelOutput):
-        rows = zip(state.weights, state._rows(), strict=True)
+        weights, blocks = state.weights, (block for _, block in state._blocks())
     else:
-        rows = ((w, psi.amplitudes) for w, psi in state.terms)
-    values = np.zeros(state.grid.n_points)
-    for w, amps in rows:
-        values += w * _checked_density(state.grid, amps)
+        weights, blocks = [w for w, _ in state.terms], (psi.amplitudes for _, psi in state.terms)
+    densities = (row for b in blocks for row in _checked_density(state.grid, b).reshape(-1, n))
+    values = np.zeros(n)
+    for w, density in zip(weights, densities, strict=True):
+        values += w * density
     return PositionDensity(state.grid, values)
 
 
@@ -360,7 +376,7 @@ def _dephased_purity(out: ChannelOutput) -> float:
     runs that forms the phases and no inverse FFT.
     """
     if not out.chi:
-        next(out._rows(inverse=False), None)  # yields nothing: runs the whole pass
+        next(out._blocks(inverse=False), None)  # yields nothing: runs the whole pass
     n, half = out.grid.n_points, out.grid.n_points // 2
     low, high = out.chi
     chi = np.concatenate([low, high[half - 1 : 0 : -1]])

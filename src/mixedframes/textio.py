@@ -33,9 +33,7 @@ def write_text_atomic(path: Path, text: str) -> None:
 
 def csv_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     """Comma-separated table with a header row and LF line endings."""
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(header), *map(",".join, rows), ""])
 
 
 def columns_csv(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:

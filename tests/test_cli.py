@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -259,6 +260,34 @@ class TestDemoCommand:
             )
         assert code == 0 and err == ""
         assert not [str(w.message) for w in caught]
+
+    def test_semigroup_counts_every_dirac_gap(self, tmp_path, capsys):
+        # the product's chi = 0.5 + 0.5 cos(1e-300 p) vanishes at p = pi * 1e300,
+        # inside the band 10/1e-300 of its Dirac gap
+        density_file = tmp_path / "states.txt"
+        density_file.write_text("dirac weight=0.5 a=0\ndirac weight=0.5 a=1e-300\n")
+        code, _, err = run_cli(
+            ["demo", "semigroup", "--densities", str(density_file), "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        rows = (tmp_path / "semigroup.csv").read_text().splitlines()
+        row = next(r for r in rows if r.startswith("loaded_0_antipode,"))
+        pure, invertible, witness = row.split(",")[-3:]
+        assert (pure, invertible) == ("false", "false")
+        assert float(witness) == pytest.approx(math.pi * 1e300, rel=1e-6)
+
+    def test_semigroup_rejects_a_band_that_is_not_finite(self, tmp_path, capsys):
+        # 10 / 5e-324 overflows: no scan band covers the product's first zero
+        density_file = tmp_path / "states.txt"
+        density_file.write_text("dirac weight=0.5 a=0\ndirac weight=0.5 a=5e-324\n")
+        code, _, err = run_cli(
+            ["demo", "semigroup", "--densities", str(density_file), "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2 and err.count("\n") == 1
+        assert "the scan band of loaded_0_antipode must be positive and finite, got inf" in err
+        assert not (tmp_path / "semigroup.csv").exists()
 
     def test_semigroup_rejects_bad_densities_file(self, tmp_path, capsys):
         density_file = tmp_path / "states.txt"

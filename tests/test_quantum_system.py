@@ -1,8 +1,10 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mixedframes import (
     DomainError,
@@ -408,6 +410,142 @@ class TestChannelOutput:
             position_density(out)
         with pytest.raises(NormalizationError, match="^wavefunction norm is"):
             coherently_translated(GaussianComponent(0.3, 0.5), psi, 16)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def per_row_pass(out):
+    """The channel pass one row at a time: the reference the block pass must match bit for bit.
+
+    Per offset, exp(ik a) over the half spectrum, chi accumulated from it
+    and one inverse FFT per input term (a zero offset keeps the input
+    amplitudes); the density adds w |row|^2 row by row. Returns the rows,
+    chi and the density values.
+    """
+    grid = out.grid
+    n, half = grid.n_points, grid.n_points // 2
+    ik = 1j * grid.wavenumbers()[: half + 1]
+    wrap = -2j * np.pi * n / grid.extent
+    chi = np.zeros((2, half + 1), dtype=complex)
+    psis = [psi for _, psi in out.inputs.terms]
+    spectra = np.fft.fft([psi.amplitudes for psi in psis])
+    rows = []
+    for w, a in zip(out.offset_weights, out.shifts, strict=True):
+        phase = np.empty(n, dtype=complex)
+        phase[: half + 1] = np.exp(ik * a)
+        chi[0] += w * phase[: half + 1]
+        chi[1] += (w * np.exp(wrap * a)) * phase[: half + 1]
+        phase[half + 1 :] = np.conj(phase[half - 1 : 0 : -1])
+        for psi, spectrum in zip(psis, spectra):
+            rows.append(psi.amplitudes if a == 0.0 else np.fft.ifft(phase * spectrum))
+    values = np.zeros(n)
+    for w, row in zip(out.weights, rows, strict=True):
+        values += w * np.abs(row) ** 2
+    return rows, chi, values
+
+
+@st.composite
+def channel_cases(draw):
+    """A grid of 64 to 8192 points, 1-3 packets and a density of 1-3 Dirac or Gaussian parts."""
+    grid = PositionGrid(draw(st.sampled_from([2**e for e in range(6, 14)])), 40.0)
+    packets = draw(st.lists(st.tuples(st.floats(0.4, 1.2), st.floats(-3.0, 3.0)), min_size=1, max_size=3))
+    offset = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-15.0, 15.0))
+    gaussian = st.builds(GaussianComponent, st.floats(-5.0, 5.0), st.floats(0.01, 1.0))
+    parts = draw(st.lists(st.one_of(offset.map(DiracComponent), gaussian), min_size=1, max_size=3))
+    packet_weights = draw(st.lists(st.floats(0.2, 1.0), min_size=len(packets), max_size=len(packets)))
+    part_weights = draw(st.lists(st.floats(0.2, 1.0), min_size=len(parts), max_size=len(parts)))
+    state = mix_state(grid, [(w / sum(packet_weights), p) for w, p in zip(packet_weights, packets)])
+    rho = GroupDensity(tuple((w / sum(part_weights), c) for w, c in zip(part_weights, parts)))
+    return state, rho, draw(st.sampled_from([16, 17, 23]))
+
+
+# offsets that fill no whole number of blocks: 5 offsets of 2 per block with
+# three packets, and 17 comb nodes of 8 per block with one
+UNEVEN_BLOCKS = [
+    (
+        mix_state(PositionGrid(256, 40.0), [(0.2, (0.75, -1.0)), (0.3, (0.5, 1.5)), (0.5, (1.0, 0.0))]),
+        GroupDensity(tuple((0.2, DiracComponent(a)) for a in (0.0, -2.5, 3.1, -0.0, 7.0))),
+        16,
+    ),
+    (mix_state(PositionGrid(512, 40.0), [(1.0, (0.75, 0.5))]), make_gaussian(-0.4, 0.3), 17),
+]
+
+
+class TestBlockPass:
+    """Rows by the block: the same bits as the pass one row at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(channel_cases())
+    @example(UNEVEN_BLOCKS[0])
+    @example(UNEVEN_BLOCKS[1])
+    def test_block_pass_equals_the_per_row_rule(self, case):
+        state, rho, order = case
+        out = act_mixed(rho, state, order)
+        rows, chi, values = per_row_pass(out)
+        streamed = [row.copy() for row in out._rows()]  # the streamed rows reuse their buffers
+        assert len(streamed) == len(rows) == len(out.weights)
+        assert all(same_bits(got, want) for got, want in zip(streamed, rows))
+        assert len(out.chi) == 2 and all(same_bits(got, want) for got, want in zip(out.chi, chi))
+
+        fresh = act_mixed(rho, state, order)
+        assert same_bits(position_density(fresh).values, values)
+        assert all(same_bits(got, want) for got, want in zip(fresh.chi, chi))
+        reference = act_mixed(rho, state, order)
+        reference.chi[:] = chi
+        expected = purity(reference)
+        assert purity(fresh) == expected
+        purity_first = act_mixed(rho, state, order)
+        assert purity(purity_first) == expected
+        assert all(same_bits(got, want) for got, want in zip(purity_first.chi, chi))
+
+    @pytest.mark.parametrize("n", [64, 1024, 8192])
+    def test_cos_and_sin_of_the_angle_equal_the_complex_exponential(self, n):
+        # the block pass forms exp(ik a) from cos and sin of a k + 0.0, with
+        # no 0.0 added at the Nyquist index, where ik has real part -0.0:
+        # both must reach the same libm, bit for bit, signed zeros included
+        grid = PositionGrid(n, 40.0)
+        half = n // 2
+        k = grid.wavenumbers()[: half + 1]
+        ik = 1j * k
+        assert k[half] < 0.0 and math.copysign(1.0, ik[half].real) == -1.0
+        edge = math.nextafter(20.0, 0.0)
+        shifts = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, edge, -edge, grid.spacing]
+        shifts += np.random.default_rng(n).uniform(-20.0, 20.0, 200).tolist()
+        for a in shifts:
+            angle = a * k
+            angle[:half] += 0.0
+            phase = np.empty(half + 1, dtype=complex)
+            phase.real, phase.imag = np.cos(angle), np.sin(angle)
+            assert same_bits(phase, np.exp(ik * a)), a
+
+    def test_a_norm_off_in_one_row_of_a_block_is_named(self):
+        # zero-offset rows hold the input amplitudes, so with the second
+        # packet's spectrum scaled only its row at 1.3 is off, last of the block
+        grid = PositionGrid(256, 40.0)
+        out = act_mixed(mix([(0.5, make_delta(0.0)), (0.5, make_delta(1.3))]), mixture_of_two(grid))
+        out.spectra[1] *= 1.0 + 1e-6
+        norms = [grid.norm(row) for row in out._rows()]
+        assert [abs(x - 1.0) > quantum_system.NORM_TOL for x in norms] == [False, False, False, True]
+        named = f"^wavefunction norm is {re.escape(repr(norms[3]))}, expected 1$"
+        with pytest.raises(NormalizationError, match=named):
+            position_density(out)
+
+    def test_density_pass_holds_about_one_block(self):
+        # 128 rows at n = 8192 are 16 MiB; the pass holds one block of them:
+        # phase and row buffers of 1 MiB each and the block's densities (3.4 MiB measured)
+        psi = gaussian_wavepacket(PositionGrid(8192, 40.0), 0.75)
+        position_density(act_mixed(make_gaussian(0.3, 0.5), pure_state(psi), 128))  # warm-up
+        out = act_mixed(make_gaussian(0.3, 0.5), pure_state(psi), 128)
+        tracemalloc.start()
+        try:
+            position_density(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestPurity:
