@@ -29,6 +29,7 @@ from .group_algebra import (
     make_delta,
     make_gaussian,
     mix,
+    parse_densities,
     sample_on_grid,
     to_text,
 )

@@ -109,15 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_common(demo)
 
-    ver = sub.add_parser("verify", help="run every invariant suite and write a report")
-    add_common(ver)
-    ver.add_argument(
-        "--tolerance-scale",
-        dest="tolerance_scale",
-        type=float,
-        default=1.0,
-        help="multiply every tolerance (0 injects a guaranteed failure)",
-    )
+    add_common(sub.add_parser("verify", help="run every invariant suite and write a report"))
     return parser
 
 
@@ -137,8 +129,8 @@ def _effective_params(args: argparse.Namespace) -> tuple[dict, Path]:
     return params, Path(out)
 
 
-def _run_verify(params: dict, out_dir: Path, tolerance_scale: float) -> int:
-    results, figures = run_checks(params, tolerance_scale)
+def _run_verify(params: dict, out_dir: Path) -> int:
+    results, figures = run_checks(params)
     rows = [
         [r.name, r.parameters, fmt(r.residual), fmt(r.tolerance), "pass" if r.passed else "fail"]
         for r in results
@@ -172,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
                     raise ConfigError(f"bad densities file: {exc}") from exc
             written = write_artifact(build_demo(args.demo_id, params, extra), out_dir)
         else:
-            return _run_verify(params, out_dir, args.tolerance_scale)
+            return _run_verify(params, out_dir)
     except (ValueError, ResourceLimitError) as exc:
         # rejected input: configuration, parameters or a library domain check
         print(f"error: {exc}", file=sys.stderr)

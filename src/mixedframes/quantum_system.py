@@ -32,7 +32,6 @@ density peak of a packet translated by ``a`` sits at ``x = -a``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -232,18 +231,13 @@ class ChannelOutput:
     @functools.cached_property
     def terms(self) -> tuple[tuple[float, WaveFunction], ...]:
         # rows come first, so the pass runs to its end and fills chi
-        psis = itertools.cycle([psi for _, psi in self.inputs.terms])
-        return tuple(
-            (w, psi if row is psi.amplitudes else WaveFunction(self.grid, row))
-            for row, w, psi in zip(self._rows(), self.weights, psis)
-        )
+        rows = self._rows()
+        return tuple((w, WaveFunction(self.grid, row)) for row, w in zip(rows, self.weights))
 
     def _rows(self) -> Iterator[np.ndarray]:
-        """Every output row in order, valid until the next block; zero offsets yield the inputs'."""
-        amps = [psi.amplitudes for _, psi in self.inputs.terms]
-        for shifts, block in self._blocks():
-            for a, shifted in zip(shifts, block):
-                yield from (amps if a == 0.0 else shifted)
+        """Every output row in order, valid until the next block."""
+        for _, block in self._blocks():
+            yield from block.reshape(-1, self.grid.n_points)
 
     def _blocks(self, inverse: bool = True) -> Iterator[tuple[tuple[float, ...], np.ndarray]]:
         """Each block's offsets and rows, shape (offsets, input terms, n); none if not ``inverse``.

@@ -633,10 +633,8 @@ def check_boost_composition() -> list[CheckResult]:
 # suite runner
 
 
-def run_checks(
-    params: dict, tolerance_scale: float = 1.0
-) -> tuple[list[CheckResult], dict[str, Artifact]]:
-    """Run every invariant suite; ``tolerance_scale`` exists for fault injection.
+def run_checks(params: dict) -> tuple[list[CheckResult], dict[str, Artifact]]:
+    """Run every invariant suite, each row at the tolerance its check states.
 
     Returns the results and the figures built first from ``params``, the CLI's
     effective parameters, so the caller writes what :func:`check_figures` judged.
@@ -663,7 +661,4 @@ def run_checks(
     results.extend(check_boost_label_phase(galilei_n))
     results.extend(check_thermal_boost())
     results.extend(check_boost_composition())
-    results = [
-        CheckResult(r.name, r.parameters, r.residual, r.tolerance * tolerance_scale) for r in results
-    ]
     return results, figures

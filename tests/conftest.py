@@ -1,7 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from mixedframes import PositionGrid
+from mixedframes import PositionGrid, verify
 
 
 @pytest.fixture
@@ -21,3 +23,10 @@ def dense_density_matrix(state) -> np.ndarray:
     for w, psi in state.terms:
         rho += w * np.outer(psi.amplitudes, psi.amplitudes.conj()) * state.grid.spacing
     return rho
+
+
+def verify_checks() -> list[str]:
+    """The names of every ``check_*`` function in ``verify``, sorted."""
+    return sorted(
+        name for name, _ in inspect.getmembers(verify, inspect.isfunction) if name.startswith("check_")
+    )

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import mixedframes
-from mixedframes import cli, group_algebra as ga
+from conftest import verify_checks
+from mixedframes import cli, group_algebra as ga, verify
 from mixedframes.cli import ConfigError, DEFAULTS, main, parse_config_file
 from mixedframes.errors import QuadratureError
 from mixedframes.figures import DEMO_IDS, FIGURE_IDS, LOADED_COMPONENT_CAP, build_figure
@@ -362,20 +363,38 @@ class TestDemoCommand:
 
 
 class TestVerifyCommand:
-    def test_injected_fault_names_first_check(self, tmp_path, capsys):
+    def test_injected_fault_names_first_check(self, tmp_path, capsys, monkeypatch):
+        # a seeded defect: the antipode returns its argument unreflected
+        monkeypatch.setattr(ga, "antipode", lambda rho: rho)
+        calls = dict.fromkeys(verify_checks(), 0)
+
+        def spy(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
         out = tmp_path / "verify"
-        code, _, err = run_cli(
-            ["verify", "--grid-n", "256", "--tolerance-scale", "0", "--out", str(out)], capsys
-        )
+        code, _, err = run_cli(["verify", "--grid-n", "256", "--out", str(out)], capsys)
         assert code == 1
         assert "first failing check" in err
         report = (out / "verify_report.csv").read_text().splitlines()
         assert report[0] == "check,parameters,residual,tolerance,status"
         named = err.split(":")[-1].strip()
+        assert named == "antipode_two_point_product"
         assert any(line.startswith(named + ",") for line in report[1:])
         assert all(line.endswith(",fail") or line.endswith(",pass") for line in report[1:])
+        failed = {line.split(",")[0] for line in report[1:] if line.endswith(",fail")}
+        assert failed == {
+            "antipode_two_point_product", "antipode_inverts_iff_pure", "channel_density_convolution"
+        }
         assert any(line.startswith("galilei_bch_sweep,") for line in report[1:])
         assert not (out / "galilei_residuals.csv").exists()
+        # every check in verify runs exactly once in the suite
+        assert calls == dict.fromkeys(calls, 1)
 
     def test_off_grid_midpoint_and_row_labels(self):
         # a2/2 = 1.5 is not a point of the 256-point grid; only the figure rows

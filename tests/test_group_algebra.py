@@ -24,12 +24,13 @@ from mixedframes import (
     make_delta,
     make_gaussian,
     mix,
+    parse_densities,
     sample_on_grid,
     to_text,
 )
 from mixedframes import group_algebra as ga
 from mixedframes.errors import QuadratureError
-from mixedframes.group_algebra import density_gap, mass_within, parse_densities
+from mixedframes.group_algebra import density_gap, mass_within
 
 RNG = np.random.default_rng(42)
 QUAD_FNS = {
@@ -454,7 +455,7 @@ class TestSemigroupProperties:
 
 
 class TestSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self):  # both directions exported by the package
         rho = mix([(0.25, make_delta(-1.5)), (0.75, make_gaussian(0.5, 0.3))])
         (parsed,) = parse_densities(to_text(rho))
         assert density_gap(parsed, rho) == 0.0
