@@ -4,8 +4,9 @@ Parameter precedence is built-in defaults < config file < command-line
 flags. The output directory falls back to the MIXEDFRAME_OUT environment
 variable, then ./out.
 
-Exit codes: 0 on success, 1 when a ``verify`` check fails or a file cannot be
-read or written, 2 when the input is rejected (one line on stderr).
+Exit codes: 0 on success; 2 on rejected input, a ``DomainError`` or a
+``ResourceLimitError`` (one line on stderr); 1 when a ``verify`` check fails or
+a file cannot be read or written; any other exception is a traceback.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ResourceLimitError, finite, positive
+from .errors import DomainError, ResourceLimitError, finite, positive
 from .figures import DEMO_IDS, FIGURE_IDS, build_demo, build_figure, write_artifact
 from .group_algebra import parse_densities
 from .textio import csv_table, fmt, write_text_atomic
@@ -38,44 +39,41 @@ DEFAULTS: dict[str, float | int] = {
 _POSITIVE_KEYS = {"alpha", "sigma", "temperature", "mass", "extent"}
 
 
-class ConfigError(ValueError):
-    """Invalid configuration value or file."""
-
-
 def parse_config_file(path: Path) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment, blank lines ignored."""
+    """Parse ``key = value`` lines; '#' starts a comment, blank lines ignored.
+    Bad text raises :class:`DomainError`, an unreadable file its ``OSError``."""
     values: dict[str, float | int | str] = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"bad config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
         value = value.strip()
         if key == "out":
             values[key] = value
             continue
         if key not in DEFAULTS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[key] = type(DEFAULTS[key])(value)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+            raise DomainError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return values
 
 
 def _validate(params: dict) -> None:
     grid_n = params["grid_n"]
     if grid_n < 256 or grid_n > 8192 or grid_n & (grid_n - 1):
-        raise ConfigError(f"grid_n must be a power of two in [256, 8192], got {grid_n}")
+        raise DomainError(f"grid_n must be a power of two in [256, 8192], got {grid_n}")
     if params["quad_order"] < 16:
-        raise ConfigError(f"quad_order must be at least 16, got {params['quad_order']}")
+        raise DomainError(f"quad_order must be at least 16, got {params['quad_order']}")
     for key, default in DEFAULTS.items():
         if isinstance(default, float):
             (positive if key in _POSITIVE_KEYS else finite)(key, params[key])
@@ -161,12 +159,12 @@ def main(argv: list[str] | None = None) -> int:
                 try:
                     extra = parse_densities(Path(args.densities).read_text())
                 except ValueError as exc:
-                    raise ConfigError(f"bad densities file: {exc}") from exc
+                    raise DomainError(f"bad densities file: {exc}") from exc
             written = write_artifact(build_demo(args.demo_id, params, extra), out_dir)
         else:
             return _run_verify(params, out_dir)
-    except (ValueError, ResourceLimitError) as exc:
-        # rejected input: configuration, parameters or a library domain check
+    except (DomainError, ResourceLimitError) as exc:
+        # rejected input: a parameter, a config or densities file, or a library domain check
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -232,6 +232,10 @@ def _demo_galilei_boost(params: dict) -> Artifact:
     sd_v = math.sqrt(kt_m)
     rho = ga.make_gaussian(v0, kt_m)
     v_grid = v0 + np.linspace(-8.5 * sd_v, 8.5 * sd_v, DEMO_MOMENTUM_POINTS)
+    if ga.uniform_step(v_grid) is None:
+        raise DomainError(f"v0={v0!r} is too large for the velocity spread {sd_v!r} at temperature="
+                          f"{temperature!r} and mass={mass!r}: the grid v0 +- 8.5 spreads loses "
+                          "its uniform step")
     boosted = boost_mixed(rho, p0, gp, v_grid)
 
     q = boosted.grid.points()

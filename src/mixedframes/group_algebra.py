@@ -357,6 +357,12 @@ def mass_within(rho: GroupDensity, lo: float, hi: float) -> float:
     return total
 
 
+def uniform_step(grid: np.ndarray) -> float | None:
+    """A finite grid's first step; None unless it is positive and all steps agree to 1e-9 of it."""
+    step = float(grid[1] - grid[0])
+    return step if step > 0 and not np.any(np.abs(np.diff(grid) - step) > 1e-9 * step) else None
+
+
 def sample_on_grid(rho: GroupDensity, a_grid: np.ndarray) -> np.ndarray:
     """Sample the density on a uniform grid.
 
@@ -371,8 +377,8 @@ def sample_on_grid(rho: GroupDensity, a_grid: np.ndarray) -> np.ndarray:
     # Python floats: a span past the float range is inf without a numpy warning
     if not (np.all(np.isfinite(grid)) and math.isfinite(float(grid[-1]) - float(grid[0]))):
         raise ValueError("sampling grid must be finite and span a finite interval")
-    step = float(grid[1] - grid[0])
-    if step <= 0.0 or np.any(np.abs(np.diff(grid) - step) > 1e-9 * step):
+    step = uniform_step(grid)
+    if step is None:
         raise ValueError("sampling grid must be uniform and increasing")
     values = np.zeros_like(grid)
     for w, comp in rho.components:

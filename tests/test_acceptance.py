@@ -231,12 +231,17 @@ def test_criterion_9_verify_determinism(tmp_path, capsys):
     across_threads = codes == (0, 0) and all(
         len({(out / f).read_bytes() for out in (out_a, *runs.values())}) == 1 for f in files
     )
-    ok = code_a == 0 and code_b == 0 and identical and across_threads
+    # the committed report, row by row: a row that moves has to be named on purpose
+    committed = (Path(__file__).parent / "fixtures" / "verify_report_256.csv").read_text()
+    lines = set(committed.splitlines()) ^ set((out_a / "verify_report.csv").read_text().splitlines())
+    moved = sorted({line.split(",")[0] for line in lines})
+    ok = code_a == 0 and code_b == 0 and identical and across_threads and not moved
     with capsys.disabled():
         _report(
             "9 determinism",
             ok,
             clock,
             f"exit=({code_a},{code_b}) identical={identical} "
-            f"children={codes} identical_across_blas_threads={across_threads}",
+            f"children={codes} identical_across_blas_threads={across_threads} "
+            f"moved_from_fixture={moved}",
         )

@@ -12,9 +12,9 @@ import pytest
 
 import mixedframes
 from conftest import verify_checks
-from mixedframes import cli, group_algebra as ga, verify
-from mixedframes.cli import ConfigError, DEFAULTS, main, parse_config_file
-from mixedframes.errors import QuadratureError
+from mixedframes import cli, group_algebra as ga, quantum_system as qs, verify
+from mixedframes.cli import DEFAULTS, main, parse_config_file
+from mixedframes.errors import DomainError, NormalizationError, QuadratureError
 from mixedframes.figures import DEMO_IDS, FIGURE_IDS, LOADED_COMPONENT_CAP, build_figure
 from mixedframes.verify import check_figures
 
@@ -87,13 +87,13 @@ class TestConfig:
     def test_unknown_config_key_rejected(self, tmp_path, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 9\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             parse_config_file(cfg)
 
     def test_malformed_config_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha 0.9\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             parse_config_file(cfg)
 
 
@@ -120,6 +120,10 @@ class TestErrorContract:
             (["demo", "thermal", "--mass=1.7e308"], "mass"),
             (["demo", "semigroup", "--a0=1.7e308"], "location 1.7e+308"),
             (["demo", "semigroup", "--a0=-1.7e308"], "location 1.7e+308"),
+            # a velocity grid v0 +- 8.5 spreads that rounding leaves non-uniform
+            (["demo", "galilei-boost", "--v0", "1e5"], "v0"),
+            (["demo", "galilei-boost", "--v0=1e300"], "v0"),
+            (["demo", "galilei-boost", "--temperature", "1e-10", "--v0", "100"], "v0"),
         ],
     )
     def test_rejected_input_exits_2_with_one_line(self, tmp_path, capsys, argv, named):
@@ -136,6 +140,33 @@ class TestErrorContract:
         code, _, err = run_cli(["figure", "a1a2", "--out", str(blocker / "out")] + FAST, capsys)
         assert code == 1
         assert err.startswith("io error")
+
+    @pytest.mark.parametrize("flag", ["--config", "--densities"])
+    def test_unreadable_input_file_exits_1(self, tmp_path, capsys, flag):
+        missing = str(tmp_path / "missing.txt")
+        code, _, err = run_cli(["demo", "semigroup", flag, missing, "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.startswith("io error") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--config", "--densities"])
+    def test_undecodable_input_file_is_rejected(self, tmp_path, capsys, flag):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"alpha = 0.9 # \xe9\n")
+        code, _, err = run_cli(["demo", "semigroup", flag, str(path), "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: bad ") and err.count("\n") == 1
+
+    def test_fault_during_verify_raises(self, tmp_path, monkeypatch):
+        # a seeded defect, not bad input: the channel weights sum to 1 + 1e-7
+        real = qs.act_mixed
+
+        def act_mixed(*args, **kwargs):
+            out = real(*args, **kwargs)
+            return dataclasses.replace(out, weights=tuple(w * (1.0 + 1e-7) for w in out.weights))
+
+        monkeypatch.setattr(qs, "act_mixed", act_mixed)
+        with pytest.raises(NormalizationError):
+            main(["verify", "--grid-n", "256", "--out", str(tmp_path)])
 
     def test_internal_fault_still_raises(self, tmp_path, monkeypatch):
         def broken(*args):
