@@ -203,13 +203,7 @@ def _demo_thermal(params: dict) -> Artifact:
     e_density = th.energy_smearing_density(tp, e_grid)
 
     metadata = _echo(params, "demo", "thermal")
-    metadata.update(
-        {
-            "beta": beta,
-            "momentum_variance": tp.momentum_variance,
-            "maxwell_boltzmann_gap": mb_gap,
-        }
-    )
+    metadata.update(beta=beta, momentum_variance=tp.momentum_variance, maxwell_boltzmann_gap=mb_gap)
     overlay = columns_csv(["p", "weight", "maxwell_boltzmann"], [p, state.weights, mb])
     files = (
         ("thermal_energy.csv", columns_csv(["E", "density"], [e_grid, e_density])),
@@ -245,13 +239,7 @@ def _demo_galilei_boost(params: dict) -> Artifact:
     gap = float(np.max(np.abs(boosted.weights - reference)))
 
     metadata = _echo(params, "demo", "galilei-boost")
-    metadata.update(
-        {
-            "beta": beta,
-            "p_prime": p_prime,
-            "thermal_reference_gap": gap,
-        }
-    )
+    metadata.update(beta=beta, p_prime=p_prime, thermal_reference_gap=gap)
     overlay = columns_csv(["p", "weight", "thermal_reference"], [q, boosted.weights, reference])
     files = (("galilei_boost_overlay.csv", overlay),)
     return Artifact(name="galilei_boost", files=files, metadata=metadata)

@@ -96,8 +96,10 @@ def check_semigroup_laws() -> list[CheckResult]:
         chi12, chi1, chi2 = (ga.characteristic_function(r, p_grid) for r in (prod, r1, r2))
         chi_morphism = max(chi_morphism, float(np.max(np.abs(chi12 - chi1 * chi2))))
     trials = f"n={SEMIGROUP_TRIALS}"
+    # a sum of at most 25 rounded weight products is within a few dozen ulps of one; the bound
+    # sits below ga.WEIGHT_TOL, so a weight defect reads fail here before any density raises
     return [
-        CheckResult("semigroup_normalization_closure", trials, norm_err, 1e-12),
+        CheckResult("semigroup_normalization_closure", trials, norm_err, 1e-14),
         CheckResult("semigroup_associativity", trials, assoc, 1e-8),
         CheckResult("semigroup_commutativity", trials, comm, 1e-8),
         CheckResult("semigroup_identity", trials, ident, 1e-12),
@@ -231,13 +233,8 @@ def classifier_cases(rng: np.random.Generator) -> list[tuple[ga.GroupDensity, fl
 
 
 def check_invertibility_classifier() -> list[CheckResult]:
-    rng = np.random.default_rng(RNG_SEED + 2)
-    wrong = 0
-    cases = 0
-    for rho, band, expected in classifier_cases(rng):
-        verdict, _ = ga.is_invertible(rho, band=band, floor=1e-3)
-        wrong += 0 if verdict == expected else 1
-        cases += 1
+    cases = classifier_cases(np.random.default_rng(RNG_SEED + 2))
+    wrong = sum(ga.is_invertible(rho, band=band, floor=1e-3)[0] != want for rho, band, want in cases)
 
     witness_err = 0.0
     for a2 in (0.8, 1.7, 2.5, 3.6):
@@ -248,7 +245,7 @@ def check_invertibility_classifier() -> list[CheckResult]:
         else:
             witness_err = max(witness_err, abs(abs(witness) - math.pi / a2))
     return [
-        CheckResult("invertibility_classifier", f"n={cases}", float(wrong), 0.5),
+        CheckResult("invertibility_classifier", f"n={len(cases)}", float(wrong), 0.5),
         CheckResult("invertibility_witness", "two-point sweep", witness_err, 1e-6),
     ]
 
@@ -278,7 +275,7 @@ def _smeared_output(
     return state, qs.act_mixed(rho, state, quad_order=24)
 
 
-def check_channel_density_convolution(grid_n: int = 1024) -> list[CheckResult]:
+def check_channel_density_convolution(grid_n: int) -> list[CheckResult]:
     """Channel output density equals (reflected rho) convolved with |psi|^2."""
     grid = qs.PositionGrid(grid_n, 40.0)
     dx = grid.spacing
@@ -365,7 +362,7 @@ def check_state_normalization() -> list[CheckResult]:
     return [CheckResult("state_normalization", f"n={NORMALIZATION_CASES}", worst, 1e-8)]
 
 
-def check_localization_inequality(grid_n: int = 4096, quad_order: int = 64) -> list[CheckResult]:
+def check_localization_inequality(grid_n: int, quad_order: int) -> list[CheckResult]:
     grid = qs.PositionGrid(grid_n, 40.0)
     var_mixed_err = 0.0
     var_pure_err = 0.0
@@ -385,7 +382,7 @@ def check_localization_inequality(grid_n: int = 4096, quad_order: int = 64) -> l
             var_mixed_err = max(var_mixed_err, abs(v_mixed - (sigma**2 + alpha**2)))
             var_pure_err = max(var_pure_err, abs(v_pure - (sigma**2 + 2.0 * alpha**2) / 2.0))
             inequality_margin = max(inequality_margin, v_pure - v_mixed)
-    sweep = "sigma,alpha in {0.5,0.75,1,2}"
+    sweep = "sigma and alpha in {0.5 0.75 1 2}"
     return [
         CheckResult("smear_variance_mixed", sweep, var_mixed_err, 1e-6),
         CheckResult("smear_variance_pure", sweep, var_pure_err, 1e-6),
@@ -474,7 +471,7 @@ def check_thermal_densities() -> list[CheckResult]:
             )
     return [
         CheckResult("thermal_energy_normalization", "3 parameter sets", norm_err, 1e-8),
-        CheckResult("thermal_mb_dictionary", "T in {0.1,1,10}", mb_err, 1e-12),
+        CheckResult("thermal_mb_dictionary", "T in {0.1 1 10}", mb_err, 1e-12),
         CheckResult("thermal_measure_identity", "3 parameter sets", measure_err, 1e-10),
         CheckResult("thermal_beta_round_trip", "both unit systems", round_trip, 1e-14),
     ]
@@ -500,7 +497,7 @@ def check_thermal_invariance() -> list[CheckResult]:
     monotone_violation = max(0.0, -min(np.diff(proxies)))
     return [
         CheckResult("thermal_diagonal_invariance", "t0 sweep", worst, 1e-15),
-        CheckResult("thermal_purity_monotonic", "beta in [0.4,4]", monotone_violation, 0.0),
+        CheckResult("thermal_purity_monotonic", "beta from 0.4 to 4", monotone_violation, 0.0),
     ]
 
 
@@ -508,7 +505,7 @@ def check_thermal_invariance() -> list[CheckResult]:
 # galilei checks
 
 
-def check_galilei_operators(grid_n: int = 1024) -> list[CheckResult]:
+def check_galilei_operators(grid_n: int) -> list[CheckResult]:
     grid = qs.PositionGrid(grid_n, 40.0)
     params = GalileiParams(mass=1.0, time=0.5, hbar=1.0)
     ops = build_operators(grid, params)
@@ -527,7 +524,7 @@ def check_galilei_operators(grid_n: int = 1024) -> list[CheckResult]:
     ]
 
 
-def check_bch_sweep(grid_n: int = 1024) -> list[CheckResult]:
+def check_bch_sweep(grid_n: int) -> list[CheckResult]:
     grid = qs.PositionGrid(grid_n, 40.0)
     psi = qs.gaussian_wavepacket(grid, 1.0)
     worst = 0.0
@@ -544,7 +541,7 @@ def check_bch_sweep(grid_n: int = 1024) -> list[CheckResult]:
     ]
 
 
-def check_boost_label_phase(grid_n: int = 1024) -> list[CheckResult]:
+def check_boost_label_phase(grid_n: int) -> list[CheckResult]:
     """Fringe test: the phase difference between two boosted momentum modes."""
     grid = qs.PositionGrid(grid_n, 40.0)
     params = GalileiParams(mass=1.0, time=0.7, hbar=1.0)
@@ -561,7 +558,7 @@ def check_boost_label_phase(grid_n: int = 1024) -> list[CheckResult]:
     phi_b = relative_boost_phase(psi, boosted, p_b, p_b + shift, params)
     label_a = boost_pure_label(v, p_a, params)
     label_b = boost_pure_label(v, p_b, params)
-    gap = _wrap_phase((phi_a - phi_b) - (label_a.phase - label_b.phase))
+    gap = ((phi_a - phi_b) - (label_a.phase - label_b.phase) + math.pi) % (2.0 * math.pi) - math.pi
 
     # boosted bump recenters at p + m v
     k = grid.wavenumbers()
@@ -571,10 +568,6 @@ def check_boost_label_phase(grid_n: int = 1024) -> list[CheckResult]:
         CheckResult("galilei_label_fringe_phase", f"grid_n={grid_n}", abs(gap), 1e-4),
         CheckResult("galilei_label_momentum_shift", f"grid_n={grid_n}", center_err, 1e-9),
     ]
-
-
-def _wrap_phase(phi: float) -> float:
-    return (phi + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def check_thermal_boost() -> list[CheckResult]:
@@ -624,32 +617,46 @@ def check_boost_composition() -> list[CheckResult]:
 # suite runner
 
 
+def _no_arguments(params: dict, figures: dict) -> tuple:
+    return ()
+
+
+def _galilei_n(params: dict, figures: dict) -> tuple[int]:
+    """The dense Galilei checks' size: a quarter of the grid, kept within [256, 1024]."""
+    return (min(max(params["grid_n"] // 4, 256), 1024),)
+
+
+# Every check in report order, by name, with the rule that derives its arguments from the
+# CLI parameters and the figures built from them. run_checks looks each name up in this
+# module when it calls it, so a rebinding of ``verify.check_*`` takes effect.
+CHECKS = (
+    ("check_semigroup_laws", _no_arguments),
+    ("check_antipode_inverse", _no_arguments),
+    ("check_bialgebra_consistency", _no_arguments),
+    ("check_invertibility_classifier", _no_arguments),
+    ("check_channel_density_convolution", lambda params, figures: (min(params["grid_n"], 1024),)),
+    ("check_purity_channel_law", _no_arguments),
+    ("check_purity_dense_oracle", _no_arguments),
+    ("check_channel_composition", _no_arguments),
+    ("check_state_normalization", _no_arguments),
+    ("check_localization_inequality", lambda params, figures: (params["grid_n"], params["quad_order"])),
+    ("check_figures", lambda params, figures: (params, figures)),
+    ("check_thermal_densities", _no_arguments),
+    ("check_thermal_invariance", _no_arguments),
+    ("check_galilei_operators", _galilei_n),
+    ("check_bch_sweep", _galilei_n),
+    ("check_boost_label_phase", _galilei_n),
+    ("check_thermal_boost", _no_arguments),
+    ("check_boost_composition", _no_arguments),
+)
+
+
 def run_checks(params: dict) -> tuple[list[CheckResult], dict[str, Artifact]]:
-    """Run every invariant suite, each row at the tolerance its check states.
+    """Run every check of :data:`CHECKS` in order, each row at the tolerance its check states.
 
     Returns the results and the figures built first from ``params``, the CLI's
     effective parameters, so the caller writes what :func:`check_figures` judged.
     """
     figures = {figure_id: build_figure(figure_id, params) for figure_id in FIGURE_IDS}
-    grid_n, quad_order = params["grid_n"], params["quad_order"]
-    galilei_n = min(max(grid_n // 4, 256), 1024)
-    results: list[CheckResult] = []
-    results.extend(check_semigroup_laws())
-    results.extend(check_antipode_inverse())
-    results.extend(check_bialgebra_consistency())
-    results.extend(check_invertibility_classifier())
-    results.extend(check_channel_density_convolution(min(grid_n, 1024)))
-    results.extend(check_purity_channel_law())
-    results.extend(check_purity_dense_oracle())
-    results.extend(check_channel_composition())
-    results.extend(check_state_normalization())
-    results.extend(check_localization_inequality(grid_n, quad_order))
-    results.extend(check_figures(params, figures))
-    results.extend(check_thermal_densities())
-    results.extend(check_thermal_invariance())
-    results.extend(check_galilei_operators(galilei_n))
-    results.extend(check_bch_sweep(galilei_n))
-    results.extend(check_boost_label_phase(galilei_n))
-    results.extend(check_thermal_boost())
-    results.extend(check_boost_composition())
+    results = [row for name, rule in CHECKS for row in globals()[name](*rule(params, figures))]
     return results, figures

@@ -5,6 +5,7 @@ lines. Every tolerance is asserted at its stated value; runtime budgets
 are asserted as hard ceilings.
 """
 
+import csv
 import math
 import os
 import subprocess
@@ -233,9 +234,12 @@ def test_criterion_9_verify_determinism(tmp_path, capsys):
     )
     # the committed report, row by row: a row that moves has to be named on purpose
     committed = (Path(__file__).parent / "fixtures" / "verify_report_256.csv").read_text()
-    lines = set(committed.splitlines()) ^ set((out_a / "verify_report.csv").read_text().splitlines())
+    report = (out_a / "verify_report.csv").read_text().splitlines()
+    lines = set(committed.splitlines()) ^ set(report)
     moved = sorted({line.split(",")[0] for line in lines})
-    ok = code_a == 0 and code_b == 0 and identical and across_threads and not moved
+    # well-formed CSV: a reader finds the header's five fields on every line
+    widths = sorted({len(row) for row in csv.reader(report)})
+    ok = code_a == 0 and code_b == 0 and identical and across_threads and not moved and widths == [5]
     with capsys.disabled():
         _report(
             "9 determinism",
@@ -243,5 +247,5 @@ def test_criterion_9_verify_determinism(tmp_path, capsys):
             clock,
             f"exit=({code_a},{code_b}) identical={identical} "
             f"children={codes} identical_across_blas_threads={across_threads} "
-            f"moved_from_fixture={moved}",
+            f"moved_from_fixture={moved} fields_per_line={widths}",
         )

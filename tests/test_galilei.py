@@ -1,6 +1,8 @@
+import csv
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +27,17 @@ from mixedframes import (
     mix,
     thermal_state,
 )
+from mixedframes import galilei
 from mixedframes.galilei import (
+    OperatorGrid,
+    _anti_hermitian,
     apply_boost_exponential,
     apply_boost_factored,
     expm,
     momentum_bump,
     relative_boost_phase,
 )
+from mixedframes.quantum_system import WaveFunction
 from mixedframes.analytic import norm_pdf
 from mixedframes.quantum_system import _normalized
 
@@ -332,3 +338,72 @@ class TestBoostMixed:
         sequential = np.convolve(first.weights, taps, mode="same") * dq
         sequential /= float(np.sum(sequential)) * dq
         assert np.max(np.abs(sequential - combined.weights)) < 1e-8
+
+
+def _verify_bound(row: str) -> float:
+    """The tolerance of a ``verify`` row, read from the committed ``--grid-n 256`` report."""
+    report = (Path(__file__).parent / "fixtures" / "verify_report_256.csv").read_text()
+    return next(float(r[3]) for r in csv.reader(report.splitlines()) if r[0] == row)
+
+
+class TestResidualPositiveControls:
+    """Each residual function fed a defect of known size must report that size (within a
+    relative 1e-6) and read above the bound of its ``verify`` row: a residual function that
+    returned 0 would pass every row of ``verify``."""
+
+    N = 256
+    HBAR = (1.0, 0.7)
+
+    def _ops(self, hbar):
+        return OperatorGrid(PositionGrid(self.N, 40.0), GalileiParams(mass=1.0, time=0.5, hbar=hbar))
+
+    @staticmethod
+    def _states(ops):
+        grid = ops.grid
+        return [gaussian_wavepacket(grid, 1.0), gaussian_wavepacket(grid, 0.6, 1.5),
+                gaussian_wavepacket(grid, 1.4, -2.0)]
+
+    @pytest.mark.parametrize("hbar", HBAR)
+    def test_anti_hermitian_part_of_a_shifted_momentum(self, hbar):
+        # eps times the cyclic shift S: (S - S^T) / 2 has Frobenius norm sqrt(n / 2)
+        ops, eps = self._ops(hbar), 1e-8
+
+        def shifted(amps):
+            return ops.apply_p(amps) + eps * np.roll(amps, 1, axis=-1)
+
+        reported = _anti_hermitian(shifted, self.N)
+        assert reported == pytest.approx(eps * math.sqrt(self.N / 2.0), rel=1e-6)
+        assert reported > _verify_bound("galilei_hermiticity")
+
+    @pytest.mark.parametrize("hbar", HBAR)
+    def test_bch_residual_of_a_factored_side_off_by_a_global_phase(self, hbar, monkeypatch):
+        ops, theta = self._ops(hbar), 1e-4
+        real = galilei.apply_boost_factored
+
+        def off_by_theta(v, psi, params):
+            return WaveFunction(psi.grid, real(v, psi, params).amplitudes * np.exp(1j * theta))
+
+        monkeypatch.setattr(galilei, "apply_boost_factored", off_by_theta)
+        psi = gaussian_wavepacket(ops.grid, 1.0)  # unit norm
+        reported = bch_residual(1.2, psi, ops)
+        assert reported == pytest.approx(2.0 * math.sin(theta / 2.0), rel=1e-6)
+        assert reported > _verify_bound("galilei_bch_sweep")
+
+    @pytest.mark.parametrize("hbar", HBAR)
+    def test_p_h_residual_of_a_hamiltonian_that_is_position(self, hbar):
+        # [p, x] = -i hbar, so the p_h bracket reads hbar on a unit state
+        ops = self._ops(hbar)
+        ops.apply_h = ops.apply_x
+        reported = commutator_residuals(ops, self._states(ops))["p_h"]
+        assert reported == pytest.approx(hbar, rel=1e-6)
+        assert reported > _verify_bound("galilei_p_h_commutes")
+
+    @pytest.mark.parametrize("hbar", HBAR)
+    def test_x_p_residual_of_a_scaled_momentum(self, hbar):
+        # [x, (1 + delta) p] - i hbar = i hbar delta
+        ops, delta = self._ops(hbar), 1e-3
+        real = ops.apply_p
+        ops.apply_p = lambda amps: (1.0 + delta) * real(amps)
+        reported = commutator_residuals(ops, self._states(ops))["x_p"]
+        assert reported == pytest.approx(hbar * delta, rel=1e-6)
+        assert reported > _verify_bound("galilei_brackets")

@@ -4,13 +4,17 @@
 error, so a renamed or deleted function would silently drop out of the
 per-layer metrics. ``perfbench/selftest.py`` also names the bindings it
 expects wrapped and the calls it counts in ``verify``; that self-test is
-run by hand, so a missing name would otherwise surface late. These tests
-make each case a failure instead.
+run by hand, so a missing name would otherwise surface late. The tracer
+also keeps its own copy of ``verify.CHECKS``' names, and a check missing
+there would drop out of the per-layer metrics. These tests make each case
+a failure instead.
 """
 
 import importlib
 import sys
 from pathlib import Path
+
+from conftest import verify_checks
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,3 +49,7 @@ def test_every_selftest_binding_and_counted_call_resolves():
     names = [*selftest.IMPORTED_BINDINGS, *selftest.EXPECTED_VERIFY_CALLS]
     missing = _unresolved(names)
     assert not missing, f"self-test names that do not resolve: {missing}"
+
+
+def test_tracer_times_the_checks_of_the_table_in_order():
+    assert list(_load("tracer").VERIFY_CHECKS) == verify_checks()
