@@ -252,14 +252,10 @@ def _density_label(rho: ga.GroupDensity) -> str:
 
 def _default_band(label: str, rho: ga.GroupDensity) -> float:
     """Dual-variable window wide enough to expose zeros or Gaussian decay; it must be finite."""
-    locs = sorted(
-        c.location for _, c in rho.components if isinstance(c, ga.DiracComponent)
-    )
+    locs = sorted(c.mean for _, c in rho.components if c.variance == 0.0)
     # every Dirac gap (canonical locations are distinct) and the Gaussian standard deviations
     scales = [b - a for a, b in zip(locs, locs[1:])]
-    scales += [
-        math.sqrt(c.variance) for _, c in rho.components if isinstance(c, ga.GaussianComponent)
-    ]
+    scales += [math.sqrt(c.variance) for _, c in rho.components if c.variance > 0.0]
     return positive(f"the scan band of {label}", 10.0 / min(scales) if scales else 10.0)
 
 

@@ -2,9 +2,11 @@
 
 A state is a probability density over the group parameter ``a``, stored
 symbolically as a finite mixture of point masses (Dirac) and Gaussians.
-The mixture family is closed under the convolution product, so products,
-the identity ``delta_0`` and the reflection ``a -> -a`` are all exact: they
-merge only identical components. The one tolerance is in the comparison,
+Every operation reads a component as ``(mean, variance)``: a Dirac is the
+Gaussian of variance 0, whose mean is its location. The mixture family is
+closed under the convolution product, so products, the identity
+``delta_0`` and the reflection ``a -> -a`` are all exact: they merge only
+identical components. The one tolerance is in the comparison,
 :func:`density_gap`, which matches components that rounding has moved apart.
 Pure states (single Dirac components) are invertible under convolution;
 everything else only forms a semigroup, which the banded characteristic-
@@ -16,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -34,12 +36,17 @@ QUAD_MAX_SPLITS = 200
 
 @dataclass(frozen=True)
 class DiracComponent:
-    """Point mass delta(a - location)."""
+    """Point mass delta(a - location), read as mean ``location`` and variance 0.0."""
 
     location: float
+    variance: ClassVar[float] = 0.0
 
     def __post_init__(self) -> None:
         finite("Dirac location", self.location)
+
+    @property
+    def mean(self) -> float:
+        return self.location
 
 
 @dataclass(frozen=True)
@@ -77,30 +84,23 @@ class GroupDensity:
                 raise TypeError(f"unsupported component type {type(comp).__name__}")
 
 
-def _moments(c: Component) -> tuple[float, float]:
-    """``(location, variance)`` of a component; a Dirac has variance 0.0."""
-    return (c.location, 0.0) if isinstance(c, DiracComponent) else (c.mean, c.variance)
+def _canonical(triples: Iterable[tuple[float, float, float]]) -> tuple[WeightedComponent, ...]:
+    """Components of ``(weight, mean, variance)`` triples, merged and in canonical order.
 
-
-def _component(location: float, variance: float) -> Component:
-    """Inverse of :func:`_moments`: a Dirac when the variance is 0.0."""
-    return DiracComponent(location) if variance == 0.0 else GaussianComponent(location, variance)
-
-
-def _canonical(components: Iterable[WeightedComponent]) -> tuple[WeightedComponent, ...]:
-    """Sum the weights of identical components and sort into a canonical order.
-
-    A component is keyed ``(is_gaussian, location, variance)``, with ``-0.0``
-    read as ``0.0``. Only equal keys merge, so canonicalisation commutes
-    exactly with :func:`convolve`, :func:`antipode` and :func:`mix`; components
-    that differ in the last bit stay apart for :func:`density_gap` to match.
+    A triple is keyed ``(is_gaussian, mean, variance)``, with ``-0.0`` read as
+    ``0.0``, and becomes a Dirac when its variance is 0.0. Only equal keys
+    merge, so canonicalisation commutes exactly with :func:`convolve`,
+    :func:`antipode` and :func:`mix`; components that differ in the last bit
+    stay apart for :func:`density_gap` to match.
     """
     weights: dict[tuple[bool, float, float], float] = {}
-    for w, c in components:
-        loc, var = _moments(c)
-        key = (var > 0.0, loc + 0.0, var)
+    for w, mean, var in triples:
+        key = (var > 0.0, mean + 0.0, var)
         weights[key] = weights.get(key, 0.0) + w
-    return tuple((w, _component(loc, var)) for (_, loc, var), w in sorted(weights.items()))
+    return tuple(
+        (w, GaussianComponent(mean, var) if gaussian else DiracComponent(mean))
+        for (gaussian, mean, var), w in sorted(weights.items())
+    )
 
 
 def make_delta(a0: float) -> GroupDensity:
@@ -117,7 +117,7 @@ def mix(parts: Sequence[tuple[float, GroupDensity]]) -> GroupDensity:
     """Convex combination of densities; weights must sum to one."""
     parts = list(parts)
     probability_weights("mixture weights", [w for w, _ in parts], WEIGHT_TOL)
-    flattened = [(w * u, comp) for w, rho in parts for u, comp in rho.components]
+    flattened = [(w * u, c.mean, c.variance) for w, rho in parts for u, c in rho.components]
     return GroupDensity(_canonical(flattened))
 
 
@@ -137,8 +137,8 @@ def evaluate(rho: GroupDensity, f: Callable[[float], float]) -> float:
     nodes, weights = _legendre_nodes(QUAD_NODES)
     total = 0.0
     for w, comp in rho.components:
-        if isinstance(comp, DiracComponent):
-            total += w * f(comp.location)
+        if comp.variance == 0.0:
+            total += w * f(comp.mean)
             continue
 
         def rule(a: float, b: float) -> np.ndarray:
@@ -182,39 +182,37 @@ def convolve(rho1: GroupDensity, rho2: GroupDensity) -> GroupDensity:
     Closed-form rules: locations add, variances add (a Dirac has variance 0),
     and mixtures distribute bilinearly with weight products.
     """
-    m1 = [(w, *_moments(c)) for w, c in rho1.components]
-    m2 = [(w, *_moments(c)) for w, c in rho2.components]
-    out = [(w1 * w2, _component(l1 + l2, v1 + v2)) for w1, l1, v1 in m1 for w2, l2, v2 in m2]
-    return GroupDensity(_canonical(out))
+    return GroupDensity(_canonical(
+        (w1 * w2, c1.mean + c2.mean, c1.variance + c2.variance)
+        for w1, c1 in rho1.components for w2, c2 in rho2.components
+    ))
 
 
 def antipode(rho: GroupDensity) -> GroupDensity:
     """Reflection a -> -a; inverts pure states, and only those."""
-    moments = [(w, *_moments(c)) for w, c in rho.components]
-    return GroupDensity(_canonical([(w, _component(-loc, var)) for w, loc, var in moments]))
+    return GroupDensity(_canonical((w, -c.mean, c.variance) for w, c in rho.components))
 
 
 def characteristic_function(rho: GroupDensity, p: np.ndarray) -> np.ndarray:
     """chi(p) = integral of rho(a) exp(-i a p) da at every dual point ``p``.
 
-    Each component adds ``w exp(-i loc p - var p^2 / 2)`` from :func:`_moments`;
-    a Dirac is the variance-0 case, whose decay ``0.5 * 0.0 * p * p`` is +0.0
-    even where ``p * p`` overflows. Any array of finite points is accepted; the
-    one input check is that the largest phase ``location * p`` is finite, which
-    also rejects NaN and infinite points with :class:`DomainError`.
+    Each component adds ``w exp(-i mean p - variance p^2 / 2)``; a Dirac is the
+    variance-0 case, whose decay ``0.5 * 0.0 * p * p`` is +0.0 even where
+    ``p * p`` overflows. Any array of finite points is accepted; the one input
+    check is that the largest phase ``mean * p`` is finite, which also rejects
+    NaN and infinite points with :class:`DomainError`.
     """
     p = np.asarray(p, dtype=float)
-    moments = [(w, *_moments(c)) for w, c in rho.components]
-    far = max(abs(loc) for _, loc, _ in moments)
+    far = max(abs(c.mean) for _, c in rho.components)
     # Python floats: the product is inf or NaN without a numpy warning
     widest = float(np.max(np.abs(p), initial=0.0))
     finite(f"phase location*p at location {far!r} and |p| {widest!r}", far * widest)
     values = np.zeros(p.shape, dtype=complex)
     # a decay that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
-        for w, loc, var in moments:
-            term = np.asarray(-1j * loc * p)  # a 0-d p gives a scalar, whose parts are read-only
-            term.real -= 0.5 * var * p * p
+        for w, c in rho.components:
+            term = np.asarray(-1j * c.mean * p)  # a 0-d p gives a scalar, whose parts are read-only
+            term.real -= 0.5 * c.variance * p * p
             values += w * np.exp(term, out=term)
     return values
 
@@ -281,11 +279,10 @@ def _min_modulus(rho: GroupDensity, band: float) -> tuple[float, float]:
 def is_pure(rho: GroupDensity) -> bool:
     """True iff the state is exactly one distinct point mass.
 
-    Two Diracs merge only at identical locations; a pair that rounding has
-    split is not pure, however close.
+    Two Diracs are one only at identical locations (``-0.0`` equals ``0.0``);
+    a pair that rounding has split is not pure, however close.
     """
-    comps = _canonical(rho.components)
-    return len(comps) == 1 and isinstance(comps[0][1], DiracComponent)
+    return len({c for _, c in rho.components}) == 1 and rho.components[0][1].variance == 0.0
 
 
 def _chains(entries: list[tuple], i: int, tol: float) -> list[list[tuple]]:
@@ -320,9 +317,8 @@ def density_gap(rho1: GroupDensity, rho2: GroupDensity) -> float:
     for a state against itself, symmetric, and covariant under
     :func:`antipode` and translation.
     """
-    pooled = [(side, var > 0.0, loc, var, w)
-              for side, rho in enumerate((rho1, rho2))
-              for w, c in rho.components for loc, var in (_moments(c),)]
+    pooled = [(side, c.variance > 0.0, c.mean, c.variance, w)
+              for side, rho in enumerate((rho1, rho2)) for w, c in rho.components]
     gap = 0.0
     for same_kind in _chains(pooled, 1, 0.0):  # kinds never chain together
         for near in _chains(same_kind, 2, MATCH_TOL):
@@ -346,8 +342,8 @@ def mass_within(rho: GroupDensity, lo: float, hi: float) -> float:
         raise DomainError("interval must satisfy lo <= hi")
     total = 0.0
     for w, comp in rho.components:
-        if isinstance(comp, DiracComponent):
-            if lo <= comp.location <= hi:
+        if comp.variance == 0.0:
+            if lo <= comp.mean <= hi:
                 total += w
         else:
             sd = math.sqrt(2.0 * comp.variance)
@@ -382,14 +378,14 @@ def sample_on_grid(rho: GroupDensity, a_grid: np.ndarray) -> np.ndarray:
         raise ValueError("sampling grid must be uniform and increasing")
     values = np.zeros_like(grid)
     for w, comp in rho.components:
-        if isinstance(comp, DiracComponent):
+        if comp.variance == 0.0:
             # range-check in Python floats first, which do not warn on overflow:
             # (location - grid[0]) / step overflows for a far Dirac on a fine grid
-            inside = float(grid[0]) - step <= comp.location <= float(grid[-1]) + step
-            idx = int(round((comp.location - grid[0]) / step)) if inside else -1
+            inside = float(grid[0]) - step <= comp.mean <= float(grid[-1]) + step
+            idx = int(round((comp.mean - grid[0]) / step)) if inside else -1
             if not 0 <= idx < grid.size:
                 raise DomainError(
-                    f"Dirac location {comp.location} lies outside the grid [{grid[0]}, {grid[-1]}]"
+                    f"Dirac location {comp.mean} lies outside the grid [{grid[0]}, {grid[-1]}]"
                 )
             values[idx] += w / step
         else:
@@ -405,8 +401,8 @@ def to_text(rho: GroupDensity) -> str:
     """Serialize to the plain-text component format, one line per component."""
     lines = []
     for w, comp in rho.components:
-        kind = "dirac" if isinstance(comp, DiracComponent) else "gauss"
-        pairs = zip(_KINDS[kind][1], (w, *_moments(comp)))  # stops before a Dirac's variance
+        kind = "dirac" if comp.variance == 0.0 else "gauss"
+        pairs = zip(_KINDS[kind][1], (w, comp.mean, comp.variance))  # zip drops a Dirac's variance
         lines.append(" ".join([kind, *(f"{key}={value!r}" for key, value in pairs)]))
     return "\n".join(lines) + "\n"
 

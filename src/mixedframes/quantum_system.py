@@ -49,7 +49,7 @@ from .errors import (
     probability_weights,
 )
 from .analytic import gaussian_kernel
-from .group_algebra import DiracComponent, GaussianComponent, GroupDensity, make_delta
+from .group_algebra import GaussianComponent, GroupDensity, make_delta
 from .textio import csv_table
 
 NORM_TOL = 1e-9
@@ -316,7 +316,7 @@ def act_mixed(
     ``terms`` are read; the module note gives the cost of a pass over its rows.
     """
     quad_order = integer("quad_order", quad_order)
-    n_offsets = sum(1 if isinstance(c, DiracComponent) else quad_order for _, c in rho_R.components)
+    n_offsets = sum(1 if c.variance == 0.0 else quad_order for _, c in rho_R.components)
     n_out = n_offsets * len(state.terms)
     if n_out > TERM_CAP:
         raise ResourceLimitError(
@@ -325,8 +325,8 @@ def act_mixed(
 
     offsets: list[tuple[float, float]] = []
     for w, comp in rho_R.components:
-        if isinstance(comp, DiracComponent):
-            offsets.append((w, comp.location))
+        if comp.variance == 0.0:
+            offsets.append((w, comp.mean))
         else:
             nodes, node_weights = _gaussian_comb(comp, quad_order)
             offsets.extend(zip(w * node_weights, nodes))

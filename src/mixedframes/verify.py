@@ -169,8 +169,8 @@ def _double_integral(r1: ga.GroupDensity, r2: ga.GroupDensity, f) -> float:
 def _expect(c, g) -> float:
     """Integral of g against one component: g at a Dirac, else :func:`_legendre_panels`
     over mean +- 10 sd, a fixed rule independent of :func:`group_algebra.evaluate`'s."""
-    if isinstance(c, ga.DiracComponent):
-        return g(c.location)
+    if c.variance == 0.0:
+        return g(c.mean)
     sd = math.sqrt(c.variance)
     return _legendre_panels(
         lambda a: np.array([g(t) for t in a.tolist()]) * norm_pdf(a, c.mean, c.variance),
@@ -485,7 +485,7 @@ def check_thermal_invariance() -> list[CheckResult]:
     for t0 in (0.0, 0.4, -2.7, 11.0):
         shifted = th.time_translate_diagonal(state, t0, tp)
         worst = max(worst, float(np.max(np.abs(shifted.weights - state.weights))))
-        back = th.time_translate_diagonal(th.time_translate_diagonal(state, t0, tp), -t0, tp)
+        back = th.time_translate_diagonal(shifted, -t0, tp)
         worst = max(worst, float(np.max(np.abs(back.weights - state.weights))))
 
     betas = np.linspace(0.4, 4.0, 10)

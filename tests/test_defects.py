@@ -68,7 +68,7 @@ class Defect:
 
 def _as_diracs(rho: ga.GroupDensity) -> ga.GroupDensity:
     """``rho`` with every Gaussian component collapsed to a point mass at its mean."""
-    return ga.mix([(w, ga.make_delta(ga._moments(c)[0])) for w, c in rho.components])
+    return ga.mix([(w, ga.make_delta(c.mean)) for w, c in rho.components])
 
 
 def _weights_over_one(real):

@@ -454,6 +454,29 @@ class TestSemigroupProperties:
         assert direct == pytest.approx(double, abs=1e-8)
 
 
+def _two_diracs(w0, w1):
+    return mix([(w0, make_delta(0.0)), (w1, make_delta(1.0))])
+
+
+class TestDensityGap:
+    """Positive controls: each kind of gap reads its known value, not just a nonzero one."""
+
+    @pytest.mark.parametrize(
+        "rho1, rho2, expected",
+        [
+            (_two_diracs(0.3, 0.7), _two_diracs(0.4, 0.6), abs(0.3 - 0.4)),
+            (make_delta(0.0), make_delta(5e-11), 5e-11),
+            (make_gaussian(0.0, 1.0), make_gaussian(0.0, 1.0 + 5e-11), (1.0 + 5e-11) - 1.0),
+            (make_delta(0.0), make_gaussian(0.0, 1.0), 1.0),
+            (make_delta(0.0), make_delta(2 * ga.MATCH_TOL), 1.0),
+        ],
+        ids=["weight", "location", "variance", "kind-unmatched", "location-beyond-tol"],
+    )
+    def test_reads_the_known_gap(self, rho1, rho2, expected):
+        assert density_gap(rho1, rho2) == expected
+        assert density_gap(rho2, rho1) == expected
+
+
 class TestSerialization:
     def test_round_trip(self):  # both directions exported by the package
         rho = mix([(0.25, make_delta(-1.5)), (0.75, make_gaussian(0.5, 0.3))])

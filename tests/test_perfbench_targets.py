@@ -53,3 +53,18 @@ def test_every_selftest_binding_and_counted_call_resolves():
 
 def test_tracer_times_the_checks_of_the_table_in_order():
     assert list(_load("tracer").VERIFY_CHECKS) == verify_checks()
+
+
+def test_components_keep_the_shape_the_library_session_reads():
+    """``perfbench/workloads.py`` builds densities from ``DiracComponent(a)`` and
+    ``GaussianComponent(m, v)`` and reads ``.components`` as ``(weight, component)``
+    pairs. ``check_session`` tells a Dirac by ``hasattr(c, "location")``, so a
+    Gaussian that gained ``location`` would be read as a point mass."""
+    from mixedframes import group_algebra as ga
+
+    dirac, gauss = ga.DiracComponent(0.25), ga.GaussianComponent(-1.5, 0.5)
+    assert dirac.location == 0.25
+    assert (gauss.mean, gauss.variance) == (-1.5, 0.5)
+    assert not hasattr(gauss, "location")
+    pairs = ga.GroupDensity(((0.5, dirac), (0.5, gauss))).components
+    assert pairs == ((0.5, dirac), (0.5, gauss))

@@ -711,6 +711,14 @@ class TestDensityDistance:
         assert sup > 0.0
         assert l1 <= 2.0
 
+    def test_disjoint_boxes_read_their_height_and_full_l1(self):
+        # boxes of height 0.5 over 4 cells of width 0.5: the gap is exact in binary
+        box_grid = PositionGrid(64, 32.0)
+        left, right = np.zeros(64), np.zeros(64)
+        left[10:14] = right[40:44] = 0.5
+        d1, d2 = PositionDensity(box_grid, left), PositionDensity(box_grid, right)
+        assert density_distance(d1, d2) == (0.5, 2.0)
+
     def test_grid_mismatch(self, grid, fine_grid):
         d1 = position_density(pure_state(gaussian_wavepacket(grid, 0.75)))
         d2 = position_density(pure_state(gaussian_wavepacket(fine_grid, 0.75)))

@@ -22,6 +22,7 @@ from mixedframes import (
     time_translate_diagonal,
 )
 from mixedframes.thermal import grid_purity_proxy
+from mixedframes import thermal, verify
 from mixedframes.verify import check_thermal_densities
 
 UNIT_SYSTEMS = [PhysicalConstants(), PhysicalConstants(hbar=0.7, k_boltzmann=1.3)]
@@ -234,3 +235,17 @@ class TestCsvExports:
         # zip would silently drop the rows past the shorter column
         with pytest.raises(ValueError):
             columns_csv(["E", "density"], [E, np.ones(3)])
+
+
+def test_invariance_check_translates_each_state_once_per_direction(monkeypatch):
+    # four values of t0, each one forward translation and one back from it
+    calls = []
+    real = thermal.time_translate_diagonal
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(thermal, "time_translate_diagonal", spy)
+    verify.check_thermal_invariance()
+    assert len(calls) == 8
