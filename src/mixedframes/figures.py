@@ -102,13 +102,12 @@ def build_figure(figure_id: str, params: dict) -> Artifact:
     if smeared:
         sigma = params["sigma"]
         a0 = params["a0"]
-        # sigma * sigma overflows to inf, which the component rejects; sigma**2 would raise
-        smear = ga.GaussianComponent(-a0, sigma * sigma)
+        # sigma * sigma underflows to 0 or overflows to inf (where sigma**2 would raise)
+        smear = ga.GaussianComponent(-a0, positive(f"sigma*sigma (sigma={sigma!r})", sigma * sigma))
         if abs(a0) + qs.COMB_HALF_WIDTH * sigma >= half_box:
             raise DomainError(
                 f"sigma={sigma!r}: |a0| + {qs.COMB_HALF_WIDTH:g} sigma must be < extent/2={half_box!r}"
             )
-        rho = ga.GroupDensity(((1.0, smear),))
     else:
         a2 = params["a2"]
         if abs(a2) >= half_box:
@@ -119,10 +118,10 @@ def build_figure(figure_id: str, params: dict) -> Artifact:
     # the channel checks its term cap before the uncapped pure state is built, and the
     # pure state rejects a2 = 0 for the difference before the closed forms divide by it
     packet = qs.gaussian_wavepacket(grid, alpha)
-    mixed = qs.position_density(qs.act_mixed(rho, qs.pure_state(packet), quad_order))
     if smeared:
-        pure_psi = qs.coherently_translated(smear, packet, quad_order)
+        mixed, pure_psi = qs.smeared_pair(smear, packet, quad_order)
     else:
+        mixed = qs.position_density(qs.act_mixed(rho, qs.pure_state(packet), quad_order))
         pure_psi = qs.two_gaussian_superposition(grid, alpha, a2, sign)
     pure = qs.position_density(qs.pure_state(pure_psi))
 

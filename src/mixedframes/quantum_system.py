@@ -12,6 +12,7 @@ output's rows costs one forward FFT per input term, a half-spectrum cos
 and sin per offset (at n = 4096, longer than a row's inverse FFT) and one
 inverse FFT per output term, batched ``ROW_BLOCK`` rows to a block; it
 holds one block, and rows are kept only once ``terms`` is read.
+``smeared_pair`` takes one pass for a smearing's mixed density and coherent packet.
 
 In the momentum basis the channel multiplies the density matrix by the
 characteristic function of its offsets, rho_out(k, k') = rho_in(k, k')
@@ -427,26 +428,31 @@ def two_gaussian_superposition(
     return _normalized(grid, amps.astype(complex))
 
 
+def smeared_pair(
+    smear: GaussianComponent, psi: WaveFunction, quad_order: int
+) -> tuple[PositionDensity, WaveFunction]:
+    """A smearing as a channel (mixed density) and coherently (packet) in one pass over the rows
+    ``b[:, 0]`` of ``act_mixed`` on one input term, each norm-checked once: |row|^2 under the
+    channel's weights in :func:`position_density`'s order, the row under the comb's own weights."""
+    out = act_mixed(GroupDensity(((1.0, smear),)), pure_state(psi), quad_order)
+    values, amps = np.zeros(psi.grid.n_points), np.zeros(psi.grid.n_points, dtype=complex)
+    rows = (pair for _, b in out._blocks() for pair in zip(b[:, 0], _checked_density(psi.grid, b)[:, 0]))
+    for w, c, (row, density) in zip(out.weights, _gaussian_comb(smear, quad_order)[1], rows, strict=True):
+        values += w * density
+        amps += c * row
+    return PositionDensity(psi.grid, values), _normalized(psi.grid, amps)
+
+
 def coherently_translated(
-    smear: GaussianComponent,
-    psi: WaveFunction,
-    quad_order: int = DEFAULT_QUAD_ORDER,
+    smear: GaussianComponent, psi: WaveFunction, quad_order: int = DEFAULT_QUAD_ORDER
 ) -> WaveFunction:
-    """Coherent (amplitude-level) Gaussian smearing of a wavefunction.
+    """Coherent (amplitude-level) Gaussian smearing of a wavefunction: :func:`smeared_pair`'s packet.
 
     Returns the normalized quadrature of integral da rho(a) psi(x + a); this
     is a pure state, unlike the output of :func:`act_mixed`, and its density
     is always narrower than the channel output for the same smearing width.
-    The rows of ``act_mixed`` are summed as they stream, each with its norm
-    check, under the comb's own weights, not the channel's renormalized ones.
     """
-    out = act_mixed(GroupDensity(((1.0, smear),)), pure_state(psi), quad_order)
-    amps = np.zeros(psi.grid.n_points, dtype=complex)
-    _, weights = _gaussian_comb(smear, quad_order)
-    for w, row in zip(weights, out._rows(), strict=True):
-        _checked_density(psi.grid, row)
-        amps += w * row
-    return _normalized(psi.grid, amps)
+    return smeared_pair(smear, psi, quad_order)[1]
 
 
 def density_distance(d1: PositionDensity, d2: PositionDensity) -> tuple[float, float]:

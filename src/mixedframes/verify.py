@@ -370,12 +370,7 @@ def check_localization_inequality(grid_n: int, quad_order: int) -> list[CheckRes
     for sigma in (0.5, 0.75, 1.0, 2.0):
         for alpha in (0.5, 0.75, 1.0, 2.0):
             packet = qs.gaussian_wavepacket(grid, alpha)
-            mixed = qs.position_density(
-                qs.act_mixed(ga.make_gaussian(0.0, sigma**2), qs.pure_state(packet), quad_order)
-            )
-            coherent = qs.coherently_translated(
-                ga.GaussianComponent(0.0, sigma**2), packet, quad_order
-            )
+            mixed, coherent = qs.smeared_pair(ga.GaussianComponent(0.0, sigma**2), packet, quad_order)
             pure = qs.position_density(qs.pure_state(coherent))
             v_mixed = qs.density_variance(mixed)
             v_pure = qs.density_variance(pure)

@@ -110,7 +110,7 @@ class TestErrorContract:
             (["demo", "galilei-boost", "--v0", "nan"], "v0"),
             (["demo", "semigroup", "--a2", "inf"], "a2"),
             (["figure", "a1a2", "--alpha=1e-300"], "alpha"),
-            (["figure", "gaussian-smear", "--sigma=1e300"], "variance"),
+            (["figure", "gaussian-smear", "--sigma=1e300"], "sigma"),
             # overflows that printed numpy warnings or wrote NaN before
             (["demo", "galilei-boost", "--mass=1.7e308"], "mass"),
             (["demo", "galilei-boost", "--p=1.7e308"], "p=1.7e+308"),
@@ -124,6 +124,8 @@ class TestErrorContract:
             (["demo", "galilei-boost", "--v0", "1e5"], "v0"),
             (["demo", "galilei-boost", "--v0=1e300"], "v0"),
             (["demo", "galilei-boost", "--temperature", "1e-10", "--v0", "100"], "v0"),
+            # sigma * sigma underflows to 0.0
+            (["figure", "gaussian-smear", "--sigma=1e-200"], "sigma"),
         ],
     )
     def test_rejected_input_exits_2_with_one_line(self, tmp_path, capsys, argv, named):

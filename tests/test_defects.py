@@ -224,8 +224,10 @@ DEFECTS = [
         frozenset({"smear_variance_mixed", "smear_variance_pure"}),
     ),
     Defect(
-        "check_localization_inequality", ga, "make_gaussian", "variance-quartered",
-        lambda real: lambda mean, variance: real(mean, variance / 4.0),
+        # the mixed side only: cubed Gaussian weights are a comb at a third of the variance
+        "check_localization_inequality", qs, "act_mixed", "channel-weights-cubed",
+        _channel_with(weights=lambda out: tuple(
+            np.power(out.weights, 3) / np.sum(np.power(out.weights, 3)))),
         frozenset({"smear_variance_mixed", "localization_inequality"}),
     ),
     Defect(

@@ -354,8 +354,8 @@ class TestResidualPositiveControls:
     N = 256
     HBAR = (1.0, 0.7)
 
-    def _ops(self, hbar):
-        return OperatorGrid(PositionGrid(self.N, 40.0), GalileiParams(mass=1.0, time=0.5, hbar=hbar))
+    def _ops(self, hbar, mass=1.0):
+        return OperatorGrid(PositionGrid(self.N, 40.0), GalileiParams(mass=mass, time=0.5, hbar=hbar))
 
     @staticmethod
     def _states(ops):
@@ -372,6 +372,17 @@ class TestResidualPositiveControls:
             return ops.apply_p(amps) + eps * np.roll(amps, 1, axis=-1)
 
         reported = _anti_hermitian(shifted, self.N)
+        assert reported == pytest.approx(eps * math.sqrt(self.N / 2.0), rel=1e-6)
+        assert reported > _verify_bound("galilei_hermiticity")
+
+    @pytest.mark.parametrize("hbar", HBAR)
+    @pytest.mark.parametrize("generator", ["x", "h", "k"])
+    def test_anti_hermitian_part_of_each_shifted_generator(self, hbar, generator):
+        # as for p, under the generator's own key; x is exactly Hermitian, h and k to rounding
+        ops, eps = self._ops(hbar), 1e-6
+        real = getattr(ops, f"apply_{generator}")
+        setattr(ops, f"apply_{generator}", lambda amps: real(amps) + eps * np.roll(amps, 1, axis=-1))
+        reported = ops.hermiticity_residuals()[generator]
         assert reported == pytest.approx(eps * math.sqrt(self.N / 2.0), rel=1e-6)
         assert reported > _verify_bound("galilei_hermiticity")
 
@@ -406,4 +417,35 @@ class TestResidualPositiveControls:
         ops.apply_p = lambda amps: (1.0 + delta) * real(amps)
         reported = commutator_residuals(ops, self._states(ops))["x_p"]
         assert reported == pytest.approx(hbar * delta, rel=1e-6)
+        assert reported > _verify_bound("galilei_brackets")
+
+    @pytest.mark.parametrize("hbar", HBAR)
+    def test_k_p_residual_of_a_boost_generator_of_another_mass(self, hbar):
+        # k' = (m + eps) x - t p: [k', p] - i hbar m = i hbar eps
+        ops, eps = self._ops(hbar), 1e-3
+        real = ops.apply_k
+        ops.apply_k = lambda amps: real(amps) + eps * ops.apply_x(amps)
+        reported = commutator_residuals(ops, self._states(ops))["k_p"]
+        assert reported == pytest.approx(hbar * eps, rel=1e-6)
+        assert reported > _verify_bound("galilei_brackets")
+
+    @pytest.mark.parametrize("hbar", HBAR)
+    def test_k_h_residual_of_a_hamiltonian_with_a_constant_force(self, hbar):
+        # h' = h + eps x: [k, h'] - i hbar p = -t eps [p, x] = i hbar t eps, at t = 0.5
+        ops, eps = self._ops(hbar), 1e-3
+        real = ops.apply_h
+        ops.apply_h = lambda amps: real(amps) + eps * ops.apply_x(amps)
+        reported = commutator_residuals(ops, self._states(ops))["k_h"]
+        assert reported == pytest.approx(hbar * 0.5 * eps, rel=1e-6)
+        assert reported > _verify_bound("galilei_brackets")
+
+    @pytest.mark.parametrize("hbar", HBAR)
+    def test_m_k_residual_of_an_affine_boost_generator(self, hbar):
+        # k' f = k f + eps u, u of unit norm: m k' f - k'(m f) = (m - 1) eps u, so m = 2 reads eps
+        ops, eps = self._ops(hbar, mass=2.0), 1e-3
+        states = self._states(ops)
+        real, u = ops.apply_k, states[0].amplitudes
+        ops.apply_k = lambda amps: real(amps) + eps * u
+        reported = commutator_residuals(ops, states)["m_k"]
+        assert reported == pytest.approx(eps, rel=1e-6)
         assert reported > _verify_bound("galilei_brackets")

@@ -30,7 +30,9 @@ from mixedframes import (
     translate,
     two_gaussian_superposition,
 )
-from mixedframes import analytic, quantum_system
+from mixedframes import analytic, quantum_system, verify
+from mixedframes.cli import DEFAULTS
+from mixedframes.figures import build_figure
 from mixedframes.group_algebra import DiracComponent, GroupDensity, antipode, sample_on_grid
 from mixedframes.quantum_system import density_mean, density_variance
 
@@ -692,6 +694,47 @@ class TestCoherentlyTranslated:
             assert density_variance(pure) == pytest.approx(
                 (sigma**2 + 2 * alpha**2) / 2, abs=1e-6
             )
+
+
+class TestSmearedPair:
+    """``smeared_pair`` against the two paths it replaces, bit for bit, and its one pass."""
+
+    @pytest.mark.parametrize("n, extent", [(256, 25.0), (1024, 40.0)])
+    @pytest.mark.parametrize("order", [16, 33, 64])  # 33 is not a multiple of ROW_BLOCK
+    def test_equals_the_channel_density_and_the_comb_sum(self, n, extent, order):
+        grid = PositionGrid(n, extent)
+        psi = gaussian_wavepacket(grid, 0.75, 0.5)
+        smear = GaussianComponent(0.3, 0.5)
+        mixed, packet = quantum_system.smeared_pair(smear, psi, order)
+        out = act_mixed(GroupDensity(((1.0, smear),)), pure_state(psi), order)
+        assert np.array_equal(mixed.values, position_density(out).values)
+        amps = np.zeros(n, dtype=complex)
+        for c, (_, row) in zip(quantum_system._gaussian_comb(smear, order)[1], out.terms, strict=True):
+            amps += c * row.amplitudes
+        assert np.array_equal(packet.amplitudes, quantum_system._normalized(grid, amps).amplitudes)
+
+    @staticmethod
+    def _passes(monkeypatch) -> list:
+        """The channel outputs whose rows are streamed, one entry per pass."""
+        outputs = []
+        real = quantum_system.ChannelOutput._blocks
+
+        def spy(out, *args, **kwargs):
+            outputs.append(out)
+            return real(out, *args, **kwargs)
+
+        monkeypatch.setattr(quantum_system.ChannelOutput, "_blocks", spy)
+        return outputs
+
+    def test_smear_figure_streams_its_rows_once(self, monkeypatch):
+        outputs = self._passes(monkeypatch)
+        build_figure("gaussian-smear", {**DEFAULTS, "grid_n": 256})
+        assert len(outputs) == 1
+
+    def test_localization_check_streams_each_smearing_once(self, monkeypatch):
+        outputs = self._passes(monkeypatch)
+        verify.check_localization_inequality(256, 64)
+        assert len(outputs) == len(set(map(id, outputs))) == 16  # 4 sigma x 4 alpha
 
 
 class TestDensityDistance:
