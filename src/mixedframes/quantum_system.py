@@ -12,7 +12,7 @@ output's rows costs one forward FFT per input term, a half-spectrum cos
 and sin per offset (at n = 4096, longer than a row's inverse FFT) and one
 inverse FFT per output term, batched ``ROW_BLOCK`` rows to a block; it
 holds one block, and rows are kept only once ``terms`` is read.
-``smeared_pair`` takes one pass for a smearing's mixed density and coherent packet.
+``smeared_pair`` takes one pass for a component's mixed density and coherent packet.
 
 In the momentum basis the channel multiplies the density matrix by the
 characteristic function of its offsets, rho_out(k, k') = rho_in(k, k')
@@ -50,7 +50,7 @@ from .errors import (
     probability_weights,
 )
 from .analytic import gaussian_kernel
-from .group_algebra import GaussianComponent, GroupDensity, make_delta
+from .group_algebra import Component, GroupDensity, make_delta
 from .textio import csv_table
 
 NORM_TOL = 1e-9
@@ -286,8 +286,10 @@ def translate(psi: WaveFunction, a: float) -> WaveFunction:
     return act_mixed(make_delta(a), pure_state(psi)).terms[0][1]
 
 
-def _gaussian_comb(comp: GaussianComponent, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform node comb discretizing a Gaussian smearing component."""
+def _node_comb(comp: Component, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node comb of one component: a Dirac is its one node, a Gaussian ``order`` uniform nodes."""
+    if comp.variance == 0.0:
+        return np.array([comp.mean]), np.array([1.0])
     if order < 16:
         raise DomainError(f"quad_order must be >= 16 for Gaussian components, got {order}")
     sd = math.sqrt(comp.variance)
@@ -304,11 +306,11 @@ def act_mixed(
 ) -> ChannelOutput:
     """Mixed translation channel: average of unitary translations under rho_R.
 
-    Dirac components contribute one translated copy per input term; Gaussian
-    components are discretized by ``quad_order`` nodes on a uniform comb over
-    mean +- 8 sigma with Gaussian weights, which keeps the position-density
-    error of the discretization below 1e-8 at the default order. A sharp
-    translation is the Dirac case, ``act_mixed(make_delta(a), state)``.
+    Every component's offsets come from its node comb: a Dirac's one node;
+    a Gaussian's ``quad_order`` nodes uniform over mean +- 8 sigma with Gaussian
+    weights, which keeps the position-density error of the discretization
+    below 1e-8 at the default order. A sharp translation is the Dirac case,
+    ``act_mixed(make_delta(a), state)``.
     ``quad_order`` must be an integer, even for a Dirac-only density. The
     output size is checked against ``TERM_CAP`` before any comb is built,
     and every offset before any transform. No transform runs here: the
@@ -326,11 +328,8 @@ def act_mixed(
 
     offsets: list[tuple[float, float]] = []
     for w, comp in rho_R.components:
-        if comp.variance == 0.0:
-            offsets.append((w, comp.mean))
-        else:
-            nodes, node_weights = _gaussian_comb(comp, quad_order)
-            offsets.extend(zip(w * node_weights, nodes))
+        nodes, node_weights = _node_comb(comp, quad_order)
+        offsets.extend(zip(w * node_weights, nodes))
     shifts = tuple(float(a) for _, a in offsets)
     widest = max(map(abs, shifts))
     if widest >= 0.5 * state.grid.extent:
@@ -429,28 +428,28 @@ def two_gaussian_superposition(
 
 
 def smeared_pair(
-    smear: GaussianComponent, psi: WaveFunction, quad_order: int
+    smear: Component, psi: WaveFunction, quad_order: int
 ) -> tuple[PositionDensity, WaveFunction]:
-    """A smearing as a channel (mixed density) and coherently (packet) in one pass over the rows
-    ``b[:, 0]`` of ``act_mixed`` on one input term, each norm-checked once: |row|^2 under the
-    channel's weights in :func:`position_density`'s order, the row under the comb's own weights."""
+    """One component as a channel (mixed density) and coherently (packet), a Dirac the sharp pair,
+    in one pass over the rows ``b[:, 0]`` of ``act_mixed`` on one input term, each norm-checked once:
+    |row|^2 under the channel's weights in :func:`position_density`'s order, the row under the comb's."""
     out = act_mixed(GroupDensity(((1.0, smear),)), pure_state(psi), quad_order)
     values, amps = np.zeros(psi.grid.n_points), np.zeros(psi.grid.n_points, dtype=complex)
     rows = (pair for _, b in out._blocks() for pair in zip(b[:, 0], _checked_density(psi.grid, b)[:, 0]))
-    for w, c, (row, density) in zip(out.weights, _gaussian_comb(smear, quad_order)[1], rows, strict=True):
+    for w, c, (row, density) in zip(out.weights, _node_comb(smear, quad_order)[1], rows, strict=True):
         values += w * density
         amps += c * row
     return PositionDensity(psi.grid, values), _normalized(psi.grid, amps)
 
 
 def coherently_translated(
-    smear: GaussianComponent, psi: WaveFunction, quad_order: int = DEFAULT_QUAD_ORDER
+    smear: Component, psi: WaveFunction, quad_order: int = DEFAULT_QUAD_ORDER
 ) -> WaveFunction:
-    """Coherent (amplitude-level) Gaussian smearing of a wavefunction: :func:`smeared_pair`'s packet.
+    """Coherent (amplitude-level) smearing of a wavefunction: :func:`smeared_pair`'s packet.
 
-    Returns the normalized quadrature of integral da rho(a) psi(x + a); this
-    is a pure state, unlike the output of :func:`act_mixed`, and its density
-    is always narrower than the channel output for the same smearing width.
+    Returns the normalized quadrature of integral da rho(a) psi(x + a), a pure
+    state unlike the output of :func:`act_mixed`; a Gaussian's density is always
+    narrower than the channel output's for the same width, a Dirac's is translated.
     """
     return smeared_pair(smear, psi, quad_order)[1]
 

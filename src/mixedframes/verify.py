@@ -95,6 +95,9 @@ def check_semigroup_laws() -> list[CheckResult]:
         invol = max(invol, ga.density_gap(ga.antipode(ga.antipode(r1)), r1))
         chi12, chi1, chi2 = (ga.characteristic_function(r, p_grid) for r in (prod, r1, r2))
         chi_morphism = max(chi_morphism, float(np.max(np.abs(chi12 - chi1 * chi2))))
+    # chi of a point mass at a is exp(-i a p), where a conjugated chi reads up to 2
+    dirac_phase = float(np.max(np.abs([ga.characteristic_function(ga.make_delta(a), p_grid)
+                                       - np.exp(-1j * a * p_grid) for a in (0.7, -2.3, 3.1)])))
     trials = f"n={SEMIGROUP_TRIALS}"
     # a sum of at most 25 rounded weight products is within a few dozen ulps of one; the bound
     # sits below ga.WEIGHT_TOL, so a weight defect reads fail here before any density raises
@@ -105,6 +108,7 @@ def check_semigroup_laws() -> list[CheckResult]:
         CheckResult("semigroup_identity", trials, ident, 1e-12),
         CheckResult("antipode_involution", trials, invol, 1e-12),
         CheckResult("characteristic_morphism", trials, chi_morphism, 1e-10),
+        CheckResult("characteristic_dirac_phase", "a in {0.7 -2.3 3.1}", dirac_phase, 1e-14),
     ]
 
 

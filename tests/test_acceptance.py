@@ -217,6 +217,15 @@ def _verify_child(out, blas_threads: int) -> int:
     return subprocess.run([sys.executable, *args], capture_output=True, env=env).returncode
 
 
+def _against_fixture(report: Path, fixture: str) -> tuple[list[str], list[int]]:
+    """The rows of ``report`` that moved from the committed ``fixture`` (a row that moves has to be
+    named on purpose), and the field counts a CSV reader finds on its lines (five when well formed)."""
+    committed = (Path(__file__).parent / "fixtures" / fixture).read_text()
+    lines = report.read_text().splitlines()
+    moved = sorted({line.split(",")[0] for line in set(committed.splitlines()) ^ set(lines)})
+    return moved, sorted({len(row) for row in csv.reader(lines)})
+
+
 def test_criterion_9_verify_determinism(tmp_path, capsys):
     clock = _Clock(120.0)
     out_a, out_b = tmp_path / "runA", tmp_path / "runB"
@@ -232,13 +241,7 @@ def test_criterion_9_verify_determinism(tmp_path, capsys):
     across_threads = codes == (0, 0) and all(
         len({(out / f).read_bytes() for out in (out_a, *runs.values())}) == 1 for f in files
     )
-    # the committed report, row by row: a row that moves has to be named on purpose
-    committed = (Path(__file__).parent / "fixtures" / "verify_report_256.csv").read_text()
-    report = (out_a / "verify_report.csv").read_text().splitlines()
-    lines = set(committed.splitlines()) ^ set(report)
-    moved = sorted({line.split(",")[0] for line in lines})
-    # well-formed CSV: a reader finds the header's five fields on every line
-    widths = sorted({len(row) for row in csv.reader(report)})
+    moved, widths = _against_fixture(out_a / "verify_report.csv", "verify_report_256.csv")
     ok = code_a == 0 and code_b == 0 and identical and across_threads and not moved and widths == [5]
     with capsys.disabled():
         _report(
@@ -248,4 +251,19 @@ def test_criterion_9_verify_determinism(tmp_path, capsys):
             f"exit=({code_a},{code_b}) identical={identical} "
             f"children={codes} identical_across_blas_threads={across_threads} "
             f"moved_from_fixture={moved} fields_per_line={widths}",
+        )
+
+
+def test_criterion_9_default_grid_report(tmp_path, capsys):
+    """One in-process ``verify`` at the default grid against the committed report, row by row."""
+    clock = _Clock(60.0)
+    code = main(["verify", "--out", str(tmp_path)])
+    capsys.readouterr()
+    moved, widths = _against_fixture(tmp_path / "verify_report.csv", "verify_report_4096.csv")
+    with capsys.disabled():
+        _report(
+            "9 default-grid report",
+            code == 0 and not moved and widths == [5],
+            clock,
+            f"exit={code} moved_from_fixture={moved} fields_per_line={widths}",
         )

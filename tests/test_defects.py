@@ -164,6 +164,12 @@ DEFECTS = [
         }),
     ),
     Defect(
+        # a conjugated chi still multiplies under convolution: only the Dirac phase row sees it
+        "check_semigroup_laws", ga, "characteristic_function", "chi-conjugated",
+        lambda real: lambda rho, p: np.conj(real(rho, p)),
+        frozenset({"characteristic_dirac_phase"}),
+    ),
+    Defect(
         "check_semigroup_laws", ga, "antipode", "reflects-gaussians-to-points",
         lambda real: lambda rho: real(_as_diracs(rho)),
         frozenset({"antipode_involution"}),
@@ -219,7 +225,7 @@ DEFECTS = [
         frozenset({"state_normalization"}),
     ),
     Defect(
-        "check_localization_inequality", qs, "_gaussian_comb", "comb-at-half-the-variance",
+        "check_localization_inequality", qs, "_node_comb", "comb-at-half-the-variance",
         _kernel_squared,
         frozenset({"smear_variance_mixed", "smear_variance_pure"}),
     ),
@@ -248,7 +254,7 @@ DEFECTS = [
         }),
     ),
     Defect(
-        "check_figures", qs, "_gaussian_comb", "comb-at-half-the-variance",
+        "check_figures", qs, "_node_comb", "comb-at-half-the-variance",
         _kernel_squared,
         frozenset({"figure_smear_closed_form"}),
     ),

@@ -379,7 +379,7 @@ def _stored_channel(rho, state, quad_order):
         if isinstance(comp, ga.DiracComponent):
             offsets.append((w, comp.location))
         else:
-            nodes, node_weights = qs._gaussian_comb(comp, quad_order)
+            nodes, node_weights = qs._node_comb(comp, quad_order)
             offsets.extend(zip(w * node_weights, nodes))
     total = math.fsum(wa * wt for wa, _ in offsets for wt, _ in state.terms)
     terms = tuple(

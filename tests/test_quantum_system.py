@@ -203,7 +203,7 @@ class TestActMixed:
             if isinstance(comp, DiracComponent):
                 offsets.append((w, comp.location))
             else:
-                nodes, node_weights = quantum_system._gaussian_comb(comp, 24)
+                nodes, node_weights = quantum_system._node_comb(comp, 24)
                 offsets.extend(zip(w * node_weights, nodes))
         expected = [(wa * wt, a, psi) for wa, a in offsets for wt, psi in state.terms]
         total = math.fsum(w for w, _, _ in expected)
@@ -297,7 +297,7 @@ class TestActMixed:
         def no_comb(*args):
             raise AssertionError("node comb built before the term-cap check")
 
-        monkeypatch.setattr(quantum_system, "_gaussian_comb", no_comb)
+        monkeypatch.setattr(quantum_system, "_node_comb", no_comb)
         psi = gaussian_wavepacket(grid, 0.75)
         with pytest.raises(ResourceLimitError):
             act_mixed(make_gaussian(0.0, 1.0), pure_state(psi), quad_order=10**6)
@@ -307,7 +307,7 @@ class TestActMixed:
             raise AssertionError("node comb or FFT before the term-cap check")
 
         psi = gaussian_wavepacket(grid, 0.75)
-        monkeypatch.setattr(quantum_system, "_gaussian_comb", fail)
+        monkeypatch.setattr(quantum_system, "_node_comb", fail)
         monkeypatch.setattr(quantum_system.np.fft, "fft", fail)
         with pytest.raises(ResourceLimitError):
             coherently_translated(GaussianComponent(0.0, 1.0), psi, 10**6)
@@ -660,7 +660,7 @@ class TestCoherentlyTranslated:
     def test_equals_the_sequential_translate_sum(self, grid):
         psi = gaussian_wavepacket(grid, 0.75, 0.5)
         smear = GaussianComponent(0.3, 0.5)
-        nodes, weights = quantum_system._gaussian_comb(smear, 33)
+        nodes, weights = quantum_system._node_comb(smear, 33)
         amps = np.zeros(grid.n_points, dtype=complex)
         for w, a in zip(weights, nodes):
             amps += w * spectral_shift(psi, a)
@@ -701,15 +701,17 @@ class TestSmearedPair:
 
     @pytest.mark.parametrize("n, extent", [(256, 25.0), (1024, 40.0)])
     @pytest.mark.parametrize("order", [16, 33, 64])  # 33 is not a multiple of ROW_BLOCK
-    def test_equals_the_channel_density_and_the_comb_sum(self, n, extent, order):
+    @pytest.mark.parametrize(
+        "smear", [GaussianComponent(0.3, 0.5), DiracComponent(0.3)], ids=["gaussian", "dirac"]
+    )
+    def test_equals_the_channel_density_and_the_comb_sum(self, n, extent, order, smear):
         grid = PositionGrid(n, extent)
         psi = gaussian_wavepacket(grid, 0.75, 0.5)
-        smear = GaussianComponent(0.3, 0.5)
         mixed, packet = quantum_system.smeared_pair(smear, psi, order)
         out = act_mixed(GroupDensity(((1.0, smear),)), pure_state(psi), order)
         assert np.array_equal(mixed.values, position_density(out).values)
         amps = np.zeros(n, dtype=complex)
-        for c, (_, row) in zip(quantum_system._gaussian_comb(smear, order)[1], out.terms, strict=True):
+        for c, (_, row) in zip(quantum_system._node_comb(smear, order)[1], out.terms, strict=True):
             amps += c * row.amplitudes
         assert np.array_equal(packet.amplitudes, quantum_system._normalized(grid, amps).amplitudes)
 
