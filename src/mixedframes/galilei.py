@@ -32,7 +32,7 @@ from .errors import DomainError, GridMismatchError, ResourceLimitError, finite, 
 from . import group_algebra as ga
 from .analytic import gaussian_kernel
 from .quantum_system import PositionGrid, WaveFunction, _normalized, translate
-from .thermal import MomentumGrid, MomentumMixture
+from .thermal import GRID_NORM_TOL, MomentumGrid, MomentumMixture
 
 # bounds the n^2 / 4 complex entries the Hermiticity check keeps alive: 16 MiB at 2048
 DENSE_SIZE_CAP = 2048
@@ -90,6 +90,8 @@ class OperatorGrid:
         self.params = params
         self._x = grid.points()
         self._k = grid.wavenumbers()
+        self._p = params.hbar * self._k  # momentum and kinetic energy multipliers, formed once
+        self._kinetic = self._p ** 2 / (2.0 * params.mass)
 
     def hermiticity_residuals(self) -> dict[str, float]:
         """Anti-Hermitian part of each generator's dense matrix, read from its map by
@@ -104,11 +106,10 @@ class OperatorGrid:
         return self._x * amps
 
     def apply_p(self, amps: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(self.params.hbar * self._k * np.fft.fft(amps))
+        return np.fft.ifft(self._p * np.fft.fft(amps))
 
     def apply_h(self, amps: np.ndarray) -> np.ndarray:
-        kinetic = (self.params.hbar * self._k) ** 2 / (2.0 * self.params.mass)
-        return np.fft.ifft(kinetic * np.fft.fft(amps))
+        return np.fft.ifft(self._kinetic * np.fft.fft(amps))
 
     def apply_k(self, amps: np.ndarray) -> np.ndarray:
         return self.params.mass * self.apply_x(amps) - self.params.time * self.apply_p(amps)
@@ -344,5 +345,10 @@ def boost_mixed(
     # halves first: q[0] + q[-1] can overflow where each half cannot
     grid = MomentumGrid(n_points=q.size, p_max=q[-1] / 2.0 - q[0] / 2.0,
                         center=float(q[0] / 2.0 + q[-1] / 2.0))
+    # the weights integrate to one over steps dq, the grid over its own spacing: a |p| far
+    # above the spread rounds the ends of p + m*v apart from the span of the steps
+    if not abs(grid.spacing / dq - 1.0) <= 0.5 * GRID_NORM_TOL:
+        raise DomainError(f"p={p!r} is too large for the momentum step m*dv={float(dq)!r}: rounding "
+                          f"p + m*v changes the grid spacing to {float(grid.spacing)!r}")
     return MomentumMixture(grid, weights)
 

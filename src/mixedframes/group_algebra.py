@@ -198,22 +198,39 @@ def characteristic_function(rho: GroupDensity, p: np.ndarray) -> np.ndarray:
 
     Each component adds ``w exp(-i mean p - variance p^2 / 2)``; a Dirac is the
     variance-0 case, whose decay ``0.5 * 0.0 * p * p`` is +0.0 even where
-    ``p * p`` overflows. Any array of finite points is accepted; the one input
-    check is that the largest phase ``mean * p`` is finite, which also rejects
-    NaN and infinite points with :class:`DomainError`.
+    ``p * p`` overflows. The exponentials of all components are one
+    components x points array, and their weighted rows are added in component
+    order. Any array of finite points is accepted; the one input check is that
+    the largest phase ``mean * p`` is finite, which also rejects NaN and
+    infinite points with :class:`DomainError`.
     """
     p = np.asarray(p, dtype=float)
     far = max(abs(c.mean) for _, c in rho.components)
     # Python floats: the product is inf or NaN without a numpy warning
-    widest = float(np.max(np.abs(p), initial=0.0))
+    widest = float(np.abs(p).max(initial=0.0))
     finite(f"phase location*p at location {far!r} and |p| {widest!r}", far * widest)
-    values = np.zeros(p.shape, dtype=complex)
+    return _chi(_columns(rho), p)
+
+
+def _columns(rho: GroupDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weights, phase factors ``-1j * mean`` and decay factors ``0.5 * variance``
+    of the components, one entry per component, for :func:`_chi`."""
+    weights, means, variances = np.array([(w, c.mean, c.variance) for w, c in rho.components]).T
+    return weights, -1j * means, 0.5 * variances
+
+
+def _chi(columns: tuple[np.ndarray, np.ndarray, np.ndarray], p: np.ndarray) -> np.ndarray:
+    """chi at float points ``p`` whose phases are finite, from :func:`_columns`."""
+    weights, phases, decays = (x.reshape((-1,) + (1,) * p.ndim) for x in columns)
+    terms = phases * p
     # a decay that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
-        for w, c in rho.components:
-            term = np.asarray(-1j * c.mean * p)  # a 0-d p gives a scalar, whose parts are read-only
-            term.real -= 0.5 * c.variance * p * p
-            values += w * np.exp(term, out=term)
+        terms.real -= decays * p * p
+        np.exp(terms, out=terms)
+    terms *= weights
+    values = np.zeros(p.shape, dtype=complex)
+    for row in terms:
+        values += row
     return values
 
 
@@ -227,8 +244,12 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
 
     ``|chi(-p)| = |chi(p)|`` for a real density, so only ``0 <= p <= band``
     is scanned, at ``(SCAN_POINTS + 1) // 2`` points: the spacing of a
-    ``SCAN_POINTS``-point scan of the full range. The candidates are the two
-    ends and every interior sample no larger than its neighbours. Each
+    ``SCAN_POINTS``-point scan of the full range. The interior samples turn
+    each component's phase by one fixed rotation per point
+    (:func:`_rotated_chi`); they only choose brackets, and the two ends and
+    every probe below are :func:`characteristic_function`'s values. The
+    candidates are the two ends and every interior sample no larger than its
+    neighbours. Each
     interior candidate's bracket ``[p[i-1], p[i+1]]`` is refined by golden-
     section search (Brent, *Algorithms for Minimization without
     Derivatives*, 1973), all brackets at once on numpy arrays, until every
@@ -249,24 +270,32 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
 def _min_modulus(rho: GroupDensity, band: float) -> tuple[float, float]:
     """Least ``|chi|`` over ``0 <= p <= band`` and its witness; see :func:`is_invertible`."""
 
+    columns = _columns(rho)
+
     def abs2(p: np.ndarray) -> np.ndarray:
-        return np.abs(characteristic_function(rho, p)) ** 2
+        return np.abs(_chi(columns, p)) ** 2
 
     grid = np.linspace(0.0, band, (SCAN_POINTS + 1) // 2)
-    vals = abs2(grid)
+    vals = np.empty(grid.size)
+    # the ends check the largest phase before the scan, and every probe lies between them
+    vals[[0, -1]] = np.abs(characteristic_function(rho, grid[[0, -1]])) ** 2
+    vals[1:-1] = np.abs(_rotated_chi(rho, grid[1:-1])) ** 2
     interior = np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
     # golden section on every bracket [a, b] at once, with probes a < c < d < b
     a, b = grid[interior - 1], grid[interior + 1]
-    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    width = b - a
+    c, d = b - GOLDEN * width, a + GOLDEN * width
     fc, fd = abs2(c), abs2(d)
     eps4 = 4.0 * np.finfo(float).eps
     for _ in range(GOLDEN_MAX_STEPS):
-        if np.all(b - a < 1e-10 + eps4 * b):
+        if (width < 1e-10 + eps4 * b).all():
             break
         left = fc < fd  # the minimum lies in [a, d]; otherwise in [c, b]
         a, b = np.where(left, a, c), np.where(left, d, b)
         kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
-        probe = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        width = b - a
+        step = GOLDEN * width
+        probe = np.where(left, b - step, a + step)
         f_probe = abs2(probe)
         c, fc = np.where(left, probe, kept), np.where(left, f_probe, f_kept)
         d, fd = np.where(left, kept, probe), np.where(left, f_kept, f_probe)
@@ -274,6 +303,30 @@ def _min_modulus(rho: GroupDensity, band: float) -> tuple[float, float]:
     moduli = np.sqrt(np.maximum(np.concatenate(([vals[0], vals[-1]], np.minimum(fc, fd))), 0.0))
     least = float(np.min(moduli))
     return least, float(np.min(points[moduli <= least + 1e-9]))
+
+
+def _rotated_chi(rho: GroupDensity, p: np.ndarray) -> np.ndarray:
+    """chi at the uniform points ``p = dp, 2 dp, ...``, for the scan of :func:`_min_modulus`.
+
+    Each component's phase turns by ``r = exp(-i mean dp)`` from one point to
+    the next, times its real envelope ``exp(-variance p^2 / 2)``, so the scan
+    takes one complex exponential per block of ``B`` (about ``sqrt(len(p))``)
+    points, not per point: the point ``j dp`` with ``j = aB + b``, ``1 <= b <= B``,
+    gets ``exp(-i mean aB dp) r^b``, and ``r^b`` is a cumulative product whose
+    relative error stays near ``B eps``. The decay keeps
+    ``-0.5 * variance * p * p`` in that order: a Dirac's is -0.0 even where
+    ``p * p`` overflows.
+    """
+    block = math.isqrt(p.size) + 1
+    step = float(p[0])
+    starts = np.arange(-(-p.size // block)) * (block * step)  # aB dp, one per block
+    values = np.zeros(p.size, dtype=complex)
+    with np.errstate(over="ignore"):
+        for w, c in rho.components:
+            near = np.cumprod(np.full(block, np.exp(-1j * c.mean * step)))  # r^1 .. r^B
+            turns = np.multiply.outer(w * np.exp(-1j * c.mean * starts), near).ravel()[:p.size]
+            values += np.exp(-0.5 * c.variance * p * p) * turns
+    return values
 
 
 def is_pure(rho: GroupDensity) -> bool:

@@ -109,7 +109,7 @@ def _checked_density(grid: PositionGrid, amps: np.ndarray) -> np.ndarray:
     return density
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveFunction:
     """Unit-norm complex amplitudes on a position grid."""
 
@@ -128,7 +128,7 @@ class WaveFunction:
         return self.grid.norm(self.amplitudes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureMixture:
     """Convex combination of wavefunctions sharing one grid."""
 
@@ -148,7 +148,7 @@ def pure_state(psi: WaveFunction) -> PureMixture:
     return PureMixture(psi.grid, ((1.0, psi),))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositionDensity:
     """Probability density of position on a grid; integrates to one."""
 

@@ -85,7 +85,7 @@ class MomentumGrid:
         return float(np.sum(values)) * self.spacing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentumMixture:
     """Diagonal mixed state over a momentum grid; weights integrate to one."""
 

@@ -419,6 +419,54 @@ class TestInvertibility:
             is_invertible(make_delta(0.0), band=1.0, floor=2.0)
 
 
+def _library_products(rng, count):
+    """Products of two or three densities of one to three components, as perfbench's
+    ``library`` sessions convolve them; the pure ones are dropped."""
+    products = []
+    while len(products) < count:
+        factors = [random_density(rng, 3) for _ in range(int(rng.integers(2, 4)))]
+        product = factors[0]
+        for rho in factors[1:]:
+            product = convolve(product, rho)
+        if not is_pure(product):
+            products.append(product)
+    return products
+
+
+# |chi| is flat to rounding past p = 8 here: the Gaussians' tails are below 1e-12,
+# so which samples of the plateau are local minima depends on the scan's rounding
+FLAT_TAIL = GroupDensity((
+    (0.42374008541926755, DiracComponent(-0.8474131377351384)),
+    (0.37614103946877075, GaussianComponent(-1.5141274582431437, 0.9759300882520227)),
+    (0.20011887511196166, GaussianComponent(-0.6639343414057448, 0.808336304381043)),
+))
+
+
+class TestRotationScan:
+    """The scan of ``_min_modulus`` against the full-grid scan it replaced."""
+
+    @staticmethod
+    def full_grid_scan(monkeypatch, rho, band):
+        """``_min_modulus`` with every scan point through ``characteristic_function``:
+        the full-grid scan, bit for bit, sharing the golden-section refinement."""
+        with monkeypatch.context() as patch:
+            patch.setattr(ga, "_rotated_chi", characteristic_function)
+            return ga._min_modulus(rho, band)
+
+    @pytest.mark.parametrize("rho", [*_library_products(np.random.default_rng(30), 60), FLAT_TAIL])
+    def test_matches_the_full_grid_scan(self, monkeypatch, rho):
+        band = 10.0
+        least, witness = ga._min_modulus(rho, band)
+        ref_least, ref_witness = self.full_grid_scan(monkeypatch, rho, band)
+        assert least == ref_least
+        assert is_invertible(rho, band, 1e-3)[0] == (ref_least >= 1e-3)
+        if witness != ref_witness:
+            # only along a stretch where |chi| stays within the witness tolerance of the least
+            lo, hi = sorted((witness, ref_witness))
+            p = np.linspace(lo, hi, 201)
+            assert np.max(np.abs(characteristic_function(rho, p))) <= least + 1e-9
+
+
 class TestSemigroupProperties:
     def test_associativity_and_commutativity(self):
         rng = np.random.default_rng(100)

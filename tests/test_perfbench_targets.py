@@ -68,3 +68,18 @@ def test_components_keep_the_shape_the_library_session_reads():
     assert not hasattr(gauss, "location")
     pairs = ga.GroupDensity(((0.5, dirac), (0.5, gauss))).components
     assert pairs == ((0.5, dirac), (0.5, gauss))
+
+
+def test_library_sessions_at_n_1024_pass_the_session_checks(tmp_path):
+    """The n = 1024 sessions of the first ``library`` block (seed 1) run through the
+    benchmark's own ``run_session`` and ``check_session``, so a change that breaks the
+    session contract fails here, not only in a benchmark run."""
+    import mixedframes
+    import mixedframes.textio  # noqa: F401  (run_session writes through it)
+
+    workloads = _load("workloads")
+    block = [params for params in workloads.library_inputs(1)[0] if params["n"] == 1024]
+    assert block
+    for params in block:
+        session = workloads.build_session(mixedframes, params, tmp_path / "session.csv")
+        assert workloads.check_session(session, workloads.run_session(mixedframes, session)) == []

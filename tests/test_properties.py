@@ -307,6 +307,41 @@ def test_golden_section_scan_matches_the_brent_reference(case, floor):
 
 
 @st.composite
+def rotation_cases(draw):
+    """A band from 1e-3 to 1e301 and one to six components whose phases reach
+    |mean| * band up to 1e4. Gaussian variances from 1e-300 to 1e3 put the decay
+    anywhere from none to underflow, and past a band of 1.3e154 p * p overflows
+    under every Dirac."""
+    band = 10.0 ** draw(st.floats(-3.0, 301.0))
+    raw = []
+    for _ in range(draw(st.integers(1, 6))):
+        mean = draw(st.floats(-1.0, 1.0)) * 10.0 ** draw(st.floats(-2.0, 4.0)) / band
+        if draw(st.booleans()):
+            comp = ga.DiracComponent(mean)
+        else:
+            comp = ga.GaussianComponent(mean, 10.0 ** draw(st.floats(-300.0, 3.0)))
+        raw.append((draw(st.floats(0.05, 1.0)), comp))
+    total = math.fsum(w for w, _ in raw)
+    return band, ga.GroupDensity(tuple((w / total, c) for w, c in raw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotation_cases())
+@example((1e301, ga.GroupDensity(((0.5, ga.DiracComponent(0.0)), (0.5, ga.DiracComponent(1e-300))))))
+def test_rotation_scan_matches_the_direct_chi(case):
+    """The scan's |chi|^2 stays within a few eps of ``characteristic_function``'s,
+    per point of the cumulative products and per radian of the largest phase."""
+    band, rho = case
+    p = np.linspace(0.0, band, (ga.SCAN_POINTS + 1) // 2)[1:-1]
+    rotated = np.abs(ga._rotated_chi(rho, p)) ** 2
+    direct = np.abs(ga.characteristic_function(rho, p)) ** 2
+    phase = max(abs(c.mean) for _, c in rho.components) * band
+    eps = np.finfo(float).eps
+    assert np.all(np.isfinite(rotated))
+    assert np.max(np.abs(rotated - direct)) <= 8.0 * eps * (math.isqrt(p.size) + phase)
+
+
+@st.composite
 def channel_inputs(draw):
     """A mixture of one to three packets and a smearing density of one to three components."""
     terms = [
@@ -738,6 +773,8 @@ EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, -1e300)
 @example(("figure", "a1a2"), {"extent": 1e300, "alpha": 1.3407807929942597e154})
 @example(("figure", "a1a2"), {"extent": 1e300, "a2": 1.3407807929942597e154})
 @example(("demo", "galilei-boost"), {"temperature": 1e-300, "mass": 1e-300})
+# a NormalizationError: p far above the spread rounds the boosted grid's ends
+@example(("demo", "galilei-boost"), {"p": 2.1967353362417953e158, "temperature": 1e300})
 # exit 0 with non-finite output: an overflowing energy density, a closed-form
 # normalizer that cancels to 0, a packet on one grid point
 @example(("demo", "thermal"), {"temperature": 1e-261})

@@ -798,6 +798,35 @@ class TestChannelInvariants:
         assert density_mean(out) == pytest.approx(-1.2, abs=1e-8)
 
 
+def _array_records(grid):
+    """Builders of each frozen dataclass that holds a numpy array, from one float."""
+    from mixedframes.thermal import ThermalParameters, thermal_state
+
+    def wave(center):
+        return gaussian_wavepacket(grid, 0.8, center)
+
+    return {
+        "WaveFunction": wave,
+        "PureMixture": lambda center: pure_state(wave(center)),
+        "PositionDensity": lambda center: position_density(pure_state(wave(center))),
+        "MomentumMixture": lambda x: thermal_state(ThermalParameters(1.0, 1.0 + x), MomentumGrid(201, 20.0)),
+    }
+
+
+class TestArrayRecords:
+    """Records that hold arrays compare and hash by identity, as ``ChannelOutput`` does:
+    a generated ``==`` would compare arrays elementwise and raise, and the generated
+    ``__hash__`` would hash an unhashable array."""
+
+    @pytest.mark.parametrize("name", ["WaveFunction", "PureMixture", "PositionDensity", "MomentumMixture"])
+    def test_compare_and_hash_by_identity(self, grid, name):
+        make = _array_records(grid)[name]
+        a, b, same_values = make(0.0), make(1.0), make(0.0)
+        assert type(a).__name__ == name
+        assert a == a and a != b and a != same_values
+        assert len({a, b, same_values, a}) == 3
+
+
 class TestCsvExports:
     def test_density_export_matches_columns_csv_across_grids(self):
         from mixedframes.quantum_system import _x_cells, position_density_csv
