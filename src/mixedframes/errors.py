@@ -1,8 +1,52 @@
-"""Exception types shared across the package, and the input checks that raise them."""
+"""Exception types shared across the package, the input checks that raise them,
+and the base class of the package's immutable records."""
 
 import math
 import operator
 from typing import Sequence
+
+
+class Frozen:
+    """Base of the package's immutable records.
+
+    A subclass names its fields, in order, in ``_fields``; its ``__init__``
+    validates them and stores each with ``object.__setattr__``. After that,
+    assignment and deletion raise ``AttributeError``. ``repr`` reads
+    ``Name(field=value!r, ...)``. ``==`` and ``hash`` compare the tuple of
+    fields of two instances of one class, unless the subclass is declared with
+    ``eq=False``: then they are identity's, as for a record that holds arrays.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+            return
+        fields = operator.attrgetter(*cls._fields)  # the field tuple, read in C
+        # attrgetter of a single name returns the bare value, not its 1-tuple
+        key = fields if len(cls._fields) > 1 else lambda self: (fields(self),)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return self is other or key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
 
 
 class NormalizationError(ValueError):

@@ -10,7 +10,6 @@ emitted curves match the closed forms of :mod:`mixedframes.analytic`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import analytic
 from . import group_algebra as ga
 from . import quantum_system as qs
 from . import thermal as th
-from .errors import DomainError, ResourceLimitError, positive
+from .errors import DomainError, Frozen, ResourceLimitError, positive
 from .galilei import GalileiParams, boost_mixed
 from .textio import columns_csv, csv_table, fmt, write_metadata, write_text_atomic
 
@@ -32,13 +31,15 @@ DEMO_ENERGY_POINTS = 2000
 LOADED_COMPONENT_CAP = 16  # N components give N^2 in the product that is convolved and scanned
 
 
-@dataclass(frozen=True)
-class Artifact:
+class Artifact(Frozen):
     """Named set of output files: (filename, content) pairs plus metadata."""
 
-    name: str
-    files: tuple[tuple[str, str], ...]
-    metadata: dict
+    _fields = ("name", "files", "metadata")
+
+    def __init__(self, name: str, files: tuple[tuple[str, str], ...], metadata: dict) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "files", files)
+        object.__setattr__(self, "metadata", metadata)
 
 
 def write_artifact(artifact: Artifact, out_dir: Path) -> list[Path]:

@@ -24,11 +24,10 @@ which are convention-free; see :func:`relative_boost_phase`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, ResourceLimitError, finite, positive
+from .errors import DomainError, Frozen, GridMismatchError, ResourceLimitError, finite, positive
 from . import group_algebra as ga
 from .analytic import gaussian_kernel
 from .quantum_system import PositionGrid, WaveFunction, _normalized, translate
@@ -50,29 +49,28 @@ def expm(a: np.ndarray) -> np.ndarray:
     return dense_expm(a)
 
 
-@dataclass(frozen=True)
-class GalileiParams:
+class GalileiParams(Frozen):
     """Mass, the fixed boost instant t, and hbar."""
 
-    mass: float
-    time: float
-    hbar: float = 1.0
+    _fields = ("mass", "time", "hbar")
 
-    def __post_init__(self) -> None:
-        positive("mass", self.mass)
-        finite("time", self.time)
-        positive("hbar", self.hbar)
+    def __init__(self, mass: float, time: float, hbar: float = 1.0) -> None:
+        positive("mass", mass)
+        finite("time", time)
+        positive("hbar", hbar)
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "hbar", hbar)
 
 
-@dataclass(frozen=True)
-class MomentumEigenLabel:
+class MomentumEigenLabel(Frozen):
     """Momentum eigenvalue plus an accumulated phase, canonical in [0, 2 pi)."""
 
-    momentum: float
-    phase: float
+    _fields = ("momentum", "phase")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
+    def __init__(self, momentum: float, phase: float) -> None:
+        object.__setattr__(self, "momentum", momentum)
+        object.__setattr__(self, "phase", float(phase) % TWO_PI)
 
 
 class OperatorGrid:

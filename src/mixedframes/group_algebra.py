@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .analytic import norm_pdf
-from .errors import DomainError, QuadratureError, finite, positive, probability_weights
+from .errors import DomainError, Frozen, QuadratureError, finite, positive, probability_weights
 
 WEIGHT_TOL = 1e-12
 MATCH_TOL = 1e-10
@@ -34,54 +33,53 @@ QUAD_NODES = 10  # Gauss-Legendre nodes per panel of evaluate's adaptive rule
 QUAD_MAX_SPLITS = 200
 
 
-@dataclass(frozen=True)
-class DiracComponent:
+class DiracComponent(Frozen):
     """Point mass delta(a - location), read as mean ``location`` and variance 0.0."""
 
-    location: float
-    variance: ClassVar[float] = 0.0
+    _fields = ("location",)
+    variance = 0.0
 
-    def __post_init__(self) -> None:
-        finite("Dirac location", self.location)
+    def __init__(self, location: float) -> None:
+        finite("Dirac location", location)
+        object.__setattr__(self, "location", location)
 
     @property
     def mean(self) -> float:
         return self.location
 
 
-@dataclass(frozen=True)
-class GaussianComponent:
+class GaussianComponent(Frozen):
     """Normal density with the given mean and variance (sigma squared)."""
 
-    mean: float
-    variance: float
+    _fields = ("mean", "variance")
 
-    def __post_init__(self) -> None:
-        finite("Gaussian mean", self.mean)
-        positive("Gaussian variance", self.variance)
+    def __init__(self, mean: float, variance: float) -> None:
+        finite("Gaussian mean", mean)
+        positive("Gaussian variance", variance)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "variance", variance)
 
 
 Component = DiracComponent | GaussianComponent
 WeightedComponent = tuple[float, Component]
 
 
-@dataclass(frozen=True)
-class GroupDensity:
+class GroupDensity(Frozen):
     """Normalized probability density on the translation group.
 
     ``components`` is an ordered list of ``(weight, component)`` pairs with
     positive weights summing to one.
     """
 
-    components: tuple[WeightedComponent, ...]
+    _fields = ("components",)
 
-    def __post_init__(self) -> None:
-        comps = tuple((float(w), c) for w, c in self.components)
-        object.__setattr__(self, "components", comps)
+    def __init__(self, components: tuple[WeightedComponent, ...]) -> None:
+        comps = tuple((float(w), c) for w, c in components)
         probability_weights("component weights", [w for w, _ in comps], WEIGHT_TOL)
         for _, comp in comps:
             if not isinstance(comp, (DiracComponent, GaussianComponent)):
                 raise TypeError(f"unsupported component type {type(comp).__name__}")
+        object.__setattr__(self, "components", comps)
 
 
 def _canonical(triples: Iterable[tuple[float, float, float]]) -> tuple[WeightedComponent, ...]:

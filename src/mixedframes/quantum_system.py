@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .errors import (
     DomainError,
+    Frozen,
     GridMismatchError,
     NormalizationError,
     ResourceLimitError,
@@ -66,19 +66,18 @@ ROW_BLOCK = 8
 COMB_HALF_WIDTH = 8.0
 
 
-@dataclass(frozen=True)
-class PositionGrid:
+class PositionGrid(Frozen):
     """Periodic position grid with points x_j = -L/2 + j * dx."""
 
-    n_points: int
-    extent: float
+    _fields = ("n_points", "extent")
 
-    def __post_init__(self) -> None:
-        n = integer("n_points", self.n_points)
-        object.__setattr__(self, "n_points", n)
-        object.__setattr__(self, "extent", positive("extent", self.extent))
+    def __init__(self, n_points: int, extent: float) -> None:
+        n = integer("n_points", n_points)
+        extent = positive("extent", extent)
         if n < 64 or n & (n - 1):
             raise DomainError(f"n_points must be a power of two >= 64, got {n}")
+        object.__setattr__(self, "n_points", n)
+        object.__setattr__(self, "extent", extent)
 
     @property
     def spacing(self) -> float:
@@ -109,38 +108,36 @@ def _checked_density(grid: PositionGrid, amps: np.ndarray) -> np.ndarray:
     return density
 
 
-@dataclass(frozen=True, eq=False)
-class WaveFunction:
+class WaveFunction(Frozen, eq=False):
     """Unit-norm complex amplitudes on a position grid."""
 
-    grid: PositionGrid
-    amplitudes: np.ndarray
+    _fields = ("grid", "amplitudes")
 
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.grid.n_points,):
+    def __init__(self, grid: PositionGrid, amplitudes: np.ndarray) -> None:
+        amps = np.array(amplitudes, dtype=complex)
+        if amps.shape != (grid.n_points,):
             raise ValueError("amplitudes must match the grid size")
-        _checked_density(self.grid, amps)
+        _checked_density(grid, amps)
         amps.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
         return self.grid.norm(self.amplitudes)
 
 
-@dataclass(frozen=True, eq=False)
-class PureMixture:
+class PureMixture(Frozen, eq=False):
     """Convex combination of wavefunctions sharing one grid."""
 
-    grid: PositionGrid
-    terms: tuple[tuple[float, WaveFunction], ...]
+    _fields = ("grid", "terms")
 
-    def __post_init__(self) -> None:
-        terms = tuple((float(w), psi) for w, psi in self.terms)
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, grid: PositionGrid, terms: tuple[tuple[float, WaveFunction], ...]) -> None:
+        terms = tuple((float(w), psi) for w, psi in terms)
         probability_weights("mixture weights", [w for w, _ in terms], NORM_TOL)
-        if any(psi.grid != self.grid for _, psi in terms):
+        if any(psi.grid != grid for _, psi in terms):
             raise GridMismatchError("all terms must share the mixture grid")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "terms", terms)
 
 
 def pure_state(psi: WaveFunction) -> PureMixture:
@@ -148,23 +145,22 @@ def pure_state(psi: WaveFunction) -> PureMixture:
     return PureMixture(psi.grid, ((1.0, psi),))
 
 
-@dataclass(frozen=True, eq=False)
-class PositionDensity:
+class PositionDensity(Frozen, eq=False):
     """Probability density of position on a grid; integrates to one."""
 
-    grid: PositionGrid
-    values: np.ndarray
+    _fields = ("grid", "values")
 
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.shape != (self.grid.n_points,):
+    def __init__(self, grid: PositionGrid, values: np.ndarray) -> None:
+        values = np.array(values, dtype=float)
+        if values.shape != (grid.n_points,):
             raise ValueError("values must match the grid size")
         if not np.all(values >= -1e-12):
             raise NormalizationError("density values must be nonnegative")
-        area = self.grid.integrate(values)
+        area = grid.integrate(values)
         if not abs(area - 1.0) <= DENSITY_INTEGRAL_TOL:
             raise NormalizationError(f"density integrates to {area!r}, expected 1")
         values.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
 
@@ -197,8 +193,7 @@ def gaussian_wavepacket(grid: PositionGrid, alpha: float, center: float = 0.0) -
     return _normalized(grid, _packet_profile(grid, alpha, center).astype(complex))
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelOutput:
+class ChannelOutput(Frozen, eq=False):
     """A mixture of translated copies of the ``inputs`` terms, formed on demand.
 
     Output term j at offset i is input term j translated by ``shifts[i]``, of
@@ -214,11 +209,20 @@ class ChannelOutput:
     covers d = n - j > n/2.
     """
 
-    inputs: PureMixture | ChannelOutput
-    shifts: tuple[float, ...]
-    offset_weights: tuple[float, ...]
-    weights: tuple[float, ...]
-    chi: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    _fields = ("inputs", "shifts", "offset_weights", "weights")
+
+    def __init__(
+        self,
+        inputs: PureMixture | ChannelOutput,
+        shifts: tuple[float, ...],
+        offset_weights: tuple[float, ...],
+        weights: tuple[float, ...],
+    ) -> None:
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "offset_weights", offset_weights)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "chi", [])
 
     @property
     def grid(self) -> PositionGrid:

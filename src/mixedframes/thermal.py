@@ -10,42 +10,43 @@ thermal state appears as a consequence of the smearing alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError, finite, integer, positive
+from .errors import DomainError, Frozen, NormalizationError, finite, integer, positive
 
 GRID_NORM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(Frozen):
     """hbar and the Boltzmann constant; defaults are natural units."""
 
-    hbar: float = 1.0
-    k_boltzmann: float = 1.0
+    _fields = ("hbar", "k_boltzmann")
 
-    def __post_init__(self) -> None:
-        positive("hbar", self.hbar)
-        positive("k_boltzmann", self.k_boltzmann)
+    def __init__(self, hbar: float = 1.0, k_boltzmann: float = 1.0) -> None:
+        positive("hbar", hbar)
+        positive("k_boltzmann", k_boltzmann)
+        object.__setattr__(self, "hbar", hbar)
+        object.__setattr__(self, "k_boltzmann", k_boltzmann)
 
 
 NATURAL_UNITS = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class ThermalParameters:
+class ThermalParameters(Frozen):
     """Smearing width beta (units of time), particle mass, unit constants."""
 
-    beta: float
-    mass: float
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
+    _fields = ("beta", "mass", "constants")
 
-    def __post_init__(self) -> None:
-        positive("beta", self.beta)
-        positive("mass", self.mass)
-        positive(f"m*hbar/beta of {self}", self.momentum_variance)
+    def __init__(self, beta: float, mass: float, constants: PhysicalConstants = NATURAL_UNITS) -> None:
+        positive("beta", beta)
+        positive("mass", mass)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "constants", constants)
+        variance = self.momentum_variance
+        if not (variance > 0.0 and math.isfinite(variance)):  # the repr is formatted only to fail
+            positive(f"m*hbar/beta of {self}", variance)
 
     @property
     def momentum_variance(self) -> float:
@@ -53,23 +54,25 @@ class ThermalParameters:
         return self.mass * self.constants.hbar / self.beta
 
 
-@dataclass(frozen=True)
-class MomentumGrid:
+class MomentumGrid(Frozen):
     """Uniform momentum grid, symmetric about ``center`` (0 by default)."""
 
-    n_points: int
-    p_max: float
-    center: float = 0.0
+    _fields = ("n_points", "p_max", "center")
 
-    def __post_init__(self) -> None:
-        n = integer("n_points", self.n_points)
-        object.__setattr__(self, "n_points", n)
+    def __init__(self, n_points: int, p_max: float, center: float = 0.0) -> None:
+        n = integer("n_points", n_points)
         if n < 2:
             raise DomainError(f"n_points must be at least 2, got {n}")
-        positive("p_max", self.p_max)
-        finite("center", self.center)
-        positive(f"spacing 2*p_max/(n_points-1) of {self}", self.spacing)
-        finite(f"outermost point |center|+p_max of {self}", abs(self.center) + self.p_max)
+        positive("p_max", p_max)
+        finite("center", center)
+        object.__setattr__(self, "n_points", n)
+        object.__setattr__(self, "p_max", p_max)
+        object.__setattr__(self, "center", center)
+        spacing, outermost = self.spacing, abs(center) + p_max
+        if not (spacing > 0.0 and math.isfinite(spacing)):  # the repr is formatted only to fail
+            positive(f"spacing 2*p_max/(n_points-1) of {self}", spacing)
+        if not math.isfinite(outermost):
+            finite(f"outermost point |center|+p_max of {self}", outermost)
 
     @property
     def spacing(self) -> float:
@@ -85,23 +88,22 @@ class MomentumGrid:
         return float(np.sum(values)) * self.spacing
 
 
-@dataclass(frozen=True, eq=False)
-class MomentumMixture:
+class MomentumMixture(Frozen, eq=False):
     """Diagonal mixed state over a momentum grid; weights integrate to one."""
 
-    grid: MomentumGrid
-    weights: np.ndarray
+    _fields = ("grid", "weights")
 
-    def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=float)
-        if weights.shape != (self.grid.n_points,):
+    def __init__(self, grid: MomentumGrid, weights: np.ndarray) -> None:
+        weights = np.array(weights, dtype=float)
+        if weights.shape != (grid.n_points,):
             raise ValueError("weights must match the grid size")
         if not np.all(weights >= 0.0):
             raise NormalizationError("weights must be nonnegative")
-        total = self.grid.integrate(weights)
+        total = grid.integrate(weights)
         if not abs(total - 1.0) <= GRID_NORM_TOL:
             raise NormalizationError(f"weights integrate to {total!r}, expected 1")
         weights.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "weights", weights)
 
 

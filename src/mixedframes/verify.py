@@ -8,7 +8,6 @@ residual and a tolerance; it passes when residual <= tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +15,7 @@ from . import group_algebra as ga
 from . import quantum_system as qs
 from . import thermal as th
 from .analytic import norm_pdf, superposition_density
+from .errors import Frozen
 from .figures import FIGURE_IDS, Artifact, build_figure
 from .galilei import (
     GalileiParams,
@@ -36,12 +36,16 @@ DENSE_ORACLE_CASES = 10
 NORMALIZATION_CASES = 20
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    parameters: str
-    residual: float
-    tolerance: float
+class CheckResult(Frozen):
+    """One report row: it passes when ``residual <= tolerance``."""
+
+    _fields = ("name", "parameters", "residual", "tolerance")
+
+    def __init__(self, name: str, parameters: str, residual: float, tolerance: float) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "tolerance", tolerance)
 
     @property
     def passed(self) -> bool:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -15,7 +14,7 @@ from conftest import verify_checks
 from mixedframes import cli, group_algebra as ga, quantum_system as qs, verify
 from mixedframes.cli import DEFAULTS, main, parse_config_file
 from mixedframes.errors import DomainError, NormalizationError, QuadratureError
-from mixedframes.figures import DEMO_IDS, FIGURE_IDS, LOADED_COMPONENT_CAP, build_figure
+from mixedframes.figures import DEMO_IDS, FIGURE_IDS, LOADED_COMPONENT_CAP, Artifact, build_figure
 from mixedframes.verify import check_figures
 
 FAST = ["--grid-n", "256"]
@@ -164,7 +163,8 @@ class TestErrorContract:
 
         def act_mixed(*args, **kwargs):
             out = real(*args, **kwargs)
-            return dataclasses.replace(out, weights=tuple(w * (1.0 + 1e-7) for w in out.weights))
+            weights = tuple(w * (1.0 + 1e-7) for w in out.weights)
+            return qs.ChannelOutput(out.inputs, out.shifts, out.offset_weights, weights)
 
         monkeypatch.setattr(qs, "act_mixed", act_mixed)
         with pytest.raises(NormalizationError):
@@ -452,7 +452,7 @@ class TestVerifyCommand:
         for figure_id, row in rows.items():
             for key in ("sup_error_pure", "sup_error_mixed"):
                 metadata = {**figures[figure_id].metadata, key: 1.0}
-                broken = dataclasses.replace(figures[figure_id], metadata=metadata)
+                broken = Artifact(figures[figure_id].name, figures[figure_id].files, metadata)
                 results = check_figures(params, {**figures, figure_id: broken})
                 assert [r.name for r in results if not r.passed] == [row], (figure_id, key)
 

@@ -17,7 +17,7 @@ import functools
 import inspect
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -94,7 +94,9 @@ def _channel_with(**changes):
     def mutant(real):
         def act_mixed(*args, **kwargs):
             out = real(*args, **kwargs)
-            return replace(out, **{field: change(out) for field, change in changes.items()})
+            fields = {field: getattr(out, field) for field in out._fields}
+            fields.update((field, change(out)) for field, change in changes.items())
+            return qs.ChannelOutput(**fields)
 
         return act_mixed
 
@@ -144,7 +146,7 @@ def _global_phase_flipped(real):
 def _label_phase_negated(real):
     def boost_pure_label(v, p, params):
         label = real(v, p, params)
-        return replace(label, phase=-label.phase)
+        return galilei.MomentumEigenLabel(label.momentum, -label.phase)
 
     return boost_pure_label
 
@@ -265,7 +267,7 @@ DEFECTS = [
     ),
     Defect(
         "check_thermal_densities", th, "temperature_of_beta", "boltzmann-constant-dropped",
-        lambda real: lambda beta, constants: real(beta, replace(constants, k_boltzmann=1.0)),
+        lambda real: lambda beta, constants: real(beta, th.PhysicalConstants(constants.hbar, 1.0)),
         frozenset({"thermal_beta_round_trip"}),
     ),
     Defect(
@@ -315,7 +317,9 @@ DEFECTS = [
     ),
     Defect(
         "check_thermal_boost", verify, "boost_mixed", "mass-ignored",
-        lambda real: lambda rho, p, params, v_grid: real(rho, p, replace(params, mass=1.0), v_grid),
+        lambda real: lambda rho, p, params, v_grid: real(
+            rho, p, galilei.GalileiParams(1.0, params.time, params.hbar), v_grid
+        ),
         frozenset({"galilei_thermal_boost"}),
     ),
     Defect(

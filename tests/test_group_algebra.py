@@ -121,6 +121,7 @@ def _bad_grids() -> dict[str, np.ndarray]:
         "decreasing": grid[::-1].copy(),
         "non_uniform": uneven,
         "nan_inside": with_nan,
+        "zero_step": np.full(11, 2.5),
         # every step is finite, the span grid[-1] - grid[0] is not
         "span_overflows": np.array([-1.7e308, 0.0, 1.7e308]),
     }
@@ -134,6 +135,9 @@ GRID_CONSUMERS = {
 
 class TestGridRules:
     """One uniform-grid validator and one Dirac-to-bin rule behind every grid consumer."""
+
+    def test_zero_step_is_not_uniform(self):
+        assert ga.uniform_step(np.full(3, 2.5)) is None
 
     @pytest.mark.parametrize("grid_name", sorted(_bad_grids()))
     @pytest.mark.parametrize("consumer", sorted(GRID_CONSUMERS))
@@ -417,6 +421,21 @@ class TestInvertibility:
             is_invertible(make_delta(0.0), band=-1.0, floor=1e-3)
         with pytest.raises(ValueError):
             is_invertible(make_delta(0.0), band=1.0, floor=2.0)
+
+    def test_floor_interval_is_open(self):
+        # |chi| = exp(-p^2/2) over [0, 1]: its least, exp(-1/2), is above the lower end and below the upper
+        rho = make_gaussian(0.0, 1.0)
+        for edge in (0.0, 1.0):
+            with pytest.raises(DomainError, match="floor"):
+                is_invertible(rho, band=1.0, floor=edge)
+        assert is_invertible(rho, band=1.0, floor=math.nextafter(0.0, 1.0))[0] is True
+        assert is_invertible(rho, band=1.0, floor=math.nextafter(1.0, 0.0))[0] is False
+
+    def test_floor_at_the_least_modulus_is_invertible(self):
+        rho = make_gaussian(0.0, 1.0)
+        least = ga._min_modulus(rho, 1.0)[0]
+        assert is_invertible(rho, band=1.0, floor=least)[0] is True
+        assert is_invertible(rho, band=1.0, floor=math.nextafter(least, 1.0))[0] is False
 
 
 def _library_products(rng, count):

@@ -80,6 +80,13 @@ class TestWavepacket:
         with pytest.raises(DomainError):
             gaussian_wavepacket(grid, 1.3)
 
+    def test_truncation_guard_edge(self):
+        # 8 * alpha == extent is rejected; one ulp below, 8 * alpha is exactly 40 - ulp(40)
+        grid = PositionGrid(256, 40.0)
+        with pytest.raises(DomainError, match="does not fit"):
+            gaussian_wavepacket(grid, 5.0)
+        assert gaussian_wavepacket(grid, math.nextafter(5.0, 0.0)).norm() == pytest.approx(1.0, abs=1e-12)
+
 
     def test_underflowing_width_rejected(self, grid):
         # alpha**2 underflows to zero; the packet was all NaN
@@ -355,13 +362,13 @@ class TestChannelOutput:
     def test_density_and_purity_build_no_wavefunction(self, grid, monkeypatch):
         out = act_mixed(make_gaussian(0.3, 0.5), mixture_of_two(grid), 16)
         built = []
-        check = WaveFunction.__post_init__
+        init = WaveFunction.__init__
 
-        def counted(psi):
+        def counted(psi, *args):
             built.append(psi)
-            check(psi)
+            init(psi, *args)
 
-        monkeypatch.setattr(WaveFunction, "__post_init__", counted)
+        monkeypatch.setattr(WaveFunction, "__init__", counted)
         position_density(out)
         purity(out)
         assert built == []
@@ -373,13 +380,13 @@ class TestChannelOutput:
         expected = purity(state)
         out = act_mixed(make_delta(1.3), state)
         built = []
-        check = WaveFunction.__post_init__
+        init = WaveFunction.__init__
 
-        def counted(psi):
+        def counted(psi, *args):
             built.append(psi)
-            check(psi)
+            init(psi, *args)
 
-        monkeypatch.setattr(WaveFunction, "__post_init__", counted)
+        monkeypatch.setattr(WaveFunction, "__init__", counted)
         assert purity(out) == pytest.approx(expected, abs=1e-12)
         assert built == []
 
@@ -799,7 +806,7 @@ class TestChannelInvariants:
 
 
 def _array_records(grid):
-    """Builders of each frozen dataclass that holds a numpy array, from one float."""
+    """Builders of each frozen record that holds a numpy array, from one float."""
     from mixedframes.thermal import ThermalParameters, thermal_state
 
     def wave(center):
