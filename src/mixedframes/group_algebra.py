@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,8 +28,7 @@ from .errors import DomainError, Frozen, QuadratureError, finite, positive, prob
 WEIGHT_TOL = 1e-12
 MATCH_TOL = 1e-10
 SCAN_POINTS = 20001
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_MAX_STEPS = 200  # each step shrinks a bracket by GOLDEN; 200 steps by 1e-42
+REFINE_MAX_ROUNDS = 64  # halving a bracket of two scan steps down to 1e-7 of a step takes 25
 QUAD_NODES = 10  # Gauss-Legendre nodes per panel of evaluate's adaptive rule
 QUAD_MAX_SPLITS = 200
 
@@ -203,11 +203,17 @@ def characteristic_function(rho: GroupDensity, p: np.ndarray) -> np.ndarray:
     infinite points with :class:`DomainError`.
     """
     p = np.asarray(p, dtype=float)
-    far = max(abs(c.mean) for _, c in rho.components)
-    # Python floats: the product is inf or NaN without a numpy warning
-    widest = float(np.abs(p).max(initial=0.0))
-    finite(f"phase location*p at location {far!r} and |p| {widest!r}", far * widest)
+    _largest_phase(rho, float(np.abs(p).max(initial=0.0)))
     return _chi(_columns(rho), p)
+
+
+def _largest_phase(rho: GroupDensity, widest: float) -> float:
+    """``max |mean| * widest``, or :class:`DomainError` unless it is finite."""
+    far = max(abs(c.mean) for _, c in rho.components)
+    phase = far * widest  # Python floats: inf or NaN without a numpy warning
+    if not math.isfinite(phase):  # the message is formatted only to raise
+        finite(f"phase location*p at location {far!r} and |p| {widest!r}", phase)
+    return phase
 
 
 def _columns(rho: GroupDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,8 +223,14 @@ def _columns(rho: GroupDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return weights, -1j * means, 0.5 * variances
 
 
-def _chi(columns: tuple[np.ndarray, np.ndarray, np.ndarray], p: np.ndarray) -> np.ndarray:
-    """chi at float points ``p`` whose phases are finite, from :func:`_columns`."""
+def _chi(columns: tuple[np.ndarray, np.ndarray, np.ndarray], p: np.ndarray, scale: float = 0.0):
+    """chi at float points ``p`` whose phases are finite, from :func:`_columns`.
+
+    With a nonzero ``scale`` ``s``, also ``s chi'`` and ``s^2 chi''`` at ``p``
+    from the same exponentials: the derivatives in the unit ``s``, which keeps
+    them in range at any scale of ``p``. Where a decayed term's rate overflows
+    they are NaN, and the caller ignores the warning.
+    """
     weights, phases, decays = (x.reshape((-1,) + (1,) * p.ndim) for x in columns)
     terms = phases * p
     # a decay that overflows to inf gives exp(-inf) = 0, the right value
@@ -229,7 +241,12 @@ def _chi(columns: tuple[np.ndarray, np.ndarray, np.ndarray], p: np.ndarray) -> n
     values = np.zeros(p.shape, dtype=complex)
     for row in terms:
         values += row
-    return values
+    if not scale:
+        return values
+    rates = (phases - 2.0 * decays * p) * scale  # s d/dp of each exponent, s (-i mean - variance p)
+    variances = 2.0 * decays * scale * scale  # 0 for a Dirac, also where scale * scale overflows
+    slopes = rates * terms
+    return values, slopes.sum(0), (rates * slopes - variances * terms).sum(0)
 
 
 def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, float | None]:
@@ -238,23 +255,33 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
     Returns ``(True, None)`` for a single Dirac component (unimodular
     characteristic function, decided analytically). Otherwise reports
     whether the infimum of ``|chi(p)|`` over ``|p| <= band`` stays at or
-    above ``floor``, together with a nonnegative argmin witness ``p*``.
+    above ``floor``, together with a nonnegative witness ``p*`` where
+    ``|chi|`` comes within 1e-9 of that infimum.
 
     ``|chi(-p)| = |chi(p)|`` for a real density, so only ``0 <= p <= band``
     is scanned, at ``(SCAN_POINTS + 1) // 2`` points: the spacing of a
     ``SCAN_POINTS``-point scan of the full range. The interior samples turn
     each component's phase by one fixed rotation per point
-    (:func:`_rotated_chi`); they only choose brackets, and the two ends and
-    every probe below are :func:`characteristic_function`'s values. The
-    candidates are the two ends and every interior sample no larger than its
-    neighbours. Each
-    interior candidate's bracket ``[p[i-1], p[i+1]]`` is refined by golden-
-    section search (Brent, *Algorithms for Minimization without
-    Derivatives*, 1973), all brackets at once on numpy arrays, until every
-    bracket ``[a, b]`` is narrower than ``1e-10 + 4 eps b`` or
-    ``GOLDEN_MAX_STEPS`` steps have run. The relative term lets brackets stop
-    at large ``p``, where the float spacing exceeds 1e-10. The witness is the
-    smallest ``p`` among the candidates within 1e-9 of the least ``|chi|``.
+    (:func:`_rotated_chi`), within a stated rounding bound of ``|chi|``; the
+    two ends and every refined point are :func:`characteristic_function`'s
+    values, and the least is taken over those alone. Each interior sample no
+    larger than its neighbours opens a bracket ``[p[i-1], p[i+1]]``.
+
+    A bracket is settled from its samples, and not refined, when a bound on
+    ``|d^2 |chi|^2 / dp^2|`` over it (Piyavskii 1972; Shubert 1972) shows
+    that it cannot lower the least of the two ends by more than twice the
+    rounding bound: on a tail where ``|chi|`` is flat to rounding, every
+    bracket is settled. Every other bracket is refined from its middle sample,
+    all at once on numpy arrays, by Newton steps on
+    ``d|chi|^2/dp = 2 Re(conj(chi) chi')`` that fall back to halving the
+    bracket whenever a step would leave it (Press et al., *Numerical Recipes*,
+    3rd ed., 2007, sec. 9.4). A bracket stops once its step is no longer than
+    ``1e-7`` of the scan step (1e-10 at a band of 10), a tolerance that
+    scales with the band and stays far above the float spacing at any ``p``;
+    or once its Newton model cannot lower ``|chi|^2`` by more than its own
+    rounding. The witness is the smallest ``p``, refined point or scan sample,
+    whose ``|chi|`` lies within 1e-9 of the least: on a flat tail, the first
+    sample where the tail comes that close.
     """
     positive("band", band)
     if not 0.0 < floor < 1.0:
@@ -267,40 +294,97 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
 
 def _min_modulus(rho: GroupDensity, band: float) -> tuple[float, float]:
     """Least ``|chi|`` over ``0 <= p <= band`` and its witness; see :func:`is_invertible`."""
-
     columns = _columns(rho)
-
-    def abs2(p: np.ndarray) -> np.ndarray:
-        return np.abs(_chi(columns, p)) ** 2
-
-    grid = np.linspace(0.0, band, (SCAN_POINTS + 1) // 2)
+    grid = _scan_grid(band)
+    step = float(grid[1])
+    # the largest phase is checked before the scan, and every refined point lies between the ends;
+    # the scan's |chi| stays within `rounding` of the exact one (see _rotated_chi)
+    rounding = 4.0 * sys.float_info.epsilon * (math.isqrt(grid.size) + 1 + _largest_phase(rho, band))
     vals = np.empty(grid.size)
-    # the ends check the largest phase before the scan, and every probe lies between them
-    vals[[0, -1]] = np.abs(characteristic_function(rho, grid[[0, -1]])) ** 2
-    vals[1:-1] = np.abs(_rotated_chi(rho, grid[1:-1])) ** 2
-    interior = np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
-    # golden section on every bracket [a, b] at once, with probes a < c < d < b
-    a, b = grid[interior - 1], grid[interior + 1]
-    width = b - a
-    c, d = b - GOLDEN * width, a + GOLDEN * width
-    fc, fd = abs2(c), abs2(d)
-    eps4 = 4.0 * np.finfo(float).eps
-    for _ in range(GOLDEN_MAX_STEPS):
-        if (width < 1e-10 + eps4 * b).all():
+    vals[[0, -1]] = np.abs(_chi(columns, grid[[0, -1]]))
+    inner = np.abs(_rotated_chi(rho, grid[1:-1]), out=vals[1:-1])
+    i = np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:])) + 1
+    least = float(min(vals[0], vals[-1]))
+    best_x = best_m = np.empty(0)
+    if i.size:
+        # huge means overflow the bounds and the slopes to inf; an inf or NaN bound settles nothing
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # each cell of a bracket stays above its lower sample less M h^2 / 8 (Piyavskii; Shubert)
+            floor2 = np.maximum(vals[i] - rounding, 0.0) ** 2 - _curvature(rho, grid[i - 1], band) * (
+                step * step / 8.0)
+            i = i[~(np.sqrt(np.maximum(floor2, 0.0)) >= least - 2.0 * rounding)]
+            best_x, best_m = _refine(columns, grid[i], grid[i - 1], grid[i + 1], step)
+    least = min(least, float(best_m.min(initial=np.inf)))
+    close = vals <= least + 1e-9
+    first = close.argmax()  # the first scan sample within 1e-9 of the least, if any
+    witness = best_x[best_m <= least + 1e-9].min(initial=grid[first] if close[first] else np.inf)
+    return least, float(witness)
+
+
+def _refine(columns: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray, unit: float) -> tuple[np.ndarray, np.ndarray]:
+    """The least ``|chi|`` found in each bracket ``[lo, hi]`` from ``x`` and where it lies.
+
+    One :func:`_chi` call per round serves every bracket, with derivatives in
+    ``unit`` (the scan step). A Newton step on ``d|chi|^2/dp`` that stays in
+    its bracket is taken, else the bracket is halved; the bracket keeps the
+    side toward which ``|chi|^2`` descends. A bracket stops once its step is
+    within ``1e-7 unit``, or once its Newton model cannot lower ``|chi|^2`` by
+    more than ``4 eps |chi|^2``.
+    """
+    eps4 = 4.0 * sys.float_info.epsilon
+    best_x, best_m = x, np.full(x.size, np.inf)
+    for _ in range(REFINE_MAX_ROUNDS if x.size else 0):
+        chi, slope, bend = _chi(columns, x, unit)
+        modulus = np.abs(chi)
+        better = modulus < best_m
+        best_x, best_m = np.where(better, x, best_x), np.where(better, modulus, best_m)
+        conj = chi.conj()
+        descent = (conj * slope).real  # half of d|chi|^2/dp
+        convex = (slope.conj() * slope + conj * bend).real  # half of d^2|chi|^2/dp^2
+        lo, hi = np.where(descent < 0.0, x, lo), np.where(descent > 0.0, x, hi)
+        # where convex <= 0 the step points out of [lo, hi], or is NaN
+        nxt = x - descent / convex * unit
+        nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        moving = (np.abs(nxt - x) > 1e-7 * unit) & (descent * descent > eps4 * modulus * modulus * convex)
+        if not moving.any():
             break
-        left = fc < fd  # the minimum lies in [a, d]; otherwise in [c, b]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
-        width = b - a
-        step = GOLDEN * width
-        probe = np.where(left, b - step, a + step)
-        f_probe = abs2(probe)
-        c, fc = np.where(left, probe, kept), np.where(left, f_probe, f_kept)
-        d, fd = np.where(left, kept, probe), np.where(left, f_kept, f_probe)
-    points = np.concatenate(([grid[0], grid[-1]], np.where(fc <= fd, c, d)))
-    moduli = np.sqrt(np.maximum(np.concatenate(([vals[0], vals[-1]], np.minimum(fc, fd))), 0.0))
-    least = float(np.min(moduli))
-    return least, float(np.min(points[moduli <= least + 1e-9]))
+        x = np.where(moving, nxt, x)
+    return best_x, best_m
+
+
+@functools.lru_cache(maxsize=1)
+def _scan_grid(band: float) -> np.ndarray:
+    """The ``(SCAN_POINTS + 1) // 2`` scan points of ``[0, band]``; the last band's are kept."""
+    grid = np.linspace(0.0, band, (SCAN_POINTS + 1) // 2)
+    grid.flags.writeable = False
+    return grid
+
+
+def _curvature(rho: GroupDensity, lo: np.ndarray, reach: float) -> np.ndarray | float:
+    """A bound on ``|d^2 |chi|^2 / dp^2|`` over ``lo <= p <= reach`` for each ``lo >= 0``.
+
+    ``|chi|^2`` is the sum over pairs of components of ``T_j conj(T_k)``, with
+    ``T = w exp(-i mean p - variance p^2 / 2)``. A pair of Diracs adds at most
+    ``w_j w_k (mean_j - mean_k)^2``, which is 0 for a Dirac with itself. Every
+    other pair adds at most ``u_j u_k (2 s_j^2 + 2 s_k^2 + v_j + v_k)``, from
+    ``|T| <= u``, ``|T'| <= u s`` and ``|T''| <= u (s^2 + v)`` with
+    ``s = |mean| + v reach``; ``u`` is ``w`` for a Dirac and at most ``w E`` for
+    a Gaussian, where ``E = exp(-v_min lo^2 / 2)`` is the envelope, at ``lo``, of
+    the Gaussian that decays slowest.
+    """
+    diracs = [(w, c.mean) for w, c in rho.components if c.variance == 0.0]
+    d0 = sum(w for w, _ in diracs)
+    d2 = sum(w * m * m for w, m in diracs)
+    center = sum(w * m for w, m in diracs) / d0 if diracs else 0.0
+    bound = 2.0 * d0 * sum(w * (m - center) * (m - center) for w, m in diracs)
+    gauss = [(w, abs(c.mean) + c.variance * reach, c.variance) for w, c in rho.components if c.variance > 0.0]
+    if not gauss:
+        return bound
+    g0 = sum(w for w, _, _ in gauss)  # times E: the sums over the Gaussians of u and of u (2 s^2 + v)
+    g2 = sum(w * (2.0 * s * s + v) for w, s, v in gauss)
+    envelope = np.exp(-0.5 * min(v for _, _, v in gauss) * lo * lo)
+    return bound + envelope * (4.0 * d2 * g0 + 2.0 * d0 * g2 + 4.0 * g0 * g2 * envelope)
 
 
 def _rotated_chi(rho: GroupDensity, p: np.ndarray) -> np.ndarray:
@@ -311,19 +395,28 @@ def _rotated_chi(rho: GroupDensity, p: np.ndarray) -> np.ndarray:
     takes one complex exponential per block of ``B`` (about ``sqrt(len(p))``)
     points, not per point: the point ``j dp`` with ``j = aB + b``, ``1 <= b <= B``,
     gets ``exp(-i mean aB dp) r^b``, and ``r^b`` is a cumulative product whose
-    relative error stays near ``B eps``. The decay keeps
-    ``-0.5 * variance * p * p`` in that order: a Dirac's is -0.0 even where
-    ``p * p`` overflows.
+    relative error stays near ``B eps``; the whole stays within
+    ``4 eps (B + max |mean| * p[-1])`` of chi. A Dirac has no envelope: its
+    ``exp(-0.0)`` is 1.0, and a product with 1.0 is exact. The decay keeps
+    ``-0.5 * variance * p * p`` in that order, which is finite or -inf. Each
+    component is formed in one reused buffer of blocks.
     """
     block = math.isqrt(p.size) + 1
     step = float(p[0])
     starts = np.arange(-(-p.size // block)) * (block * step)  # aB dp, one per block
     values = np.zeros(p.size, dtype=complex)
+    blocks = np.empty((starts.size, block), dtype=complex)
+    turns = blocks.reshape(-1)[:p.size]
+    envelope = np.empty(p.size)
     with np.errstate(over="ignore"):
         for w, c in rho.components:
             near = np.cumprod(np.full(block, np.exp(-1j * c.mean * step)))  # r^1 .. r^B
-            turns = np.multiply.outer(w * np.exp(-1j * c.mean * starts), near).ravel()[:p.size]
-            values += np.exp(-0.5 * c.variance * p * p) * turns
+            np.multiply.outer(w * np.exp(-1j * c.mean * starts), near, out=blocks)
+            if c.variance:
+                np.multiply(-0.5 * c.variance, p, out=envelope)
+                envelope *= p
+                turns *= np.exp(envelope, out=envelope)
+            values += turns
     return values
 
 

@@ -382,7 +382,7 @@ class TestDemoCommand:
                 "42259710fe84c1b646f185b1721d2e2c419fa5719ce097b8df02d80ddcdf00ae",
         },
         "semigroup": {
-            "semigroup.csv": "b77c2634dabe828aac8c1e0b5e61d789435d8f11cedc83ebbd6cd263a424bc9c",
+            "semigroup.csv": "4b5b9145cfd179d06aa556732dfe3fff78665c2a5eed0b5ac97f7d92dadee7d0",
             "semigroup.json": "de991fc06dc6f03941c62a12b1a8882650e5269a3fd3634fc1a0d64d62727ff9",
         },
     }

@@ -412,9 +412,33 @@ class TestInvertibility:
         assert abs(abs(witness) - np.pi / 2.5) < 1e-6
 
     def test_gaussian_witness_at_band_edge(self):
-        verdict, witness = is_invertible(make_gaussian(0.0, 1.0), band=10.0, floor=1e-3)
+        # |chi| = exp(-p^2/2) reaches its least at the band edge; the witness is the
+        # first scan sample within 1e-9 of it, where the tail has become flat to 1e-9
+        rho = make_gaussian(0.0, 1.0)
+        verdict, witness = is_invertible(rho, band=10.0, floor=1e-3)
         assert not verdict
-        assert abs(abs(witness) - 10.0) < 1e-9
+        least = ga._min_modulus(rho, 10.0)[0]
+        assert least == abs(characteristic_function(rho, 10.0))
+        grid = np.linspace(0.0, 10.0, (ga.SCAN_POINTS + 1) // 2)
+        first = int(np.argmax(np.exp(-0.5 * grid * grid) <= least + 1e-9))
+        assert first == 6438 and witness == grid[first]
+
+    def test_stop_rule_refines_a_zero_to_1e10(self):
+        # |chi| = |cos(1.25 p)| vanishes at pi / 2.5: a step tolerance of 1e-10 is what lands there
+        rho = mix([(0.5, make_delta(0.0)), (0.5, make_delta(2.5))])
+        witness = is_invertible(rho, band=10.0, floor=1e-3)[1]
+        assert abs(witness - math.pi / 2.5) <= 1e-10
+
+    @pytest.mark.parametrize("gap", [1e7, 1e-6, 1e-300])
+    def test_stop_rule_scales_with_the_band(self, monkeypatch, gap):
+        # the zero at pi / gap, in a band of 10 / gap: the rounds stop within 1e-7 of a
+        # scan step of it, neither at the first sample of a band whose step is below 1e-10
+        # nor stepping between neighbouring floats where their spacing exceeds 1e-10
+        rho = mix([(0.5, make_delta(0.0)), (0.5, make_delta(gap))])
+        calls = _count_chi_calls(monkeypatch)
+        least, witness = ga._min_modulus(rho, 10.0 / gap)
+        assert least < 1e-10 and witness == pytest.approx(math.pi / gap, rel=1e-10)
+        assert calls[0] <= 6
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -436,6 +460,19 @@ class TestInvertibility:
         least = ga._min_modulus(rho, 1.0)[0]
         assert is_invertible(rho, band=1.0, floor=least)[0] is True
         assert is_invertible(rho, band=1.0, floor=math.nextafter(least, 1.0))[0] is False
+
+
+def _count_chi_calls(monkeypatch):
+    """Count the calls of ``group_algebra._chi`` from here on, in a one-element list."""
+    calls = [0]
+    real = ga._chi
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(ga, "_chi", counting)
+    return calls
 
 
 def _library_products(rng, count):
@@ -467,7 +504,7 @@ class TestRotationScan:
     @staticmethod
     def full_grid_scan(monkeypatch, rho, band):
         """``_min_modulus`` with every scan point through ``characteristic_function``:
-        the full-grid scan, bit for bit, sharing the golden-section refinement."""
+        the full-grid scan, bit for bit, sharing the settling and the refinement."""
         with monkeypatch.context() as patch:
             patch.setattr(ga, "_rotated_chi", characteristic_function)
             return ga._min_modulus(rho, band)
@@ -478,12 +515,30 @@ class TestRotationScan:
         least, witness = ga._min_modulus(rho, band)
         ref_least, ref_witness = self.full_grid_scan(monkeypatch, rho, band)
         assert least == ref_least
+        assert witness == ref_witness
         assert is_invertible(rho, band, 1e-3)[0] == (ref_least >= 1e-3)
-        if witness != ref_witness:
-            # only along a stretch where |chi| stays within the witness tolerance of the least
-            lo, hi = sorted((witness, ref_witness))
-            p = np.linspace(lo, hi, 201)
-            assert np.max(np.abs(characteristic_function(rho, p))) <= least + 1e-9
+
+    def test_flat_tail_is_settled_from_its_samples(self, monkeypatch):
+        # the least is the band edge's, and no bracket of the plateau is refined
+        calls = _count_chi_calls(monkeypatch)
+        least, witness = ga._min_modulus(FLAT_TAIL, 10.0)
+        assert calls[0] == 1  # the two ends
+        assert least == abs(characteristic_function(FLAT_TAIL, 10.0))
+        grid = np.linspace(0.0, 10.0, (ga.SCAN_POINTS + 1) // 2)
+        modulus = np.abs(characteristic_function(FLAT_TAIL, grid))
+        assert witness == grid[np.argmax(modulus <= least + 1e-9)]
+
+
+def test_median_product_takes_at_most_12_chi_rounds(monkeypatch):
+    """``_chi`` calls per library product, the two ends included (the golden
+    section took 30 to 38)."""
+    calls = _count_chi_calls(monkeypatch)
+    counts = []
+    for rho in _library_products(np.random.default_rng(30), 96):
+        calls[0] = 0
+        ga._min_modulus(rho, 10.0)
+        counts.append(calls[0])
+    assert np.median(counts) <= 12
 
 
 class TestSemigroupProperties:

@@ -341,6 +341,47 @@ def test_rotation_scan_matches_the_direct_chi(case):
     assert np.max(np.abs(rotated - direct)) <= 8.0 * eps * (math.isqrt(p.size) + phase)
 
 
+@settings(max_examples=200, deadline=None)
+@given(rotation_cases())
+def test_rotation_scan_stays_within_the_settling_bound(case):
+    """``_min_modulus`` settles brackets on the bound 4 eps (B + largest phase) of the
+    scan's error in chi, with ``B`` its block length; the error stays within it."""
+    band, rho = case
+    grid = np.linspace(0.0, band, (ga.SCAN_POINTS + 1) // 2)
+    rotated = ga._rotated_chi(rho, grid[1:-1])
+    direct = ga.characteristic_function(rho, grid[1:-1])
+    phase = max(abs(c.mean) for _, c in rho.components) * band
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(rotated - direct)) <= 4.0 * eps * (math.isqrt(grid.size) + 1 + phase)
+
+
+def _modulus2_second_derivative(rho, p):
+    """d^2 |chi|^2 / dp^2 = 2 |chi'|^2 + 2 Re(conj(chi) chi''), term by term."""
+    chi, slope, bend = (np.zeros(p.shape, dtype=complex) for _ in range(3))
+    for w, c in rho.components:
+        rate = -1j * c.mean - c.variance * p
+        term = w * np.exp(-1j * c.mean * p - 0.5 * c.variance * p * p)
+        chi, slope, bend = chi + term, slope + rate * term, bend + (rate * rate - c.variance) * term
+    return 2.0 * (np.abs(slope) ** 2 + (chi.conj() * bend).real)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scanned_densities(), st.floats(0.0, 1.0))
+@example((1.0, ga.GroupDensity(((0.5, ga.DiracComponent(0.5)), (0.5, ga.DiracComponent(0.5))))), 0.0)
+def test_curvature_bound_holds_over_its_interval(case, start):
+    """``_curvature`` bounds |d^2 |chi|^2 / dp^2| from each ``lo`` up to ``reach``."""
+    band, rho = case
+    lo = np.array([start * band, 0.5 * (1.0 + start) * band])
+    bound = np.broadcast_to(ga._curvature(rho, lo, band), lo.shape)
+    # the reference rounds in its terms, which |chi'|^2 + |chi''| bounds
+    terms = math.fsum(w * (abs(c.mean) + c.variance * band) for w, c in rho.components) ** 2 + math.fsum(
+        w * ((abs(c.mean) + c.variance * band) ** 2 + c.variance) for w, c in rho.components)
+    for edge, most in zip(lo, bound):
+        p = np.linspace(edge, band, 2001)
+        reference = np.max(np.abs(_modulus2_second_derivative(rho, p)))
+        assert reference <= most * (1.0 + 1e-12) + 64.0 * np.finfo(float).eps * terms
+
+
 @st.composite
 def channel_inputs(draw):
     """A mixture of one to three packets and a smearing density of one to three components."""
