@@ -9,18 +9,22 @@ from typing import Sequence
 class Frozen:
     """Base of the package's immutable records.
 
-    A subclass names its fields, in order, in ``_fields``; its ``__init__``
-    validates them and stores each with ``object.__setattr__``. After that,
-    assignment and deletion raise ``AttributeError``. ``repr`` reads
-    ``Name(field=value!r, ...)``. ``==`` and ``hash`` compare the tuple of
-    fields of two instances of one class, unless the subclass is declared with
-    ``eq=False``: then they are identity's, as for a record that holds arrays.
+    A record's fields are the parameters of its own ``__init__``, in order,
+    read once per class into ``_fields``; a subclass without an ``__init__``
+    keeps its parent's. The ``__init__`` validates its arguments and stores
+    one value per field with :meth:`_set`. After that, assignment and deletion
+    raise ``AttributeError``. ``repr`` reads ``Name(field=value!r, ...)``.
+    ``==`` and ``hash`` compare the tuple of fields of two instances of one
+    class, unless the subclass is declared with ``eq=False``: then they are
+    identity's, as for a record that holds arrays.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
             return
@@ -37,6 +41,11 @@ class Frozen:
             return hash(key(self))
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def _set(self, *values) -> None:
+        """Store ``values`` as the fields, in order; one value per field."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

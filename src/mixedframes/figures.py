@@ -34,12 +34,8 @@ LOADED_COMPONENT_CAP = 16  # N components give N^2 in the product that is convol
 class Artifact(Frozen):
     """Named set of output files: (filename, content) pairs plus metadata."""
 
-    _fields = ("name", "files", "metadata")
-
     def __init__(self, name: str, files: tuple[tuple[str, str], ...], metadata: dict) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "files", files)
-        object.__setattr__(self, "metadata", metadata)
+        self._set(name, files, metadata)
 
 
 def write_artifact(artifact: Artifact, out_dir: Path) -> list[Path]:

@@ -52,25 +52,18 @@ def expm(a: np.ndarray) -> np.ndarray:
 class GalileiParams(Frozen):
     """Mass, the fixed boost instant t, and hbar."""
 
-    _fields = ("mass", "time", "hbar")
-
     def __init__(self, mass: float, time: float, hbar: float = 1.0) -> None:
         positive("mass", mass)
         finite("time", time)
         positive("hbar", hbar)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "hbar", hbar)
+        self._set(mass, time, hbar)
 
 
 class MomentumEigenLabel(Frozen):
     """Momentum eigenvalue plus an accumulated phase, canonical in [0, 2 pi)."""
 
-    _fields = ("momentum", "phase")
-
     def __init__(self, momentum: float, phase: float) -> None:
-        object.__setattr__(self, "momentum", momentum)
-        object.__setattr__(self, "phase", float(phase) % TWO_PI)
+        self._set(momentum, float(phase) % TWO_PI)
 
 
 class OperatorGrid:

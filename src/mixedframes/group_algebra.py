@@ -36,12 +36,11 @@ QUAD_MAX_SPLITS = 200
 class DiracComponent(Frozen):
     """Point mass delta(a - location), read as mean ``location`` and variance 0.0."""
 
-    _fields = ("location",)
     variance = 0.0
 
     def __init__(self, location: float) -> None:
         finite("Dirac location", location)
-        object.__setattr__(self, "location", location)
+        self._set(location)
 
     @property
     def mean(self) -> float:
@@ -51,13 +50,10 @@ class DiracComponent(Frozen):
 class GaussianComponent(Frozen):
     """Normal density with the given mean and variance (sigma squared)."""
 
-    _fields = ("mean", "variance")
-
     def __init__(self, mean: float, variance: float) -> None:
         finite("Gaussian mean", mean)
         positive("Gaussian variance", variance)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance", variance)
+        self._set(mean, variance)
 
 
 Component = DiracComponent | GaussianComponent
@@ -71,15 +67,13 @@ class GroupDensity(Frozen):
     positive weights summing to one.
     """
 
-    _fields = ("components",)
-
     def __init__(self, components: tuple[WeightedComponent, ...]) -> None:
         comps = tuple((float(w), c) for w, c in components)
         probability_weights("component weights", [w for w, _ in comps], WEIGHT_TOL)
         for _, comp in comps:
             if not isinstance(comp, (DiracComponent, GaussianComponent)):
                 raise TypeError(f"unsupported component type {type(comp).__name__}")
-        object.__setattr__(self, "components", comps)
+        self._set(comps)
 
 
 def _canonical(triples: Iterable[tuple[float, float, float]]) -> tuple[WeightedComponent, ...]:

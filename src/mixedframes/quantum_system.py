@@ -69,15 +69,12 @@ COMB_HALF_WIDTH = 8.0
 class PositionGrid(Frozen):
     """Periodic position grid with points x_j = -L/2 + j * dx."""
 
-    _fields = ("n_points", "extent")
-
     def __init__(self, n_points: int, extent: float) -> None:
         n = integer("n_points", n_points)
         extent = positive("extent", extent)
         if n < 64 or n & (n - 1):
             raise DomainError(f"n_points must be a power of two >= 64, got {n}")
-        object.__setattr__(self, "n_points", n)
-        object.__setattr__(self, "extent", extent)
+        self._set(n, extent)
 
     @property
     def spacing(self) -> float:
@@ -111,16 +108,13 @@ def _checked_density(grid: PositionGrid, amps: np.ndarray) -> np.ndarray:
 class WaveFunction(Frozen, eq=False):
     """Unit-norm complex amplitudes on a position grid."""
 
-    _fields = ("grid", "amplitudes")
-
     def __init__(self, grid: PositionGrid, amplitudes: np.ndarray) -> None:
         amps = np.array(amplitudes, dtype=complex)
         if amps.shape != (grid.n_points,):
             raise ValueError("amplitudes must match the grid size")
         _checked_density(grid, amps)
         amps.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "amplitudes", amps)
+        self._set(grid, amps)
 
     def norm(self) -> float:
         return self.grid.norm(self.amplitudes)
@@ -129,15 +123,12 @@ class WaveFunction(Frozen, eq=False):
 class PureMixture(Frozen, eq=False):
     """Convex combination of wavefunctions sharing one grid."""
 
-    _fields = ("grid", "terms")
-
     def __init__(self, grid: PositionGrid, terms: tuple[tuple[float, WaveFunction], ...]) -> None:
         terms = tuple((float(w), psi) for w, psi in terms)
         probability_weights("mixture weights", [w for w, _ in terms], NORM_TOL)
         if any(psi.grid != grid for _, psi in terms):
             raise GridMismatchError("all terms must share the mixture grid")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "terms", terms)
+        self._set(grid, terms)
 
 
 def pure_state(psi: WaveFunction) -> PureMixture:
@@ -147,8 +138,6 @@ def pure_state(psi: WaveFunction) -> PureMixture:
 
 class PositionDensity(Frozen, eq=False):
     """Probability density of position on a grid; integrates to one."""
-
-    _fields = ("grid", "values")
 
     def __init__(self, grid: PositionGrid, values: np.ndarray) -> None:
         values = np.array(values, dtype=float)
@@ -160,8 +149,7 @@ class PositionDensity(Frozen, eq=False):
         if not abs(area - 1.0) <= DENSITY_INTEGRAL_TOL:
             raise NormalizationError(f"density integrates to {area!r}, expected 1")
         values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        self._set(grid, values)
 
 
 def _normalized(grid: PositionGrid, amps: np.ndarray) -> WaveFunction:
@@ -209,8 +197,6 @@ class ChannelOutput(Frozen, eq=False):
     covers d = n - j > n/2.
     """
 
-    _fields = ("inputs", "shifts", "offset_weights", "weights")
-
     def __init__(
         self,
         inputs: PureMixture | ChannelOutput,
@@ -218,10 +204,7 @@ class ChannelOutput(Frozen, eq=False):
         offset_weights: tuple[float, ...],
         weights: tuple[float, ...],
     ) -> None:
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "offset_weights", offset_weights)
-        object.__setattr__(self, "weights", weights)
+        self._set(inputs, shifts, offset_weights, weights)
         object.__setattr__(self, "chi", [])
 
     @property

@@ -21,13 +21,10 @@ GRID_NORM_TOL = 1e-9
 class PhysicalConstants(Frozen):
     """hbar and the Boltzmann constant; defaults are natural units."""
 
-    _fields = ("hbar", "k_boltzmann")
-
     def __init__(self, hbar: float = 1.0, k_boltzmann: float = 1.0) -> None:
         positive("hbar", hbar)
         positive("k_boltzmann", k_boltzmann)
-        object.__setattr__(self, "hbar", hbar)
-        object.__setattr__(self, "k_boltzmann", k_boltzmann)
+        self._set(hbar, k_boltzmann)
 
 
 NATURAL_UNITS = PhysicalConstants()
@@ -36,14 +33,10 @@ NATURAL_UNITS = PhysicalConstants()
 class ThermalParameters(Frozen):
     """Smearing width beta (units of time), particle mass, unit constants."""
 
-    _fields = ("beta", "mass", "constants")
-
     def __init__(self, beta: float, mass: float, constants: PhysicalConstants = NATURAL_UNITS) -> None:
         positive("beta", beta)
         positive("mass", mass)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "constants", constants)
+        self._set(beta, mass, constants)
         variance = self.momentum_variance
         if not (variance > 0.0 and math.isfinite(variance)):  # the repr is formatted only to fail
             positive(f"m*hbar/beta of {self}", variance)
@@ -57,17 +50,13 @@ class ThermalParameters(Frozen):
 class MomentumGrid(Frozen):
     """Uniform momentum grid, symmetric about ``center`` (0 by default)."""
 
-    _fields = ("n_points", "p_max", "center")
-
     def __init__(self, n_points: int, p_max: float, center: float = 0.0) -> None:
         n = integer("n_points", n_points)
         if n < 2:
             raise DomainError(f"n_points must be at least 2, got {n}")
         positive("p_max", p_max)
         finite("center", center)
-        object.__setattr__(self, "n_points", n)
-        object.__setattr__(self, "p_max", p_max)
-        object.__setattr__(self, "center", center)
+        self._set(n, p_max, center)
         spacing, outermost = self.spacing, abs(center) + p_max
         if not (spacing > 0.0 and math.isfinite(spacing)):  # the repr is formatted only to fail
             positive(f"spacing 2*p_max/(n_points-1) of {self}", spacing)
@@ -91,8 +80,6 @@ class MomentumGrid(Frozen):
 class MomentumMixture(Frozen, eq=False):
     """Diagonal mixed state over a momentum grid; weights integrate to one."""
 
-    _fields = ("grid", "weights")
-
     def __init__(self, grid: MomentumGrid, weights: np.ndarray) -> None:
         weights = np.array(weights, dtype=float)
         if weights.shape != (grid.n_points,):
@@ -103,8 +90,7 @@ class MomentumMixture(Frozen, eq=False):
         if not abs(total - 1.0) <= GRID_NORM_TOL:
             raise NormalizationError(f"weights integrate to {total!r}, expected 1")
         weights.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "weights", weights)
+        self._set(grid, weights)
 
 
 def energy_smearing_density(tp: ThermalParameters, E_grid: np.ndarray) -> np.ndarray:

@@ -39,13 +39,8 @@ NORMALIZATION_CASES = 20
 class CheckResult(Frozen):
     """One report row: it passes when ``residual <= tolerance``."""
 
-    _fields = ("name", "parameters", "residual", "tolerance")
-
     def __init__(self, name: str, parameters: str, residual: float, tolerance: float) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "tolerance", tolerance)
+        self._set(name, parameters, residual, tolerance)
 
     @property
     def passed(self) -> bool:

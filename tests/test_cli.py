@@ -530,13 +530,15 @@ def test_package_and_figure_commands_load_no_scipy(tmp_path):
 IMPORT_SCRIPT = """
 import sys
 import {module}
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial")))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("scipy", "dataclasses") or m.startswith("numpy.polynomial")))
 """
 
 
 @pytest.mark.parametrize("module", ["mixedframes", "mixedframes.cli"])
 def test_import_loads_no_scipy_and_no_numpy_polynomial(module):
-    # numpy.polynomial loads inside the quadratures that use it, so an import does not pay for it
+    # numpy.polynomial loads inside the quadratures that use it, so an import does not pay for it;
+    # the records are plain classes, so dataclasses does not load either
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_SCRIPT.format(module=module)],
         capture_output=True,

@@ -180,3 +180,27 @@ def test_repr_is_the_dataclass_text(name):
     cls, keywords, _, text = RECORDS[name]
     with np.printoptions(threshold=4, edgeitems=1):
         assert repr(cls(**keywords())) == text
+
+
+class _Pair(errors.Frozen):
+    def __init__(self, left, right=0.0):
+        total = left + right  # a local of __init__ is no field
+        self._set(left, total - left)
+
+
+class _Subpair(_Pair):
+    pass
+
+
+def test_fields_are_the_constructors_parameters():
+    assert _Pair._fields == ("left", "right")
+    assert _Subpair._fields == ("left", "right")
+    assert repr(_Subpair(1.0, 2.0)) == "_Subpair(left=1.0, right=2.0)"
+    assert _Subpair(1.0) == _Subpair(1.0, 0.0) != _Pair(1.0)
+
+
+@pytest.mark.parametrize("values", [(1.0,), (1.0, 2.0, 3.0)])
+def test_set_takes_one_value_per_field(values):
+    record = _Pair(1.0, 2.0)
+    with pytest.raises(ValueError):
+        errors.Frozen._set(record, *values)
