@@ -1,8 +1,8 @@
 """Command-line interface: figure reproduction, demos and verification.
 
-Parameter precedence is built-in defaults < config file < command-line
-flags. The output directory falls back to the MIXEDFRAME_OUT environment
-variable, then ./out.
+Every run parameter has one flag, whose default is its entry in
+``DEFAULTS``. The output directory is ``--out``, else the MIXEDFRAME_OUT
+environment variable, else ./out.
 
 Exit codes: 0 on success; 2 on rejected input, a ``DomainError`` or a
 ``ResourceLimitError`` (one line on stderr); 1 when a ``verify`` check fails or
@@ -19,6 +19,7 @@ from pathlib import Path
 from .errors import DomainError, ResourceLimitError, finite, positive
 from .figures import DEMO_IDS, FIGURE_IDS, build_demo, build_figure, write_artifact
 from .group_algebra import parse_densities
+from .quantum_system import COMB_MIN_ORDER
 from .textio import csv_table, fmt, write_text_atomic
 from .verify import run_checks
 
@@ -39,41 +40,13 @@ DEFAULTS: dict[str, float | int] = {
 _POSITIVE_KEYS = {"alpha", "sigma", "temperature", "mass", "extent"}
 
 
-def parse_config_file(path: Path) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment, blank lines ignored.
-    Bad text raises :class:`DomainError`, an unreadable file its ``OSError``."""
-    values: dict[str, float | int | str] = {}
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"bad config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key = key.strip()
-        value = value.strip()
-        if key == "out":
-            values[key] = value
-            continue
-        if key not in DEFAULTS:
-            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = type(DEFAULTS[key])(value)
-        except ValueError as exc:
-            raise DomainError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    return values
-
-
 def _validate(params: dict) -> None:
     grid_n = params["grid_n"]
     if grid_n < 256 or grid_n > 8192 or grid_n & (grid_n - 1):
         raise DomainError(f"grid_n must be a power of two in [256, 8192], got {grid_n}")
-    if params["quad_order"] < 16:
-        raise DomainError(f"quad_order must be at least 16, got {params['quad_order']}")
+    order = params["quad_order"]
+    if order < COMB_MIN_ORDER:
+        raise DomainError(f"quad_order must be at least {COMB_MIN_ORDER}, got {order}")
     for key, default in DEFAULTS.items():
         if isinstance(default, float):
             (positive if key in _POSITIVE_KEYS else finite)(key, params[key])
@@ -89,9 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         for key in DEFAULTS:
             flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, type=type(DEFAULTS[key]), default=None)
+            p.add_argument(flag, dest=key, type=type(DEFAULTS[key]), default=DEFAULTS[key])
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--config", default=None, help="key = value config file")
 
     fig = sub.add_parser("figure", help="reproduce a reference figure as CSV + plot script")
     fig.add_argument("figure_id", choices=FIGURE_IDS)
@@ -112,19 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_params(args: argparse.Namespace) -> tuple[dict, Path]:
-    params = dict(DEFAULTS)
-    config_out = None
-    if args.config is not None:
-        from_file = parse_config_file(Path(args.config))
-        config_out = from_file.pop("out", None)
-        params.update(from_file)
-    for key in DEFAULTS:
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    params = {key: getattr(args, key) for key in DEFAULTS}
     _validate(params)
-    out = args.out or config_out or os.environ.get("MIXEDFRAME_OUT") or "out"
-    return params, Path(out)
+    return params, Path(args.out or os.environ.get("MIXEDFRAME_OUT") or "out")
 
 
 def _run_verify(params: dict, out_dir: Path) -> int:
@@ -164,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             return _run_verify(params, out_dir)
     except (DomainError, ResourceLimitError) as exc:
-        # rejected input: a parameter, a config or densities file, or a library domain check
+        # rejected input: a parameter, a densities file, or a library domain check
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

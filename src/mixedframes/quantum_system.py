@@ -64,6 +64,7 @@ ROW_BLOCK = 8
 # Gaussian smearing. 8 sigma truncates below 1.3e-15 of the mass and keeps
 # the rectangle-rule aliasing error under 1e-8 at 64 nodes.
 COMB_HALF_WIDTH = 8.0
+COMB_MIN_ORDER = 16  # fewest nodes of a Gaussian's comb
 
 
 class PositionGrid(Frozen):
@@ -277,8 +278,10 @@ def _node_comb(comp: Component, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Node comb of one component: a Dirac is its one node, a Gaussian ``order`` uniform nodes."""
     if comp.variance == 0.0:
         return np.array([comp.mean]), np.array([1.0])
-    if order < 16:
-        raise DomainError(f"quad_order must be >= 16 for Gaussian components, got {order}")
+    if order < COMB_MIN_ORDER:
+        raise DomainError(
+            f"quad_order must be >= {COMB_MIN_ORDER} for Gaussian components, got {order}"
+        )
     sd = math.sqrt(comp.variance)
     # the kernel divides squares up to (8 sigma)^2 by 2 sigma^2: both must stay finite
     if math.isinf(2.0 * COMB_HALF_WIDTH**2 * comp.variance):

@@ -12,8 +12,8 @@ import pytest
 import mixedframes
 from conftest import verify_checks
 from mixedframes import cli, group_algebra as ga, quantum_system as qs, verify
-from mixedframes.cli import DEFAULTS, main, parse_config_file
-from mixedframes.errors import DomainError, NormalizationError, QuadratureError
+from mixedframes.cli import DEFAULTS, main
+from mixedframes.errors import NormalizationError, QuadratureError
 from mixedframes.figures import DEMO_IDS, FIGURE_IDS, LOADED_COMPONENT_CAP, Artifact, build_figure
 from mixedframes.verify import check_figures
 
@@ -36,37 +36,52 @@ def run_cli(args, capsys):
 
 
 class TestConfig:
+    # one accepted, non-default value per run parameter
+    OVERRIDES = {
+        "alpha": "0.6", "a2": "3.0", "sigma": "0.5", "a0": "1.0", "temperature": "2.0",
+        "mass": "2.0", "v0": "0.5", "p": "0.25", "grid_n": "256", "extent": "30.0",
+        "quad_order": "32",
+    }
+
     def test_defaults_mirror_reference_parameters(self):
         assert DEFAULTS["alpha"] == 0.75
         assert DEFAULTS["a2"] == 2.5
 
-    def test_config_file_overrides_defaults(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("alpha = 0.9  # packet width\n\ngrid_n = 512\nout = " + str(tmp_path / "cfg_out") + "\n")
-        code, out, _ = run_cli(["figure", "a1a2", "--config", str(cfg)], capsys)
-        assert code == 0
-        meta = json.loads((tmp_path / "cfg_out" / "a1a2.json").read_text())
-        assert meta["param_alpha"] == 0.9
-        assert meta["param_grid_n"] == 512
-        assert meta["param_a2"] == 2.5  # untouched default
-
-    def test_flags_override_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("alpha = 0.9\n")
-        code, _, _ = run_cli(
-            ["figure", "a1a2", "--config", str(cfg), "--alpha", "0.6", "--grid-n", "256",
-             "--out", str(tmp_path / "o")],
-            capsys,
+    @pytest.mark.parametrize("key", DEFAULTS)
+    def test_flag_overrides_only_its_own_key(self, tmp_path, capsys, key):
+        flag = "--" + key.replace("_", "-")
+        code, _, err = run_cli(
+            ["figure", "a1a2", *FAST, flag, self.OVERRIDES[key], "--out", str(tmp_path)], capsys
         )
-        assert code == 0
-        meta = json.loads((tmp_path / "o" / "a1a2.json").read_text())
-        assert meta["param_alpha"] == 0.6
+        assert code == 0, err
+        meta = json.loads((tmp_path / "a1a2.json").read_text())
+        params = {k[len("param_"):]: v for k, v in meta.items() if k.startswith("param_")}
+        expected = {**DEFAULTS, "grid_n": 256}
+        expected[key] = type(DEFAULTS[key])(self.OVERRIDES[key])
+        assert expected[key] != DEFAULTS[key] and params == expected
 
     def test_env_fallback_for_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MIXEDFRAME_OUT", str(tmp_path / "env_out"))
         code, _, _ = run_cli(["figure", "a1a2"] + FAST, capsys)
         assert code == 0
         assert (tmp_path / "env_out" / "a1a2.csv").exists()
+
+    def test_out_flag_wins_over_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MIXEDFRAME_OUT", str(tmp_path / "env_out"))
+        code, _, _ = run_cli(["figure", "a1a2", *FAST, "--out", str(tmp_path / "flag_out")], capsys)
+        assert code == 0
+        assert (tmp_path / "flag_out" / "a1a2.csv").exists()
+        assert not (tmp_path / "env_out").exists()
+
+    @pytest.mark.parametrize("command", [["figure", "a1a2"], ["demo", "semigroup"], ["verify"]])
+    def test_config_flag_is_not_an_option(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 0.9\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_bad_grid_n_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -75,25 +90,34 @@ class TestConfig:
         assert code == 2
         assert "grid_n" in err
 
+    # the powers of two just outside [256, 8192], and the order one below the comb's floor
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--grid-n", "128"], "grid_n"),
+            (["--grid-n", "16384"], "grid_n"),
+            (["--grid-n", "256", "--quad-order", "15"], "quad_order"),
+        ],
+    )
+    def test_just_outside_the_domain_rejected(self, tmp_path, capsys, argv, named):
+        code, _, err = run_cli(["figure", "gaussian-smear", *argv, "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and named in err
+
+    def test_quad_order_at_the_comb_floor_accepted(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["figure", "gaussian-smear", *FAST, "--quad-order", "16", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0, err
+        assert json.loads((tmp_path / "gaussian-smear.json").read_text())["param_quad_order"] == 16
+
     def test_nonpositive_parameter_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["figure", "a1a2", "--alpha", "-1", "--out", str(tmp_path)], capsys
         )
         assert code == 2
         assert "alpha" in err
-
-    @pytest.mark.parametrize("key", ["warp_factor", "beta"])
-    def test_unknown_config_key_rejected(self, tmp_path, key):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = 9\n")
-        with pytest.raises(DomainError):
-            parse_config_file(cfg)
-
-    def test_malformed_config_line_rejected(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("alpha 0.9\n")
-        with pytest.raises(DomainError):
-            parse_config_file(cfg)
 
 
 class TestErrorContract:
@@ -142,14 +166,14 @@ class TestErrorContract:
         assert code == 1
         assert err.startswith("io error")
 
-    @pytest.mark.parametrize("flag", ["--config", "--densities"])
+    @pytest.mark.parametrize("flag", ["--densities"])
     def test_unreadable_input_file_exits_1(self, tmp_path, capsys, flag):
         missing = str(tmp_path / "missing.txt")
         code, _, err = run_cli(["demo", "semigroup", flag, missing, "--out", str(tmp_path)], capsys)
         assert code == 1
         assert err.startswith("io error") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("flag", ["--config", "--densities"])
+    @pytest.mark.parametrize("flag", ["--densities"])
     def test_undecodable_input_file_is_rejected(self, tmp_path, capsys, flag):
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"alpha = 0.9 # \xe9\n")
@@ -411,7 +435,7 @@ class TestVerifyCommand:
         for name in calls:
             monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
         out = tmp_path / "verify"
-        code, _, err = run_cli(["verify", "--grid-n", "256", "--out", str(out)], capsys)
+        code, stdout, err = run_cli(["verify", "--grid-n", "256", "--out", str(out)], capsys)
         assert code == 1
         assert "first failing check" in err
         report = (out / "verify_report.csv").read_text().splitlines()
@@ -424,6 +448,8 @@ class TestVerifyCommand:
         assert failed == {
             "antipode_two_point_product", "antipode_inverts_iff_pure", "channel_density_convolution"
         }
+        rows = len(report) - 1
+        assert stdout.startswith(f"verify: {rows - len(failed)}/{rows} checks passed;")
         assert any(line.startswith("galilei_bch_sweep,") for line in report[1:])
         assert not (out / "galilei_residuals.csv").exists()
         # every check in verify runs exactly once in the suite

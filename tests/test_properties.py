@@ -21,7 +21,9 @@ from scipy.special import jv
 
 from mixedframes import group_algebra as ga, quantum_system as qs
 from mixedframes.cli import DEFAULTS, main
-from mixedframes.errors import DomainError, finite, positive
+from mixedframes.errors import (
+    DomainError, NormalizationError, finite, positive, probability_weights
+)
 from mixedframes.figures import DEMO_IDS, FIGURE_IDS
 from mixedframes.galilei import (
     GalileiParams,
@@ -666,6 +668,22 @@ def test_scalar_checks_accept_exactly_their_domain(x):
         else:
             with pytest.raises(DomainError, match="^x must be"):
                 check("x", x)
+
+
+def test_probability_weights_accept_exactly_positive_weights():
+    # zero is the edge; the least subnormal is one ulp inside it
+    probability_weights("w", [5e-324, 1.0], 1e-12)
+    with pytest.raises(NormalizationError, match="^w must be positive"):
+        probability_weights("w", [0.0, 1.0], 1e-12)
+
+
+def test_probability_weights_accept_a_sum_exactly_tol_from_one():
+    tol = 2.0**-20  # 1 + tol and 1 - tol are doubles, so each total is exactly tol from one
+    for total in (1.0 + tol, 1.0 - tol):
+        probability_weights("w", [total], tol)
+    for total in (math.nextafter(1.0 + tol, 2.0), math.nextafter(1.0 - tol, 0.0)):
+        with pytest.raises(NormalizationError, match="^w sum to"):
+            probability_weights("w", [total], tol)
 
 
 LIBRARY_GRID = PositionGrid(256, 40.0)

@@ -274,8 +274,12 @@ class TestActMixed:
 
     def test_quad_order_floor(self, grid):
         psi = gaussian_wavepacket(grid, 0.75)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="quad_order must be >= 16"):
             act_mixed(make_gaussian(0.0, 1.0), pure_state(psi), quad_order=8)
+        with pytest.raises(DomainError, match="quad_order must be >= 16"):
+            act_mixed(make_gaussian(0.0, 1.0), pure_state(psi), quad_order=15)
+        out = act_mixed(make_gaussian(0.0, 1.0), pure_state(psi), quad_order=16)
+        assert len(out.weights) == 16
 
     def test_term_cap(self, grid):
         psi = gaussian_wavepacket(grid, 0.75)
