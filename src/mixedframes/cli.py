@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import DomainError, ResourceLimitError, finite, positive
 from .figures import DEMO_IDS, FIGURE_IDS, build_demo, build_figure, write_artifact
 from .group_algebra import parse_densities
-from .quantum_system import COMB_MIN_ORDER
+from .quantum_system import COMB_MIN_ORDER, DEFAULT_QUAD_ORDER
 from .textio import csv_table, fmt, write_text_atomic
 from .verify import run_checks
 
@@ -34,7 +34,7 @@ DEFAULTS: dict[str, float | int] = {
     "p": 0.0,
     "grid_n": 4096,
     "extent": 40.0,
-    "quad_order": 64,
+    "quad_order": DEFAULT_QUAD_ORDER,
 }
 
 _POSITIVE_KEYS = {"alpha", "sigma", "temperature", "mass", "extent"}

@@ -83,24 +83,19 @@ class TestConfig:
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
 
-    def test_bad_grid_n_rejected(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            ["figure", "a1a2", "--grid-n", "300", "--out", str(tmp_path)], capsys
-        )
-        assert code == 2
-        assert "grid_n" in err
-
-    # the powers of two just outside [256, 8192], and the order one below the comb's floor
+    # a grid size off the powers of two, the powers just outside [256, 8192],
+    # and the order one below the comb's floor
     @pytest.mark.parametrize(
         "argv, named",
         [
+            (["--grid-n", "300"], "grid_n"),
             (["--grid-n", "128"], "grid_n"),
             (["--grid-n", "16384"], "grid_n"),
             (["--grid-n", "256", "--quad-order", "15"], "quad_order"),
         ],
     )
-    def test_just_outside_the_domain_rejected(self, tmp_path, capsys, argv, named):
-        code, _, err = run_cli(["figure", "gaussian-smear", *argv, "--out", str(tmp_path)], capsys)
+    def test_bad_grid_n_rejected(self, tmp_path, capsys, argv, named):
+        code, _, err = run_cli(["figure", "a1a2", *argv, "--out", str(tmp_path)], capsys)
         assert code == 2
         assert err.count("\n") == 1 and named in err
 

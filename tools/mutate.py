@@ -15,7 +15,6 @@ one at a time: it is killed if the suite fails or times out, and survives if
 it passes. The sweep exits 1 if any mutant survives.
 
     python tools/mutate.py src/mixedframes/cli.py src/mixedframes/errors.py
-    python tools/mutate.py --list src/mixedframes/cli.py
 
 It runs by hand, not in the test suite: a survivor costs a whole suite run.
 """
@@ -90,14 +89,8 @@ def run_suite(tree: Path, timeout: float) -> bool | None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", type=Path, help="module files in the repository")
-    parser.add_argument("--list", action="store_true", help="print the mutants and run nothing")
     args = parser.parse_args(argv)
     modules = [m.resolve().relative_to(ROOT) for m in args.modules]
-    if args.list:
-        for module in modules:
-            for index, (line, label) in enumerate(mutants((ROOT / module).read_text())):
-                print(f"{index:4d} {module}:{line} {label}")
-        return 0
 
     with tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
         tree = Path(scratch) / "tree"
