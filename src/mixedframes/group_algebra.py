@@ -23,12 +23,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .analytic import norm_pdf
-from .errors import DomainError, Frozen, QuadratureError, finite, positive, probability_weights
+from .errors import DomainError, Frozen, QuadratureError, ResourceLimitError, finite, positive, probability_weights
 
 WEIGHT_TOL = 1e-12
 MATCH_TOL = 1e-10
 SCAN_POINTS = 20001
-REFINE_MAX_ROUNDS = 64  # halving a bracket of two scan steps down to 1e-7 of a step takes 25
+CHI_POINT_CAP = 1 << 20  # exact chi points of one invertibility test
+CHI_BATCH = 1 << 18  # components x points of one _chi call of that test
 QUAD_NODES = 10  # Gauss-Legendre nodes per panel of evaluate's adaptive rule
 QUAD_MAX_SPLITS = 200
 
@@ -247,104 +248,94 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
     """Banded invertibility test for the convolution semigroup.
 
     Returns ``(True, None)`` for a single Dirac component (unimodular
-    characteristic function, decided analytically). Otherwise reports
-    whether the infimum of ``|chi(p)|`` over ``|p| <= band`` stays at or
-    above ``floor``, together with a nonnegative witness ``p*`` where
-    ``|chi|`` comes within 1e-9 of that infimum.
+    characteristic function, decided analytically). Otherwise reports whether
+    ``|chi(p)|`` stays at or above ``floor`` over ``|p| <= band``, with a
+    nonnegative witness ``p*`` where ``|chi|`` comes within 1e-9 of the least.
 
-    ``|chi(-p)| = |chi(p)|`` for a real density, so only ``0 <= p <= band``
-    is scanned, at ``(SCAN_POINTS + 1) // 2`` points: the spacing of a
-    ``SCAN_POINTS``-point scan of the full range. The interior samples turn
-    each component's phase by one fixed rotation per point
-    (:func:`_rotated_chi`), within a stated rounding bound of ``|chi|``; the
-    two ends and every refined point are :func:`characteristic_function`'s
-    values, and the least is taken over those alone. Each interior sample no
-    larger than its neighbours opens a bracket ``[p[i-1], p[i+1]]``.
-
-    A bracket is settled from its samples, and not refined, when a bound on
-    ``|d^2 |chi|^2 / dp^2|`` over it (Piyavskii 1972; Shubert 1972) shows
-    that it cannot lower the least of the two ends by more than twice the
-    rounding bound: on a tail where ``|chi|`` is flat to rounding, every
-    bracket is settled. Every other bracket is refined from its middle sample,
-    all at once on numpy arrays, by Newton steps on
-    ``d|chi|^2/dp = 2 Re(conj(chi) chi')`` that fall back to halving the
-    bracket whenever a step would leave it (Press et al., *Numerical Recipes*,
-    3rd ed., 2007, sec. 9.4). A bracket stops once its step is no longer than
-    ``1e-7`` of the scan step (1e-10 at a band of 10), a tolerance that
-    scales with the band and stays far above the float spacing at any ``p``;
-    or once its Newton model cannot lower ``|chi|^2`` by more than its own
-    rounding. The witness is the smallest ``p``, refined point or scan sample,
-    whose ``|chi|`` lies within 1e-9 of the least: on a flat tail, the first
-    sample where the tail comes that close.
+    ``|chi(-p)| = |chi(p)|``, so ``[0, band]`` is scanned at the
+    ``(SCAN_POINTS + 1) // 2`` points of :func:`_rotated_chi`; the least is taken
+    over exact :func:`characteristic_function` values at the ends, the smallest
+    sample and every split point. Over a cell between neighbouring points,
+    ``|chi|^2`` stays above its smaller end less the scan's rounding, squared,
+    less ``M h^2 / 8`` for the bound ``M`` of :func:`_curvature` and the width
+    ``h`` (Piyavskii 1972; Shubert 1972). A cell is split at the Newton point of
+    ``d|chi|^2/dp`` from its lower end when that end is exact and the point
+    falls inside (Press et al., *Numerical Recipes*, 3rd ed., 2007, sec. 9.4);
+    a step within 1e-7 of the scan step ends that descent, and a narrower cell
+    is dropped. Any other cell is settled once the bound shows it cannot lower
+    the least by more than twice the rounding, or, when that Newton point lies
+    at or beyond its lower end, cannot reach ``floor`` (0 once the least is
+    below it); else it is split at its middle. So ``True`` holds between the
+    samples too. Past ``CHI_POINT_CAP`` exact points, :class:`ResourceLimitError`
+    names the spread and the band. The witness is the smallest ``p`` within
+    1e-9 of the least among the samples, the ends of descents and where the least lies.
     """
     positive("band", band)
     if not 0.0 < floor < 1.0:
         raise DomainError(f"floor must lie in (0, 1), got {floor}")
     if is_pure(rho):
         return True, None
-    least, witness = _min_modulus(rho, band)
+    least, witness = _min_modulus(rho, band, floor)
     return least >= floor, witness
 
 
-def _min_modulus(rho: GroupDensity, band: float) -> tuple[float, float]:
+def _min_modulus(rho: GroupDensity, band: float, floor: float = 0.0) -> tuple[float, float]:
     """Least ``|chi|`` over ``0 <= p <= band`` and its witness; see :func:`is_invertible`."""
     columns = _columns(rho)
     grid = _scan_grid(band)
     step = float(grid[1])
-    # the largest phase is checked before the scan, and every refined point lies between the ends;
+    # the largest phase is checked before the scan, and every split point lies between the ends;
     # the scan's |chi| stays within `rounding` of the exact one (see _rotated_chi)
     rounding = 4.0 * sys.float_info.epsilon * (math.isqrt(grid.size) + 1 + _largest_phase(rho, band))
-    vals = np.empty(grid.size)
-    vals[[0, -1]] = np.abs(_chi(columns, grid[[0, -1]]))
-    inner = np.abs(_rotated_chi(rho, grid[1:-1]), out=vals[1:-1])
-    i = np.flatnonzero((inner <= vals[:-2]) & (inner <= vals[2:])) + 1
-    least = float(min(vals[0], vals[-1]))
-    best_x = best_m = np.empty(0)
-    if i.size:
-        # huge means overflow the bounds and the slopes to inf; an inf or NaN bound settles nothing
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # each cell of a bracket stays above its lower sample less M h^2 / 8 (Piyavskii; Shubert)
-            floor2 = np.maximum(vals[i] - rounding, 0.0) ** 2 - _curvature(rho, grid[i - 1], band) * (
-                step * step / 8.0)
-            i = i[~(np.sqrt(np.maximum(floor2, 0.0)) >= least - 2.0 * rounding)]
-            best_x, best_m = _refine(columns, grid[i], grid[i - 1], grid[i + 1], step)
-    least = min(least, float(best_m.min(initial=np.inf)))
-    close = vals <= least + 1e-9
-    first = close.argmax()  # the first scan sample within 1e-9 of the least, if any
-    witness = best_x[best_m <= least + 1e-9].min(initial=grid[first] if close[first] else np.inf)
-    return least, float(witness)
+    vals, targets = np.empty(grid.size), np.full(grid.size, np.nan)  # Newton points at exact points
+    np.abs(_rotated_chi(rho, grid[1:-1]), out=vals[1:-1])
+    seeds = np.array([0, int(vals[1:-1].argmin()) + 1, grid.size - 1])
+    points, found = seeds.size, []
+    with np.errstate(all="ignore"):  # an inf or NaN bound settles nothing
+        vals[seeds], targets[seeds] = _probe(columns, grid[seeds], step)
+        least = float(vals[seeds].min())
+        # M h^2 in units of the scan step stays in range at any band; the scan's cells go in 100 blocks of 100
+        bounds = np.fmin(_curvature(rho, grid[:-1:100], grid[100::100], step), np.inf)
+        bar = rounding + np.sqrt((least - 2.0 * rounding) ** 2 + bounds / 8) if least > 2.0 * rounding else -np.inf
+        i = np.flatnonzero(np.minimum(vals[:-1], vals[1:]).reshape(-1, 100) < np.reshape(bar, (-1, 1)))
+        # a cell is a column: lo, |chi(lo)|, the Newton point from lo, and the same at hi
+        cells = np.array([grid[i], vals[i], targets[i], grid[i + 1], vals[i + 1], targets[i + 1]])
+        while cells.size:
+            lo, f_lo, t_lo, hi, f_hi, t_hi = cells
+            width, left = (hi - lo) / step, f_lo <= f_hi
+            inward = np.where(left, t_lo - lo, hi - t_hi) / step  # the Newton step from the lower end
+            bottom = np.sqrt(np.maximum(np.maximum(np.minimum(f_lo, f_hi) - rounding, 0.0) ** 2
+                                        - _curvature(rho, lo, hi, step) * (width * width / 8.0), 0.0))
+            stepping = (inward > 0.0) & (inward < width)
+            settled = (bottom >= least - 2.0 * rounding) | (inward <= 0.0) & (bottom >= floor * (least >= floor))
+            keep = (stepping | ~settled) & (width > 1e-7)
+            if not keep.any():
+                break
+            split = np.where(stepping, np.where(left, t_lo, t_hi), lo + 0.5 * (hi - lo))[keep]
+            points += split.size
+            if points > CHI_POINT_CAP:  # columns[1] holds -1j * mean
+                raise ResourceLimitError(f"the invertibility test at band {band!r} and density spread "
+                                         f"{float(np.ptp(columns[1].imag))!r} exceeds {CHI_POINT_CAP} chi points")
+            modulus, target = _probe(columns, split, step)
+            target = np.where((stepping & (inward <= 1e-7))[keep], split, target)  # a short step ends a descent
+            least = min(least, float(modulus.min()))
+            found.append((split, modulus, target == split))  # the ends of descents
+            cells = np.concatenate((cells[:, keep], cells[:, keep]), axis=1)
+            cells[3:, :split.size] = cells[:3, split.size:] = split, modulus, target
+    first = int((vals <= least + 1e-9).argmax())  # the first scan sample within 1e-9 of the least, if any
+    p, m, end = (np.concatenate(z) for z in zip((grid[first:first + 1], vals[first:first + 1], [True]), *found))
+    return least, float(p[(m <= least + 1e-9) & (end | (m == least))].min())
 
 
-def _refine(columns: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray, unit: float) -> tuple[np.ndarray, np.ndarray]:
-    """The least ``|chi|`` found in each bracket ``[lo, hi]`` from ``x`` and where it lies.
-
-    One :func:`_chi` call per round serves every bracket, with derivatives in
-    ``unit`` (the scan step). A Newton step on ``d|chi|^2/dp`` that stays in
-    its bracket is taken, else the bracket is halved; the bracket keeps the
-    side toward which ``|chi|^2`` descends. A bracket stops once its step is
-    within ``1e-7 unit``, or once its Newton model cannot lower ``|chi|^2`` by
-    more than ``4 eps |chi|^2``.
-    """
-    eps4 = 4.0 * sys.float_info.epsilon
-    best_x, best_m = x, np.full(x.size, np.inf)
-    for _ in range(REFINE_MAX_ROUNDS if x.size else 0):
-        chi, slope, bend = _chi(columns, x, unit)
-        modulus = np.abs(chi)
-        better = modulus < best_m
-        best_x, best_m = np.where(better, x, best_x), np.where(better, modulus, best_m)
-        conj = chi.conj()
-        descent = (conj * slope).real  # half of d|chi|^2/dp
-        convex = (slope.conj() * slope + conj * bend).real  # half of d^2|chi|^2/dp^2
-        lo, hi = np.where(descent < 0.0, x, lo), np.where(descent > 0.0, x, hi)
-        # where convex <= 0 the step points out of [lo, hi], or is NaN
-        nxt = x - descent / convex * unit
-        nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-        moving = (np.abs(nxt - x) > 1e-7 * unit) & (descent * descent > eps4 * modulus * modulus * convex)
-        if not moving.any():
-            break
-        x = np.where(moving, nxt, x)
-    return best_x, best_m
+def _probe(columns: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray,
+           unit: float) -> tuple[np.ndarray, np.ndarray]:
+    """``|chi|`` at ``x`` and the Newton point of ``d|chi|^2/dp`` from each, NaN where it is not convex."""
+    chunk = max(1, CHI_BATCH // columns[0].size)
+    chi, slope, bend = _chi(columns, x, unit) if x.size <= chunk else (np.concatenate(z) for z in zip(*(
+        _chi(columns, x[i:i + chunk], unit) for i in range(0, x.size, chunk))))
+    conj = chi.conj()
+    convex = (slope.conj() * slope + conj * bend).real  # half of d^2|chi|^2/dp^2, in `unit`
+    return np.abs(chi), np.where(convex > 0.0, x - (conj * slope).real / convex * unit, np.nan)
 
 
 @functools.lru_cache(maxsize=1)
@@ -355,8 +346,8 @@ def _scan_grid(band: float) -> np.ndarray:
     return grid
 
 
-def _curvature(rho: GroupDensity, lo: np.ndarray, reach: float) -> np.ndarray | float:
-    """A bound on ``|d^2 |chi|^2 / dp^2|`` over ``lo <= p <= reach`` for each ``lo >= 0``.
+def _curvature(rho: GroupDensity, lo: np.ndarray, reach: np.ndarray | float, unit: float = 1.0) -> np.ndarray:
+    """A bound on ``|d^2 |chi|^2 / dp^2|`` over each ``0 <= lo <= p <= reach``, in the unit ``unit``.
 
     ``|chi|^2`` is the sum over pairs of components of ``T_j conj(T_k)``, with
     ``T = w exp(-i mean p - variance p^2 / 2)``. A pair of Diracs adds at most
@@ -365,20 +356,19 @@ def _curvature(rho: GroupDensity, lo: np.ndarray, reach: float) -> np.ndarray | 
     ``|T| <= u``, ``|T'| <= u s`` and ``|T''| <= u (s^2 + v)`` with
     ``s = |mean| + v reach``; ``u`` is ``w`` for a Dirac and at most ``w E`` for
     a Gaussian, where ``E = exp(-v_min lo^2 / 2)`` is the envelope, at ``lo``, of
-    the Gaussian that decays slowest.
+    the Gaussian that decays slowest; where ``E`` underflows to 0, as ``chi``'s
+    terms do, so do the terms it bounds. Means, ``s`` and ``v`` are taken in ``unit``.
     """
-    diracs = [(w, c.mean) for w, c in rho.components if c.variance == 0.0]
+    diracs = [(w, c.mean * unit) for w, c in rho.components if c.variance == 0.0]
     d0 = sum(w for w, _ in diracs)
     d2 = sum(w * m * m for w, m in diracs)
     center = sum(w * m for w, m in diracs) / d0 if diracs else 0.0
     bound = 2.0 * d0 * sum(w * (m - center) * (m - center) for w, m in diracs)
-    gauss = [(w, abs(c.mean) + c.variance * reach, c.variance) for w, c in rho.components if c.variance > 0.0]
-    if not gauss:
-        return bound
+    gauss = [(w, (abs(c.mean) + c.variance * reach) * unit, c.variance) for w, c in rho.components if c.variance]
     g0 = sum(w for w, _, _ in gauss)  # times E: the sums over the Gaussians of u and of u (2 s^2 + v)
-    g2 = sum(w * (2.0 * s * s + v) for w, s, v in gauss)
-    envelope = np.exp(-0.5 * min(v for _, _, v in gauss) * lo * lo)
-    return bound + envelope * (4.0 * d2 * g0 + 2.0 * d0 * g2 + 4.0 * g0 * g2 * envelope)
+    g2 = sum(w * (2.0 * s * s + v * unit * unit) for w, s, v in gauss)
+    env = np.exp(-0.5 * min((v for _, _, v in gauss), default=0.0) * lo * lo)  # E; 1.0 with no Gaussian
+    return bound + np.where(env > 0.0, env * (4.0 * d2 * g0 + 2.0 * d0 * g2 + 4.0 * g0 * g2 * env), 0.0)
 
 
 def _rotated_chi(rho: GroupDensity, p: np.ndarray) -> np.ndarray:

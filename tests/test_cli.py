@@ -330,6 +330,32 @@ class TestDemoCommand:
         assert (pure, invertible) == ("false", "false")
         assert float(witness) == pytest.approx(math.pi * 1e300, rel=1e-6)
 
+    # its product with its antipode dips below 1e-9 near p = 1.6825 and 7.9651, between the scan's
+    # samples, whose least |chi| is 0.0086
+    NARROW_DIP = "dirac weight=0.45 a=0\ndirac weight=0.1 a=1\ndirac weight=0.45 a=6283.5\n"
+
+    def test_semigroup_finds_a_dip_between_the_scan_samples(self, tmp_path, capsys):
+        density_file = tmp_path / "states.txt"
+        density_file.write_text(self.NARROW_DIP)
+        code, _, err = run_cli(
+            ["demo", "semigroup", "--densities", str(density_file), "--out", str(tmp_path)], capsys
+        )
+        assert code == 0 and err == ""
+        rows = (tmp_path / "semigroup.csv").read_text().splitlines()
+        row = next(r for r in rows if r.startswith("loaded_0_antipode,"))
+        assert row.split(",")[-3:-1] == ["false", "false"]
+
+    def test_semigroup_past_the_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        density_file = tmp_path / "states.txt"
+        density_file.write_text(self.NARROW_DIP)
+        monkeypatch.setattr(ga, "CHI_POINT_CAP", 10000)
+        code, _, err = run_cli(
+            ["demo", "semigroup", "--densities", str(density_file), "--out", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "spread 12567.0 " in err and "band 10.0 " in err
+
     def test_semigroup_rejects_a_band_that_is_not_finite(self, tmp_path, capsys):
         # 10 / 5e-324 overflows: no scan band covers the product's first zero
         density_file = tmp_path / "states.txt"
@@ -401,7 +427,7 @@ class TestDemoCommand:
                 "42259710fe84c1b646f185b1721d2e2c419fa5719ce097b8df02d80ddcdf00ae",
         },
         "semigroup": {
-            "semigroup.csv": "4b5b9145cfd179d06aa556732dfe3fff78665c2a5eed0b5ac97f7d92dadee7d0",
+            "semigroup.csv": "72782ee4cbca358a4cf9bfd61292e033468fc19e2c3c7132d3d93664cefca116",
             "semigroup.json": "de991fc06dc6f03941c62a12b1a8882650e5269a3fd3634fc1a0d64d62727ff9",
         },
     }

@@ -29,7 +29,7 @@ from mixedframes import (
     to_text,
 )
 from mixedframes import group_algebra as ga
-from mixedframes.errors import QuadratureError
+from mixedframes.errors import QuadratureError, ResourceLimitError
 from mixedframes.group_algebra import density_gap, mass_within
 
 RNG = np.random.default_rng(42)
@@ -440,6 +440,23 @@ class TestInvertibility:
         assert least < 1e-10 and witness == pytest.approx(math.pi / gap, rel=1e-10)
         assert calls[0] <= 6
 
+    def test_zero_between_the_scan_samples(self):
+        # the 10,001 samples sit near multiples of 2 pi / a, where |chi| = |cos(a p / 2)| is
+        # near 1; the cells between them are what reach the zero at pi / a
+        a = 2e3 * math.pi * (1.0 + 1e-5)
+        rho = mix([(0.5, make_delta(0.0)), (0.5, make_delta(a))])
+        samples = np.abs(characteristic_function(rho, np.linspace(0.0, 10.0, (ga.SCAN_POINTS + 1) // 2)))
+        assert samples.min() > 0.9
+        verdict, witness = is_invertible(rho, band=10.0, floor=0.5)
+        assert verdict is False and abs(witness - math.pi / a) <= 1e-10
+
+    def test_work_past_the_cap_is_refused(self, monkeypatch):
+        rho = mix([(0.5, make_delta(0.0)), (0.5, make_delta(2e3 * math.pi * (1.0 + 1e-5)))])
+        monkeypatch.setattr(ga, "CHI_POINT_CAP", 1000)
+        named = r"band 10\.0 and density spread 6283\.2\d* exceeds 1000 chi points"
+        with pytest.raises(ResourceLimitError, match=named):
+            is_invertible(rho, band=10.0, floor=0.5)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             is_invertible(make_delta(0.0), band=-1.0, floor=1e-3)
@@ -511,20 +528,24 @@ class TestRotationScan:
 
     @pytest.mark.parametrize("rho", [*_library_products(np.random.default_rng(30), 60), FLAT_TAIL])
     def test_matches_the_full_grid_scan(self, monkeypatch, rho):
+        # the scans differ by the rounding bound, and so may the split points they choose
         band = 10.0
         least, witness = ga._min_modulus(rho, band)
         ref_least, ref_witness = self.full_grid_scan(monkeypatch, rho, band)
-        assert least == ref_least
+        phase = max(abs(c.mean) for _, c in rho.components) * band
+        rounding = 4.0 * np.finfo(float).eps * (math.isqrt((ga.SCAN_POINTS + 1) // 2) + 1 + phase)
+        assert abs(least - ref_least) <= 2.0 * rounding
         assert witness == ref_witness
         assert is_invertible(rho, band, 1e-3)[0] == (ref_least >= 1e-3)
 
     def test_flat_tail_is_settled_from_its_samples(self, monkeypatch):
-        # the least is the band edge's, and no bracket of the plateau is refined
+        # the least is exact chi at the two ends or the smallest sample, and no cell of the plateau is split
         calls = _count_chi_calls(monkeypatch)
         least, witness = ga._min_modulus(FLAT_TAIL, 10.0)
-        assert calls[0] == 1  # the two ends
-        assert least == abs(characteristic_function(FLAT_TAIL, 10.0))
+        assert calls[0] == 1  # the two ends and the smallest sample
         grid = np.linspace(0.0, 10.0, (ga.SCAN_POINTS + 1) // 2)
+        smallest = np.abs(ga._rotated_chi(FLAT_TAIL, grid[1:-1])).argmin() + 1
+        assert least == np.abs(characteristic_function(FLAT_TAIL, grid[[0, smallest, -1]])).min()
         modulus = np.abs(characteristic_function(FLAT_TAIL, grid))
         assert witness == grid[np.argmax(modulus <= least + 1e-9)]
 

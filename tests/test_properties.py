@@ -309,6 +309,43 @@ def test_min_modulus_matches_the_brent_reference(case, floor):
 
 
 @st.composite
+def spread_mixtures(draw):
+    """A band from 0.1 to 10, a floor from 0.1 to 0.9 and two to four Dirac or Gaussian
+    components spread over up to 1e4; in half the cases the spread sits near a multiple of
+    2 pi over the scan step, so that the samples alias and |chi| dips between them."""
+    band = 10.0 ** draw(st.floats(-1.0, 1.0))
+    cycles = 2.0 * math.pi * ((ga.SCAN_POINTS + 1) // 2 - 1) / band  # one turn of the phase per step
+    if draw(st.booleans()) and cycles <= 1e4:
+        spread = cycles * draw(st.integers(1, int(1e4 // cycles))) * (1.0 + draw(st.floats(-1e-3, 1e-3)))
+    else:
+        spread = 10.0 ** draw(st.floats(0.0, 4.0))
+    means = [0.0, spread, *(spread * draw(st.floats(0.0, 1.0)) for _ in range(draw(st.integers(0, 2))))]
+    raw = []
+    for mean in means:
+        var = 0.0 if draw(st.booleans()) else (draw(st.floats(0.1, 3.0)) / band) ** 2
+        comp = ga.GaussianComponent(mean, var) if var else ga.DiracComponent(mean)
+        raw.append((draw(st.floats(0.05, 1.0)), comp))
+    total = math.fsum(w for w, _ in raw)
+    return band, draw(st.floats(0.1, 0.9)), ga.GroupDensity(tuple((w / total, c) for w, c in raw))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spread_mixtures())
+def test_verdict_matches_a_dense_oracle(case):
+    """Sampled at a step where M step^2 / 8 is half the floor squared, |chi|^2 less
+    that bound proves the verdict unless the least sample lies within it of the floor."""
+    band, floor, rho = case
+    assume(not ga.is_pure(rho))
+    margin = 0.5 * floor * floor
+    step = math.sqrt(8.0 * margin / float(ga._curvature(rho, 0.0, band)))
+    n = int(band / step) + 2
+    least2 = min(float(np.min(np.abs(ga.characteristic_function(rho, p)) ** 2))
+                 for p in np.array_split(np.linspace(0.0, band, n), -(-n // 100_000)))
+    assume(not floor * floor <= least2 < floor * floor + margin)
+    assert ga.is_invertible(rho, band, floor)[0] == (least2 >= floor * floor)
+
+
+@st.composite
 def rotation_cases(draw):
     """A band from 1e-3 to 1e301 and one to six components whose phases reach
     |mean| * band up to 1e4. Gaussian variances from 1e-300 to 1e3 put the decay
