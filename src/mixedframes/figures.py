@@ -28,7 +28,7 @@ DEMO_IDS = ("thermal", "galilei-boost", "semigroup")
 
 DEMO_MOMENTUM_POINTS = 2001
 DEMO_ENERGY_POINTS = 2000
-LOADED_COMPONENT_CAP = 16  # N components give N^2 in the product that is convolved and scanned
+LOADED_COMPONENT_CAP = 16  # N components give N^2 in the product that is convolved and tested
 
 
 class Artifact(Frozen):

@@ -27,7 +27,7 @@ from .errors import DomainError, Frozen, QuadratureError, ResourceLimitError, fi
 
 WEIGHT_TOL = 1e-12
 MATCH_TOL = 1e-10
-SCAN_POINTS = 20001
+START_POINTS = 65  # uniform exact chi points that start each invertibility test
 CHI_POINT_CAP = 1 << 20  # exact chi points of one invertibility test
 CHI_BATCH = 1 << 18  # components x points of one _chi call of that test
 QUAD_NODES = 10  # Gauss-Legendre nodes per panel of evaluate's adaptive rule
@@ -212,8 +212,7 @@ def _largest_phase(rho: GroupDensity, widest: float) -> float:
 
 
 def _columns(rho: GroupDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The weights, phase factors ``-1j * mean`` and decay factors ``0.5 * variance``
-    of the components, one entry per component, for :func:`_chi`."""
+    """The components' weights, phase factors ``-1j * mean`` and decay factors ``0.5 * variance``."""
     weights, means, variances = np.array([(w, c.mean, c.variance) for w, c in rho.components]).T
     return weights, -1j * means, 0.5 * variances
 
@@ -252,23 +251,23 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
     ``|chi(p)|`` stays at or above ``floor`` over ``|p| <= band``, with a
     nonnegative witness ``p*`` where ``|chi|`` comes within 1e-9 of the least.
 
-    ``|chi(-p)| = |chi(p)|``, so ``[0, band]`` is scanned at the
-    ``(SCAN_POINTS + 1) // 2`` points of :func:`_rotated_chi`; the least is taken
-    over exact :func:`characteristic_function` values at the ends, the smallest
-    sample and every split point. Over a cell between neighbouring points,
-    ``|chi|^2`` stays above its smaller end less the scan's rounding, squared,
-    less ``M h^2 / 8`` for the bound ``M`` of :func:`_curvature` and the width
-    ``h`` (Piyavskii 1972; Shubert 1972). A cell is split at the Newton point of
-    ``d|chi|^2/dp`` from its lower end when that end is exact and the point
-    falls inside (Press et al., *Numerical Recipes*, 3rd ed., 2007, sec. 9.4);
-    a step within 1e-7 of the scan step ends that descent, and a narrower cell
-    is dropped. Any other cell is settled once the bound shows it cannot lower
-    the least by more than twice the rounding, or, when that Newton point lies
-    at or beyond its lower end, cannot reach ``floor`` (0 once the least is
-    below it); else it is split at its middle. So ``True`` holds between the
-    samples too. Past ``CHI_POINT_CAP`` exact points, :class:`ResourceLimitError`
-    names the spread and the band. The witness is the smallest ``p`` within
-    1e-9 of the least among the samples, the ends of descents and where the least lies.
+    ``|chi(-p)| = |chi(p)|``, so ``[0, band]`` is searched from exact ``chi`` at
+    ``START_POINTS`` uniform points; exact ``|chi|`` is within ``4 eps (components
+    + 1 + largest phase)``, and a floor within twice that is a :class:`DomainError`.
+    Over a cell between two points, ``|chi|^2`` stays above its smaller end less
+    the rounding, squared, less ``M h^2 / 8`` for the bound ``M`` of
+    :func:`_curvature` and the width ``h`` (Piyavskii 1972; Shubert 1972). A cell
+    is split at the Newton point of ``d|chi|^2/dp`` from its lower end when that
+    falls inside (Press et al., *Numerical Recipes*, 3rd ed., 2007, sec. 9.4); a
+    point whose step predicts a decrease of ``|chi|^2`` within the rounding ends
+    its descent. Any other cell is settled once the bound shows it cannot lower
+    the least by more than twice the rounding or, when that Newton point lies at
+    or beyond its lower end, cannot reach ``floor`` (0 once the least is below
+    it); else it is split at its middle, or dropped below 1e-11 of the band. So
+    ``True`` holds between the points too. Past ``CHI_POINT_CAP`` exact points,
+    :class:`ResourceLimitError` names the spread and the band. The witness is the
+    smallest ``p`` within 1e-9 of the least among the start points, the ends of
+    descents and the points of the least.
     """
     positive("band", band)
     if not 0.0 < floor < 1.0:
@@ -280,35 +279,30 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
 
 
 def _min_modulus(rho: GroupDensity, band: float, floor: float = 0.0) -> tuple[float, float]:
-    """Least ``|chi|`` over ``0 <= p <= band`` and its witness; see :func:`is_invertible`."""
-    columns = _columns(rho)
-    grid = _scan_grid(band)
+    """Least ``|chi|`` over ``0 <= p <= band`` and its witness, the least refined as far as the
+    verdict at ``floor`` needs; see :func:`is_invertible`."""
+    phase = _largest_phase(rho, band)
+    rounding = 4.0 * sys.float_info.epsilon * (len(rho.components) + 1 + phase)  # of exact |chi|
+    if 2.0 * rounding >= floor > 0.0:
+        raise DomainError(f"chi's rounding {rounding!r} at band {band!r} and largest phase {phase!r} "
+                          f"reaches half the floor {floor!r}")
+    columns, grid = _columns(rho), np.linspace(0.0, band, START_POINTS)
     step = float(grid[1])
-    # the largest phase is checked before the scan, and every split point lies between the ends;
-    # the scan's |chi| stays within `rounding` of the exact one (see _rotated_chi)
-    rounding = 4.0 * sys.float_info.epsilon * (math.isqrt(grid.size) + 1 + _largest_phase(rho, band))
-    vals, targets = np.empty(grid.size), np.full(grid.size, np.nan)  # Newton points at exact points
-    np.abs(_rotated_chi(rho, grid[1:-1]), out=vals[1:-1])
-    seeds = np.array([0, int(vals[1:-1].argmin()) + 1, grid.size - 1])
-    points, found = seeds.size, []
+    curvature = _curvature(rho, step)
     with np.errstate(all="ignore"):  # an inf or NaN bound settles nothing
-        vals[seeds], targets[seeds] = _probe(columns, grid[seeds], step)
-        least = float(vals[seeds].min())
-        # M h^2 in units of the scan step stays in range at any band; the scan's cells go in 100 blocks of 100
-        bounds = np.fmin(_curvature(rho, grid[:-1:100], grid[100::100], step), np.inf)
-        bar = rounding + np.sqrt((least - 2.0 * rounding) ** 2 + bounds / 8) if least > 2.0 * rounding else -np.inf
-        i = np.flatnonzero(np.minimum(vals[:-1], vals[1:]).reshape(-1, 100) < np.reshape(bar, (-1, 1)))
+        vals, targets = _probe(columns, grid, step, rounding)
+        least, points, found = float(vals.min()), grid.size, [(grid, vals, np.full(grid.size, True))]
         # a cell is a column: lo, |chi(lo)|, the Newton point from lo, and the same at hi
-        cells = np.array([grid[i], vals[i], targets[i], grid[i + 1], vals[i + 1], targets[i + 1]])
+        cells = np.array([grid[:-1], vals[:-1], targets[:-1], grid[1:], vals[1:], targets[1:]])
         while cells.size:
             lo, f_lo, t_lo, hi, f_hi, t_hi = cells
             width, left = (hi - lo) / step, f_lo <= f_hi
             inward = np.where(left, t_lo - lo, hi - t_hi) / step  # the Newton step from the lower end
             bottom = np.sqrt(np.maximum(np.maximum(np.minimum(f_lo, f_hi) - rounding, 0.0) ** 2
-                                        - _curvature(rho, lo, hi, step) * (width * width / 8.0), 0.0))
+                                        - curvature(lo, hi) * (width * width / 8.0), 0.0))
             stepping = (inward > 0.0) & (inward < width)
             settled = (bottom >= least - 2.0 * rounding) | (inward <= 0.0) & (bottom >= floor * (least >= floor))
-            keep = (stepping | ~settled) & (width > 1e-7)
+            keep = (stepping | ~settled) & (hi - lo > 1e-11 * band)
             if not keep.any():
                 break
             split = np.where(stepping, np.where(left, t_lo, t_hi), lo + 0.5 * (hi - lo))[keep]
@@ -316,92 +310,58 @@ def _min_modulus(rho: GroupDensity, band: float, floor: float = 0.0) -> tuple[fl
             if points > CHI_POINT_CAP:  # columns[1] holds -1j * mean
                 raise ResourceLimitError(f"the invertibility test at band {band!r} and density spread "
                                          f"{float(np.ptp(columns[1].imag))!r} exceeds {CHI_POINT_CAP} chi points")
-            modulus, target = _probe(columns, split, step)
-            target = np.where((stepping & (inward <= 1e-7))[keep], split, target)  # a short step ends a descent
+            modulus, target = _probe(columns, split, step, rounding)
             least = min(least, float(modulus.min()))
             found.append((split, modulus, target == split))  # the ends of descents
             cells = np.concatenate((cells[:, keep], cells[:, keep]), axis=1)
             cells[3:, :split.size] = cells[:3, split.size:] = split, modulus, target
-    first = int((vals <= least + 1e-9).argmax())  # the first scan sample within 1e-9 of the least, if any
-    p, m, end = (np.concatenate(z) for z in zip((grid[first:first + 1], vals[first:first + 1], [True]), *found))
+    p, m, end = (np.concatenate(z) for z in zip(*found))
     return least, float(p[(m <= least + 1e-9) & (end | (m == least))].min())
 
 
-def _probe(columns: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray,
-           unit: float) -> tuple[np.ndarray, np.ndarray]:
-    """``|chi|`` at ``x`` and the Newton point of ``d|chi|^2/dp`` from each, NaN where it is not convex."""
+def _probe(columns: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray, unit: float,
+           rounding: float) -> tuple[np.ndarray, np.ndarray]:
+    """``|chi|`` at ``x`` and the Newton point of ``d|chi|^2/dp`` from each: NaN if not convex, ``x`` if flat."""
     chunk = max(1, CHI_BATCH // columns[0].size)
     chi, slope, bend = _chi(columns, x, unit) if x.size <= chunk else (np.concatenate(z) for z in zip(*(
         _chi(columns, x[i:i + chunk], unit) for i in range(0, x.size, chunk))))
-    conj = chi.conj()
-    convex = (slope.conj() * slope + conj * bend).real  # half of d^2|chi|^2/dp^2, in `unit`
-    return np.abs(chi), np.where(convex > 0.0, x - (conj * slope).real / convex * unit, np.nan)
+    conj, modulus = chi.conj(), np.abs(chi)
+    drift = (conj * slope).real  # half of d|chi|^2/dp, and below half of d^2|chi|^2/dp^2, in `unit`
+    convex = (slope.conj() * slope + conj * bend).real
+    flat = drift * drift <= convex * rounding * (2.0 * modulus + rounding)  # the step lowers |chi|^2 by rounding
+    return modulus, np.where(convex > 0.0, np.where(flat, x, x - drift / convex * unit), np.nan)
 
 
-@functools.lru_cache(maxsize=1)
-def _scan_grid(band: float) -> np.ndarray:
-    """The ``(SCAN_POINTS + 1) // 2`` scan points of ``[0, band]``; the last band's are kept."""
-    grid = np.linspace(0.0, band, (SCAN_POINTS + 1) // 2)
-    grid.flags.writeable = False
-    return grid
+def _curvature(rho: GroupDensity, unit: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """A bound on ``|d^2 |chi|^2 / dp^2|`` over each cell ``0 <= lo <= p <= hi``, in the unit ``unit``.
 
-
-def _curvature(rho: GroupDensity, lo: np.ndarray, reach: np.ndarray | float, unit: float = 1.0) -> np.ndarray:
-    """A bound on ``|d^2 |chi|^2 / dp^2|`` over each ``0 <= lo <= p <= reach``, in the unit ``unit``.
-
-    ``|chi|^2`` is the sum over pairs of components of ``T_j conj(T_k)``, with
-    ``T = w exp(-i mean p - variance p^2 / 2)``. A pair of Diracs adds at most
-    ``w_j w_k (mean_j - mean_k)^2``, which is 0 for a Dirac with itself. Every
-    other pair adds at most ``u_j u_k (2 s_j^2 + 2 s_k^2 + v_j + v_k)``, from
-    ``|T| <= u``, ``|T'| <= u s`` and ``|T''| <= u (s^2 + v)`` with
-    ``s = |mean| + v reach``; ``u`` is ``w`` for a Dirac and at most ``w E`` for
-    a Gaussian, where ``E = exp(-v_min lo^2 / 2)`` is the envelope, at ``lo``, of
-    the Gaussian that decays slowest; where ``E`` underflows to 0, as ``chi``'s
-    terms do, so do the terms it bounds. Means, ``s`` and ``v`` are taken in ``unit``.
+    ``|chi|^2`` sums ``T_j conj(T_k)`` over pairs of components, ``T = w exp(-i m p - v p^2 / 2)``, and
+    ignores a common phase, so means ``m`` are taken from the Diracs' weighted mean (all components'
+    without a Dirac). The pairs of Diracs add ``w_j w_k (m_j - m_k)^2``, at most ``2 d0 d2`` in all for
+    ``d_k`` the Diracs' sum of ``w |m|^k``; any other pair at most ``|T_j''| |T_k| + 2 |T_j'| |T_k'| +
+    |T_j| |T_k''|``, by ``|T| <= w e0``, ``|T'| <= w (|m| e0 + e1)`` and ``|T''| <= w (m^2 e0 + 2 |m| e1
+    + e2 + v e0)``, with ``e0``, ``e1``, ``e2`` the largest values over the cell of ``E = exp(-v p^2 / 2)``,
+    ``v p E`` and ``v^2 p^2 E``: at ``lo``, ``1 / sqrt(v)`` and ``sqrt(2 / v)`` held to the cell. Means and
+    ``sqrt(v)`` are scaled to ``unit`` before squaring; where ``E`` underflows to 0, as ``chi``'s terms
+    do, so do the terms it bounds. The returned function takes the cells' ends; the rest is formed once.
     """
-    diracs = [(w, c.mean * unit) for w, c in rho.components if c.variance == 0.0]
-    d0 = sum(w for w, _ in diracs)
-    d2 = sum(w * m * m for w, m in diracs)
-    center = sum(w * m for w, m in diracs) / d0 if diracs else 0.0
-    bound = 2.0 * d0 * sum(w * (m - center) * (m - center) for w, m in diracs)
-    gauss = [(w, (abs(c.mean) + c.variance * reach) * unit, c.variance) for w, c in rho.components if c.variance]
-    g0 = sum(w for w, _, _ in gauss)  # times E: the sums over the Gaussians of u and of u (2 s^2 + v)
-    g2 = sum(w * (2.0 * s * s + v * unit * unit) for w, s, v in gauss)
-    env = np.exp(-0.5 * min((v for _, _, v in gauss), default=0.0) * lo * lo)  # E; 1.0 with no Gaussian
-    return bound + np.where(env > 0.0, env * (4.0 * d2 * g0 + 2.0 * d0 * g2 + 4.0 * g0 * g2 * env), 0.0)
+    weights, means, roots = np.array([(w, c.mean * unit, math.sqrt(c.variance)) for w, c in rho.components]).T
+    dirac = roots == 0.0
+    means = np.abs(means - np.average(means, weights=weights * dirac if dirac.any() else weights))
+    d0, d1, d2 = (float(weights[dirac] @ means[dirac] ** k) for k in range(3))
+    w, m, root = weights[~dirac], means[~dirac, None], roots[~dirac, None]  # the Gaussians, one row each
+    rate = root * unit  # sqrt(v) in `unit`
 
+    def bound(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        y0, top = root * lo, root * hi  # y = sqrt(v) p: E, v p E and v^2 p^2 E peak at y = 0, 1 and sqrt(2)
+        y1, y2 = (np.minimum(np.maximum(y0, peak), top) for peak in (1.0, math.sqrt(2.0)))
+        e0, e1, e2 = (np.exp(-0.5 * y * y) for y in (y0, y1, y2))
+        e1, e2, ev = (np.where(e > 0.0, r * e, 0.0) for r, e in ((rate * y1, e1), ((rate * y2) ** 2, e2),
+                                                                   (rate * rate, e0)))
+        g0, g1, g2 = (w @ g for g in (e0, m * e0 + e1, m * m * e0 + 2.0 * m * e1 + e2 + ev))
+        return 2.0 * ((d0 + g0) * (d2 + g2) + g1 * (g1 + 2.0 * d1))
 
-def _rotated_chi(rho: GroupDensity, p: np.ndarray) -> np.ndarray:
-    """chi at the uniform points ``p = dp, 2 dp, ...``, for the scan of :func:`_min_modulus`.
-
-    Each component's phase turns by ``r = exp(-i mean dp)`` from one point to
-    the next, times its real envelope ``exp(-variance p^2 / 2)``, so the scan
-    takes one complex exponential per block of ``B`` (about ``sqrt(len(p))``)
-    points, not per point: the point ``j dp`` with ``j = aB + b``, ``1 <= b <= B``,
-    gets ``exp(-i mean aB dp) r^b``, and ``r^b`` is a cumulative product whose
-    relative error stays near ``B eps``; the whole stays within
-    ``4 eps (B + max |mean| * p[-1])`` of chi. A Dirac has no envelope: its
-    ``exp(-0.0)`` is 1.0, and a product with 1.0 is exact. The decay keeps
-    ``-0.5 * variance * p * p`` in that order, which is finite or -inf. Each
-    component is formed in one reused buffer of blocks.
-    """
-    block = math.isqrt(p.size) + 1
-    step = float(p[0])
-    starts = np.arange(-(-p.size // block)) * (block * step)  # aB dp, one per block
-    values = np.zeros(p.size, dtype=complex)
-    blocks = np.empty((starts.size, block), dtype=complex)
-    turns = blocks.reshape(-1)[:p.size]
-    envelope = np.empty(p.size)
-    with np.errstate(over="ignore"):
-        for w, c in rho.components:
-            near = np.cumprod(np.full(block, np.exp(-1j * c.mean * step)))  # r^1 .. r^B
-            np.multiply.outer(w * np.exp(-1j * c.mean * starts), near, out=blocks)
-            if c.variance:
-                np.multiply(-0.5 * c.variance, p, out=envelope)
-                envelope *= p
-                turns *= np.exp(envelope, out=envelope)
-            values += turns
-    return values
+    return bound
 
 
 def is_pure(rho: GroupDensity) -> bool:

@@ -330,8 +330,8 @@ class TestDemoCommand:
         assert (pure, invertible) == ("false", "false")
         assert float(witness) == pytest.approx(math.pi * 1e300, rel=1e-6)
 
-    # its product with its antipode dips below 1e-9 near p = 1.6825 and 7.9651, between the scan's
-    # samples, whose least |chi| is 0.0086
+    # its product with its antipode dips below 1e-9 near p = 1.6825 and 7.9651, between 10,001
+    # uniform samples of the band, whose least |chi| is 0.0086
     NARROW_DIP = "dirac weight=0.45 a=0\ndirac weight=0.1 a=1\ndirac weight=0.45 a=6283.5\n"
 
     def test_semigroup_finds_a_dip_between_the_scan_samples(self, tmp_path, capsys):
@@ -348,13 +348,26 @@ class TestDemoCommand:
     def test_semigroup_past_the_cap_exits_2(self, tmp_path, capsys, monkeypatch):
         density_file = tmp_path / "states.txt"
         density_file.write_text(self.NARROW_DIP)
-        monkeypatch.setattr(ga, "CHI_POINT_CAP", 10000)
+        monkeypatch.setattr(ga, "CHI_POINT_CAP", 500)
         code, _, err = run_cli(
             ["demo", "semigroup", "--densities", str(density_file), "--out", str(tmp_path)], capsys
         )
         assert code == 2
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "spread 12567.0 " in err and "band 10.0 " in err
+
+    def test_semigroup_rejects_a_band_past_the_rounding(self, tmp_path, capsys):
+        # the Dirac gap 1e-10 sets the band 1e11, and the location 1e4 a largest phase of 1e15,
+        # where chi's rounding reaches half the floor
+        density_file = tmp_path / "states.txt"
+        density_file.write_text("dirac weight=0.3 a=0\ndirac weight=0.3 a=1e-10\ndirac weight=0.4 a=1e4\n")
+        code, _, err = run_cli(
+            ["demo", "semigroup", "--densities", str(density_file), "--out", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "band 100000000000.0 and largest phase 1" in err
+        assert not (tmp_path / "semigroup.csv").exists()
 
     def test_semigroup_rejects_a_band_that_is_not_finite(self, tmp_path, capsys):
         # 10 / 5e-324 overflows: no scan band covers the product's first zero
@@ -427,7 +440,7 @@ class TestDemoCommand:
                 "42259710fe84c1b646f185b1721d2e2c419fa5719ce097b8df02d80ddcdf00ae",
         },
         "semigroup": {
-            "semigroup.csv": "72782ee4cbca358a4cf9bfd61292e033468fc19e2c3c7132d3d93664cefca116",
+            "semigroup.csv": "611e6aebc7b4618ec068a9535c5acf410dfe4045e15cec93109e324151567bf7",
             "semigroup.json": "de991fc06dc6f03941c62a12b1a8882650e5269a3fd3634fc1a0d64d62727ff9",
         },
     }

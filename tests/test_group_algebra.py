@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -400,6 +402,18 @@ class TestMassWithin:
             mass_within(make_delta(0.0), 1.0, -1.0)
 
 
+# |chi| is flat to rounding past p = 8 here: the Gaussians' tails are below 1e-12,
+# so which points of the plateau are local minima depends on chi's rounding
+FLAT_TAIL = GroupDensity((
+    (0.42374008541926755, DiracComponent(-0.8474131377351384)),
+    (0.37614103946877075, GaussianComponent(-1.5141274582431437, 0.9759300882520227)),
+    (0.20011887511196166, GaussianComponent(-0.6639343414057448, 0.808336304381043)),
+))
+# its product with its antipode dips below 1e-9 near p = 1.6825 and 7.9651, between 10,001
+# uniform samples of the band 10, whose least |chi| is 0.0086
+NARROW_DIP = parse_densities("dirac weight=0.45 a=0\ndirac weight=0.1 a=1\ndirac weight=0.45 a=6283.5\n")[0]
+
+
 class TestInvertibility:
     def test_delta_is_invertible(self):
         verdict, witness = is_invertible(make_delta(3.0), band=10.0, floor=1e-3)
@@ -413,27 +427,28 @@ class TestInvertibility:
 
     def test_gaussian_witness_at_band_edge(self):
         # |chi| = exp(-p^2/2) reaches its least at the band edge; the witness is the
-        # first scan sample within 1e-9 of it, where the tail has become flat to 1e-9
+        # first start point within 1e-9 of it, where the tail has become flat to 1e-9
         rho = make_gaussian(0.0, 1.0)
         verdict, witness = is_invertible(rho, band=10.0, floor=1e-3)
         assert not verdict
         least = ga._min_modulus(rho, 10.0)[0]
         assert least == abs(characteristic_function(rho, 10.0))
-        grid = np.linspace(0.0, 10.0, (ga.SCAN_POINTS + 1) // 2)
+        grid = np.linspace(0.0, 10.0, ga.START_POINTS)
         first = int(np.argmax(np.exp(-0.5 * grid * grid) <= least + 1e-9))
-        assert first == 6438 and witness == grid[first]
+        assert witness == grid[first] and np.exp(-0.5 * grid[first - 1] ** 2) > least + 1e-9
 
     def test_stop_rule_refines_a_zero_to_1e10(self):
-        # |chi| = |cos(1.25 p)| vanishes at pi / 2.5: a step tolerance of 1e-10 is what lands there
+        # |chi| = |cos(1.25 p)| vanishes at pi / 2.5: the Newton descent lands there, and ends
+        # once a step would lower |chi|^2 by rounding alone
         rho = mix([(0.5, make_delta(0.0)), (0.5, make_delta(2.5))])
         witness = is_invertible(rho, band=10.0, floor=1e-3)[1]
         assert abs(witness - math.pi / 2.5) <= 1e-10
 
     @pytest.mark.parametrize("gap", [1e7, 1e-6, 1e-300])
     def test_stop_rule_scales_with_the_band(self, monkeypatch, gap):
-        # the zero at pi / gap, in a band of 10 / gap: the rounds stop within 1e-7 of a
-        # scan step of it, neither at the first sample of a band whose step is below 1e-10
-        # nor stepping between neighbouring floats where their spacing exceeds 1e-10
+        # the zero at pi / gap, in a band of 10 / gap: the descent stops where a step would
+        # lower |chi|^2 by rounding alone, at any scale; neither at the first point of a band
+        # whose step is below 1e-10 nor stepping between neighbouring floats spaced above 1e-10
         rho = mix([(0.5, make_delta(0.0)), (0.5, make_delta(gap))])
         calls = _count_chi_calls(monkeypatch)
         least, witness = ga._min_modulus(rho, 10.0 / gap)
@@ -441,21 +456,63 @@ class TestInvertibility:
         assert calls[0] <= 6
 
     def test_zero_between_the_scan_samples(self):
-        # the 10,001 samples sit near multiples of 2 pi / a, where |chi| = |cos(a p / 2)| is
-        # near 1; the cells between them are what reach the zero at pi / a
+        # 10,001 uniform samples of the band sit near multiples of 2 pi / a, where |chi| =
+        # |cos(a p / 2)| is near 1; the zeros at odd multiples of pi / a fall between them
         a = 2e3 * math.pi * (1.0 + 1e-5)
         rho = mix([(0.5, make_delta(0.0)), (0.5, make_delta(a))])
-        samples = np.abs(characteristic_function(rho, np.linspace(0.0, 10.0, (ga.SCAN_POINTS + 1) // 2)))
+        samples = np.abs(characteristic_function(rho, np.linspace(0.0, 10.0, 10001)))
         assert samples.min() > 0.9
         verdict, witness = is_invertible(rho, band=10.0, floor=0.5)
-        assert verdict is False and abs(witness - math.pi / a) <= 1e-10
+        # once the least is below the floor the search stops; the witness is one of those zeros
+        odd = round(witness * a / math.pi)
+        assert verdict is False and odd % 2 == 1 and abs(witness - odd * math.pi / a) <= 1e-10
 
     def test_work_past_the_cap_is_refused(self, monkeypatch):
         rho = mix([(0.5, make_delta(0.0)), (0.5, make_delta(2e3 * math.pi * (1.0 + 1e-5)))])
-        monkeypatch.setattr(ga, "CHI_POINT_CAP", 1000)
-        named = r"band 10\.0 and density spread 6283\.2\d* exceeds 1000 chi points"
+        monkeypatch.setattr(ga, "CHI_POINT_CAP", 100)
+        named = r"band 10\.0 and density spread 6283\.2\d* exceeds 100 chi points"
         with pytest.raises(ResourceLimitError, match=named):
             is_invertible(rho, band=10.0, floor=0.5)
+
+    @pytest.mark.parametrize("rho, band, floor, budget", [
+        (mix([(0.5, make_delta(0.0)), (0.5, make_delta(2e3 * math.pi * (1.0 + 1e-5)))]), 10.0, 0.5, 200),
+        (convolve(NARROW_DIP, antipode(NARROW_DIP)), 10.0, 1e-3, 800),
+        (mix([(0.5, make_delta(0.0)), (0.5, make_gaussian(0.0, 1.0))]), 1e3, 1e-3, 100),
+        (mix([(0.5, make_delta(0.0)), (0.5, make_gaussian(0.0, 1.0))]), 1e5, 1e-3, 100),
+    ])
+    def test_exact_chi_points_stay_within_budget(self, monkeypatch, rho, band, floor, budget):
+        # a scan of 10,001 samples took 40,975 and 115,813 exact points on the two dips;
+        # a point whose Newton step would lower |chi|^2 by rounding alone ends its descent
+        calls = _count_chi_calls(monkeypatch)
+        is_invertible(rho, band=band, floor=floor)
+        assert calls[1] <= budget
+
+    @pytest.mark.parametrize("rho, band", [
+        (mix([(0.5, make_delta(0.0)), (0.5, make_delta(1.0))]), 1.7e308),
+        (mix([(0.5, make_delta(0.0)), (0.5, make_delta(1e4))]), 1e11),
+    ])
+    def test_band_past_the_rounding_rejected(self, rho, band):
+        # |chi| = |cos(a p / 2)| vanishes inside both bands, but the phase a * band leaves
+        # chi's rounding at or above half the floor
+        with pytest.raises(DomainError, match=re.escape(f"band {band!r} and largest phase")):
+            is_invertible(rho, band=band, floor=0.5)
+
+    def test_curvature_bound_is_tight_near_zero(self):
+        # |chi|^2 = exp(-p^2) bends by 2 at p = 0; letting v p grow to the band's end gave 804
+        bound = ga._curvature(make_gaussian(0.0, 1.0), 1.0)(np.array([0.0]), np.array([10.0 / 64]))
+        assert 2.0 <= bound[0] <= 8.0
+        twin = GroupDensity(((0.5, DiracComponent(0.5)), (0.5, DiracComponent(0.5))))  # a Dirac with itself
+        assert ga._curvature(twin, 1.0)(np.array([0.0]), np.array([1.0]))[0] == 0.0
+
+    def test_flat_tail_is_settled_from_its_start_points(self, monkeypatch):
+        # the least is exact chi at a start point, and no cell of the plateau is split
+        calls = _count_chi_calls(monkeypatch)
+        least, witness = ga._min_modulus(FLAT_TAIL, 10.0)
+        assert calls[0] == 1
+        grid = np.linspace(0.0, 10.0, ga.START_POINTS)
+        modulus = np.abs(characteristic_function(FLAT_TAIL, grid))
+        assert least == modulus.min()
+        assert witness == grid[np.argmax(modulus <= least + 1e-9)]
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -464,12 +521,16 @@ class TestInvertibility:
             is_invertible(make_delta(0.0), band=1.0, floor=2.0)
 
     def test_floor_interval_is_open(self):
-        # |chi| = exp(-p^2/2) over [0, 1]: its least, exp(-1/2), is above the lower end and below the upper
+        # |chi| = exp(-p^2/2) over [0, 1]: its least, exp(-1/2), is above the lower end and below the
+        # upper; the lower end is twice chi's rounding 4 eps (components + 1), as no floor below it resolves
         rho = make_gaussian(0.0, 1.0)
         for edge in (0.0, 1.0):
             with pytest.raises(DomainError, match="floor"):
                 is_invertible(rho, band=1.0, floor=edge)
-        assert is_invertible(rho, band=1.0, floor=math.nextafter(0.0, 1.0))[0] is True
+        lowest = 16.0 * sys.float_info.epsilon
+        with pytest.raises(DomainError, match=re.escape(f"reaches half the floor {lowest!r}")):
+            is_invertible(rho, band=1.0, floor=lowest)
+        assert is_invertible(rho, band=1.0, floor=math.nextafter(lowest, 1.0))[0] is True
         assert is_invertible(rho, band=1.0, floor=math.nextafter(1.0, 0.0))[0] is False
 
     def test_floor_at_the_least_modulus_is_invertible(self):
@@ -480,13 +541,14 @@ class TestInvertibility:
 
 
 def _count_chi_calls(monkeypatch):
-    """Count the calls of ``group_algebra._chi`` from here on, in a one-element list."""
-    calls = [0]
+    """Count the calls of ``group_algebra._chi`` from here on, and their points, in a two-element list."""
+    calls = [0, 0]
     real = ga._chi
 
-    def counting(*args):
+    def counting(columns, p, *args):
         calls[0] += 1
-        return real(*args)
+        calls[1] += p.size
+        return real(columns, p, *args)
 
     monkeypatch.setattr(ga, "_chi", counting)
     return calls
@@ -506,48 +568,32 @@ def _library_products(rng, count):
     return products
 
 
-# |chi| is flat to rounding past p = 8 here: the Gaussians' tails are below 1e-12,
-# so which samples of the plateau are local minima depends on the scan's rounding
-FLAT_TAIL = GroupDensity((
-    (0.42374008541926755, DiracComponent(-0.8474131377351384)),
-    (0.37614103946877075, GaussianComponent(-1.5141274582431437, 0.9759300882520227)),
-    (0.20011887511196166, GaussianComponent(-0.6639343414057448, 0.808336304381043)),
-))
+def _dense_least(rho, band):
+    """Least |chi| over [0, band] from 20,001 uniform samples, each local minimum of them
+    rescanned in 12 levels of 65 points about the least point of the level before. A minimum
+    whose second difference is below 1e-9, such as one on a tail flat to rounding, is not: |chi|
+    dips below its samples there by about an eighth of that."""
+    grid = np.linspace(0.0, band, 20001)
+    vals = np.abs(characteristic_function(rho, grid))
+    best = vals.min()
+    bend = vals[:-2] + vals[2:] - 2.0 * vals[1:-1]
+    for i in np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]) & (bend > 1e-9)) + 1:
+        a, b = grid[i - 1], grid[i + 1]
+        for _ in range(12):
+            p = np.linspace(a, b, 65)
+            v = np.abs(characteristic_function(rho, p))
+            j = int(np.argmin(v))
+            best, a, b = min(best, v[j]), p[max(j - 1, 0)], p[min(j + 1, 64)]
+    return best
 
 
-class TestRotationScan:
-    """The scan of ``_min_modulus`` against the full-grid scan it replaced."""
-
-    @staticmethod
-    def full_grid_scan(monkeypatch, rho, band):
-        """``_min_modulus`` with every scan point through ``characteristic_function``:
-        the full-grid scan, bit for bit, sharing the settling and the refinement."""
-        with monkeypatch.context() as patch:
-            patch.setattr(ga, "_rotated_chi", characteristic_function)
-            return ga._min_modulus(rho, band)
-
-    @pytest.mark.parametrize("rho", [*_library_products(np.random.default_rng(30), 60), FLAT_TAIL])
-    def test_matches_the_full_grid_scan(self, monkeypatch, rho):
-        # the scans differ by the rounding bound, and so may the split points they choose
-        band = 10.0
-        least, witness = ga._min_modulus(rho, band)
-        ref_least, ref_witness = self.full_grid_scan(monkeypatch, rho, band)
-        phase = max(abs(c.mean) for _, c in rho.components) * band
-        rounding = 4.0 * np.finfo(float).eps * (math.isqrt((ga.SCAN_POINTS + 1) // 2) + 1 + phase)
-        assert abs(least - ref_least) <= 2.0 * rounding
-        assert witness == ref_witness
-        assert is_invertible(rho, band, 1e-3)[0] == (ref_least >= 1e-3)
-
-    def test_flat_tail_is_settled_from_its_samples(self, monkeypatch):
-        # the least is exact chi at the two ends or the smallest sample, and no cell of the plateau is split
-        calls = _count_chi_calls(monkeypatch)
-        least, witness = ga._min_modulus(FLAT_TAIL, 10.0)
-        assert calls[0] == 1  # the two ends and the smallest sample
-        grid = np.linspace(0.0, 10.0, (ga.SCAN_POINTS + 1) // 2)
-        smallest = np.abs(ga._rotated_chi(FLAT_TAIL, grid[1:-1])).argmin() + 1
-        assert least == np.abs(characteristic_function(FLAT_TAIL, grid[[0, smallest, -1]])).min()
-        modulus = np.abs(characteristic_function(FLAT_TAIL, grid))
-        assert witness == grid[np.argmax(modulus <= least + 1e-9)]
+@pytest.mark.parametrize("rho", [*_library_products(np.random.default_rng(30), 60), FLAT_TAIL])
+def test_least_matches_a_dense_reference(rho):
+    least, witness = ga._min_modulus(rho, 10.0)
+    reference = _dense_least(rho, 10.0)
+    assert abs(least - reference) <= 1e-9
+    assert abs(abs(characteristic_function(rho, witness)) - least) <= 1e-9
+    assert is_invertible(rho, 10.0, 1e-3)[0] == (reference >= 1e-3)
 
 
 def test_median_product_takes_at_most_12_chi_rounds(monkeypatch):

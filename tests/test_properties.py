@@ -1,5 +1,5 @@
 """Property-based tests of the component merge, the semigroup laws, the
-invertibility scan, the channel's purity law, the periodic quadrature, the
+invertibility test, the channel's purity law, the periodic quadrature, the
 boost exponential, the scalar input checks, CSV formatting, the state and
 thermal builders at extreme scalars, the boost series' Bessel table, and the
 command line."""
@@ -227,19 +227,20 @@ def _normalize(weighted):
 
 
 @st.composite
-def scanned_densities(draw):
-    """A band up to 1e6 and a Dirac/Gaussian mixture whose |chi| the scan resolves.
+def scanned_densities(draw, kinds=None):
+    """A band up to 1e6 and a Dirac/Gaussian mixture whose |chi| a 10,001-point scan resolves.
 
     Locations lie on a lattice of spacing ``unit``, so the phase moves at most
     0.015 rad per scan step and |chi| has slope at most 1.5; variances put the
-    Gaussian decay at p = band between exp(-0.005) and exp(-25).
+    Gaussian decay at p = band between exp(-0.005) and exp(-25). Components
+    take ``kinds`` in turn, if given, else a kind at random.
     """
     band = 10.0 ** draw(st.floats(-1.0, 6.0))
     unit = min(draw(st.floats(1.0, 50.0)) / band, 0.5)
     raw = []
-    for _ in range(draw(st.integers(2, 4))):
+    for i in range(draw(st.integers(2, 4))):
         location = unit * draw(st.integers(-3, 3))
-        if draw(st.booleans()):
+        if kinds[i % len(kinds)] == "dirac" if kinds else draw(st.booleans()):
             comp = ga.DiracComponent(location)
         else:
             comp = ga.GaussianComponent(location, draw(st.floats(1e-2, 50.0)) / band**2)
@@ -262,7 +263,7 @@ def _nested_rescan(f, a, b, points=65, levels=12):
 
 
 def _symmetric_scan_minimum(rho, band):
-    """Reference min |chi| over |p| <= band: a SCAN_POINTS scan of [-band, band],
+    """Reference min |chi| over |p| <= band: a 20,001-point scan of [-band, band],
     then per local minimum of the scan one bounded Brent search (scipy) and a
     nested dense rescan of the same bracket. Brent stops once its bracket is
     below sqrt(eps)*|p|, which leaves |chi| near 1e-9 beside a simple zero;
@@ -271,7 +272,7 @@ def _symmetric_scan_minimum(rho, band):
     def abs2(p):
         return np.abs(ga.characteristic_function(rho, p)) ** 2
 
-    grid = np.linspace(-band, band, ga.SCAN_POINTS)
+    grid = np.linspace(-band, band, 20001)
     vals = abs2(grid)
     best = min(vals[0], vals[-1])
     for i in np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1:
@@ -281,7 +282,7 @@ def _symmetric_scan_minimum(rho, band):
     return math.sqrt(max(best, 0.0))
 
 
-# Brent alone stopped at |chi| = 1.64e-9 here; the scan's Newton refinement reaches 5.6e-17
+# Brent alone stopped at |chi| = 1.64e-9 here; the test's Newton refinement reaches 5.6e-17
 BRENT_SHORT_OF_A_ZERO = (
     10.0,
     ga.GroupDensity((
@@ -312,9 +313,9 @@ def test_min_modulus_matches_the_brent_reference(case, floor):
 def spread_mixtures(draw):
     """A band from 0.1 to 10, a floor from 0.1 to 0.9 and two to four Dirac or Gaussian
     components spread over up to 1e4; in half the cases the spread sits near a multiple of
-    2 pi over the scan step, so that the samples alias and |chi| dips between them."""
+    2 pi over the step of the test's start points, so that they alias and |chi| dips between them."""
     band = 10.0 ** draw(st.floats(-1.0, 1.0))
-    cycles = 2.0 * math.pi * ((ga.SCAN_POINTS + 1) // 2 - 1) / band  # one turn of the phase per step
+    cycles = 2.0 * math.pi * (ga.START_POINTS - 1) / band  # one turn of the phase per step
     if draw(st.booleans()) and cycles <= 1e4:
         spread = cycles * draw(st.integers(1, int(1e4 // cycles))) * (1.0 + draw(st.floats(-1e-3, 1e-3)))
     else:
@@ -329,6 +330,24 @@ def spread_mixtures(draw):
     return band, draw(st.floats(0.1, 0.9)), ga.GroupDensity(tuple((w / total, c) for w, c in raw))
 
 
+def _reach_curvature(rho, band):
+    """A bound on |d^2 |chi|^2 / dp^2| over [0, band], apart from the one the code uses.
+
+    A pair of Diracs adds ``w_j w_k (m_j - m_k)^2``; every other pair at most
+    ``u_j u_k (2 s_j^2 + 2 s_k^2 + v_j + v_k)``, with ``u = w`` and ``s = |m| + v band``,
+    the largest rate of a component's exponent over the band.
+    """
+    diracs = [(w, c.mean) for w, c in rho.components if c.variance == 0.0]
+    d0 = math.fsum(w for w, _ in diracs)
+    d2 = math.fsum(w * m * m for w, m in diracs)
+    center = math.fsum(w * m for w, m in diracs) / d0 if diracs else 0.0
+    bound = 2.0 * d0 * math.fsum(w * (m - center) ** 2 for w, m in diracs)
+    gauss = [(w, abs(c.mean) + c.variance * band, c.variance) for w, c in rho.components if c.variance]
+    g0 = math.fsum(w for w, _, _ in gauss)
+    g2 = math.fsum(w * (2.0 * s * s + v) for w, s, v in gauss)
+    return bound + 4.0 * d2 * g0 + 2.0 * d0 * g2 + 4.0 * g0 * g2
+
+
 @settings(max_examples=100, deadline=None)
 @given(spread_mixtures())
 def test_verdict_matches_a_dense_oracle(case):
@@ -337,61 +356,12 @@ def test_verdict_matches_a_dense_oracle(case):
     band, floor, rho = case
     assume(not ga.is_pure(rho))
     margin = 0.5 * floor * floor
-    step = math.sqrt(8.0 * margin / float(ga._curvature(rho, 0.0, band)))
+    step = math.sqrt(8.0 * margin / _reach_curvature(rho, band))
     n = int(band / step) + 2
     least2 = min(float(np.min(np.abs(ga.characteristic_function(rho, p)) ** 2))
                  for p in np.array_split(np.linspace(0.0, band, n), -(-n // 100_000)))
     assume(not floor * floor <= least2 < floor * floor + margin)
     assert ga.is_invertible(rho, band, floor)[0] == (least2 >= floor * floor)
-
-
-@st.composite
-def rotation_cases(draw):
-    """A band from 1e-3 to 1e301 and one to six components whose phases reach
-    |mean| * band up to 1e4. Gaussian variances from 1e-300 to 1e3 put the decay
-    anywhere from none to underflow, and past a band of 1.3e154 p * p overflows
-    under every Dirac."""
-    band = 10.0 ** draw(st.floats(-3.0, 301.0))
-    raw = []
-    for _ in range(draw(st.integers(1, 6))):
-        mean = draw(st.floats(-1.0, 1.0)) * 10.0 ** draw(st.floats(-2.0, 4.0)) / band
-        if draw(st.booleans()):
-            comp = ga.DiracComponent(mean)
-        else:
-            comp = ga.GaussianComponent(mean, 10.0 ** draw(st.floats(-300.0, 3.0)))
-        raw.append((draw(st.floats(0.05, 1.0)), comp))
-    total = math.fsum(w for w, _ in raw)
-    return band, ga.GroupDensity(tuple((w / total, c) for w, c in raw))
-
-
-@settings(max_examples=200, deadline=None)
-@given(rotation_cases())
-@example((1e301, ga.GroupDensity(((0.5, ga.DiracComponent(0.0)), (0.5, ga.DiracComponent(1e-300))))))
-def test_rotation_scan_matches_the_direct_chi(case):
-    """The scan's |chi|^2 stays within a few eps of ``characteristic_function``'s,
-    per point of the cumulative products and per radian of the largest phase."""
-    band, rho = case
-    p = np.linspace(0.0, band, (ga.SCAN_POINTS + 1) // 2)[1:-1]
-    rotated = np.abs(ga._rotated_chi(rho, p)) ** 2
-    direct = np.abs(ga.characteristic_function(rho, p)) ** 2
-    phase = max(abs(c.mean) for _, c in rho.components) * band
-    eps = np.finfo(float).eps
-    assert np.all(np.isfinite(rotated))
-    assert np.max(np.abs(rotated - direct)) <= 8.0 * eps * (math.isqrt(p.size) + phase)
-
-
-@settings(max_examples=200, deadline=None)
-@given(rotation_cases())
-def test_rotation_scan_stays_within_the_settling_bound(case):
-    """``_min_modulus`` settles brackets on the bound 4 eps (B + largest phase) of the
-    scan's error in chi, with ``B`` its block length; the error stays within it."""
-    band, rho = case
-    grid = np.linspace(0.0, band, (ga.SCAN_POINTS + 1) // 2)
-    rotated = ga._rotated_chi(rho, grid[1:-1])
-    direct = ga.characteristic_function(rho, grid[1:-1])
-    phase = max(abs(c.mean) for _, c in rho.components) * band
-    eps = np.finfo(float).eps
-    assert np.max(np.abs(rotated - direct)) <= 4.0 * eps * (math.isqrt(grid.size) + 1 + phase)
 
 
 def _modulus2_second_derivative(rho, p):
@@ -404,20 +374,22 @@ def _modulus2_second_derivative(rho, p):
     return 2.0 * (np.abs(slope) ** 2 + (chi.conj() * bend).real)
 
 
+@pytest.mark.parametrize("kinds", [("dirac",), ("gauss",), ("dirac", "gauss")])
 @settings(max_examples=100, deadline=None)
-@given(scanned_densities(), st.floats(0.0, 1.0))
-@example((1.0, ga.GroupDensity(((0.5, ga.DiracComponent(0.5)), (0.5, ga.DiracComponent(0.5))))), 0.0)
-def test_curvature_bound_holds_over_its_interval(case, start):
-    """``_curvature`` bounds |d^2 |chi|^2 / dp^2| from each ``lo`` up to ``reach``."""
-    band, rho = case
-    lo = np.array([start * band, 0.5 * (1.0 + start) * band])
-    bound = np.broadcast_to(ga._curvature(rho, lo, band), lo.shape)
+@given(data=st.data(), start=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0))
+def test_curvature_bound_holds_over_its_interval(kinds, data, start, width):
+    """``_curvature`` bounds |d^2 |chi|^2 / dp^2| over each cell ``[lo, hi]``, for Diracs
+    alone, Gaussians alone and both, with cells as narrow as a point and as wide as the band."""
+    band, rho = data.draw(scanned_densities(kinds))
+    unit = band / (ga.START_POINTS - 1)
+    lo = np.array([start * band, 0.0])
+    hi = lo + np.array([width * (band - lo[0]), band])
+    bound = ga._curvature(rho, unit)(lo, hi) / (unit * unit)
     # the reference rounds in its terms, which |chi'|^2 + |chi''| bounds
     terms = math.fsum(w * (abs(c.mean) + c.variance * band) for w, c in rho.components) ** 2 + math.fsum(
         w * ((abs(c.mean) + c.variance * band) ** 2 + c.variance) for w, c in rho.components)
-    for edge, most in zip(lo, bound):
-        p = np.linspace(edge, band, 2001)
-        reference = np.max(np.abs(_modulus2_second_derivative(rho, p)))
+    for a, b, most in zip(lo, hi, bound):
+        reference = np.max(np.abs(_modulus2_second_derivative(rho, np.linspace(a, b, 2001))))
         assert reference <= most * (1.0 + 1e-12) + 64.0 * np.finfo(float).eps * terms
 
 
@@ -886,8 +858,8 @@ EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, -1e300)
 @example(("demo", "thermal"), {"mass": 1.7e308})
 @example(("demo", "semigroup"), {"a0": 1.7e308})
 @example(("demo", "semigroup"), {"a0": -1.7e308})
-# a Dirac gap <= 1e-9 leaves |chi|^2 flat, so every scan point is a tied local
-# minimum to refine (15-18 s with one scalar search per minimum)
+# a Dirac gap <= 1e-9 leaves |chi|^2 flat to rounding over the band, where every point
+# is a tied local minimum (15-18 s once, with one scalar search per minimum)
 @example(("demo", "semigroup"), {"a2": 1e-9})
 @example(("demo", "semigroup"), {"a2": 1e-12})
 # a builtin ValueError the fuzzing found: rounding leaves v0 +- 8.5 spreads non-uniform

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -142,11 +143,47 @@ class TestTemperatureDictionary:
             ThermalParameters(-1.0, 1.0)
 
 
+class TestMomentumGrid:
+    def test_two_points_are_the_fewest(self):
+        assert MomentumGrid(2, 1.0).points().tolist() == [-1.0, 1.0]
+        with pytest.raises(DomainError, match="at least 2"):
+            MomentumGrid(1, 1.0)
+
+    def test_outermost_point_must_be_finite(self):
+        # the spacing 8e307 is finite in all three; |center| + p_max is 1.7e308, then 1.8e308
+        MomentumGrid(3, 8e307, center=9e307)
+        for center in (1e308, -1e308):
+            with pytest.raises(DomainError, match="outermost point"):
+                MomentumGrid(3, 8e307, center=center)
+
+    def test_spacing_must_be_positive(self):
+        # 2 p_max / (n_points - 1) is 5e-324 for 3 points and underflows to 0 for 9
+        assert MomentumGrid(3, 5e-324).spacing == 5e-324
+        with pytest.raises(DomainError, match="spacing"):
+            MomentumGrid(9, 5e-324)
+
+    def test_weights_integrate_to_one_within_grid_norm_tol(self):
+        # on a grid of spacing 1, weights that integrate to 1 + k eps: the largest k eps within
+        # GRID_NORM_TOL = 1e-9 passes, the next does not
+        grid = MomentumGrid(3, 1.0)
+        eps = sys.float_info.epsilon
+        inside = 1.0 + math.floor(1e-9 / eps) * eps
+        assert MomentumMixture(grid, [0.0, inside, 0.0]).weights[1] == inside
+        with pytest.raises(NormalizationError, match="integrate to"):
+            MomentumMixture(grid, [0.0, inside + eps, 0.0])
+
+
 class TestThermalState:
     def test_truncation_guard(self):
         tp = ThermalParameters(1.0, 1.0)
         with pytest.raises(DomainError):
             thermal_state(tp, MomentumGrid(801, 2.0))
+
+    def test_truncation_guard_names_the_needed_p_max(self):
+        tp = ThermalParameters(1.0, 4.0)  # momentum sd 2
+        thermal_state(tp, MomentumGrid(801, 16.0))
+        with pytest.raises(DomainError, match=r"truncates the thermal state: need >= 16\.0$"):
+            thermal_state(tp, MomentumGrid(801, math.nextafter(16.0, 0.0)))
 
     def test_nan_weights_rejected(self):
         grid = MomentumGrid(801, 8.0)
@@ -212,6 +249,20 @@ class TestTimeTranslation:
             for t0 in (1e308, -1e308):
                 with pytest.raises(DomainError, match="t0="):
                     time_translate_diagonal(state, t0, tp)
+
+    def test_phase_near_the_float_range_is_applied(self):
+        # the bound and the phases form E = p^2 / 2m at the grid's ends first, then E t0, then
+        # divide by hbar: E t0 just below the largest float is applied, just above it is rejected
+        tp = ThermalParameters(1.0, 1e10, PhysicalConstants(hbar=2.0))
+        grid = MomentumGrid(5, 1e150)
+        state = MomentumMixture(grid, np.full(5, 0.2 / grid.spacing))
+        edge = sys.float_info.max / (1e150 * 1e150 / 2e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = time_translate_diagonal(state, edge * (1.0 - 5e-7), tp)
+            assert np.max(np.abs(out.weights - state.weights)) <= 1e-15 * state.weights.max()
+            with pytest.raises(DomainError, match="t0="):
+                time_translate_diagonal(state, edge * (1.0 + 5e-7), tp)
 
     def test_overflowing_energy_rejected_without_warning(self):
         # p**2 overflows at the grid's ends, so the phase bound is formed before it
