@@ -212,7 +212,8 @@ def _largest_phase(rho: GroupDensity, widest: float) -> float:
 
 
 def _columns(rho: GroupDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The components' weights, phase factors ``-1j * mean`` and decay factors ``0.5 * variance``."""
+    """The weights, phase factors ``-1j * mean`` and decay factors ``0.5 * variance``
+    of the components, one entry per component, for :func:`_chi`."""
     weights, means, variances = np.array([(w, c.mean, c.variance) for w, c in rho.components]).T
     return weights, -1j * means, 0.5 * variances
 
@@ -255,19 +256,25 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
     ``START_POINTS`` uniform points; exact ``|chi|`` is within ``4 eps (components
     + 1 + largest phase)``, and a floor within twice that is a :class:`DomainError`.
     Over a cell between two points, ``|chi|^2`` stays above its smaller end less
-    the rounding, squared, less ``M h^2 / 8`` for the bound ``M`` of
-    :func:`_curvature` and the width ``h`` (Piyavskii 1972; Shubert 1972). A cell
-    is split at the Newton point of ``d|chi|^2/dp`` from its lower end when that
-    falls inside (Press et al., *Numerical Recipes*, 3rd ed., 2007, sec. 9.4); a
-    point whose step predicts a decrease of ``|chi|^2`` within the rounding ends
-    its descent. Any other cell is settled once the bound shows it cannot lower
-    the least by more than twice the rounding or, when that Newton point lies at
-    or beyond its lower end, cannot reach ``floor`` (0 once the least is below
-    it); else it is split at its middle, or dropped below 1e-11 of the band. So
-    ``True`` holds between the points too. Past ``CHI_POINT_CAP`` exact points,
-    :class:`ResourceLimitError` names the spread and the band. The witness is the
-    smallest ``p`` within 1e-9 of the least among the start points, the ends of
-    descents and the points of the least.
+    the rounding, squared, less an eighth of the bound of :func:`_curvature`
+    (Piyavskii 1972; Shubert 1972). A cell is split at the Newton point of
+    ``d|chi|^2/dp`` from its lower end when that falls inside (Press et al.,
+    *Numerical Recipes*, 3rd ed., 2007, sec. 9.4); a point whose step predicts a
+    decrease of ``|chi|^2`` within the rounding ends its descent. Any other cell
+    is settled once the bound shows it cannot lower the least by more than twice
+    the rounding or, when that Newton point lies at or beyond its lower end,
+    cannot reach ``floor``; else it is split at its middle, or at a Gaussian's
+    cut-off ``40 / sqrt(v)`` when that lies nearer its lower end. No cell is
+    dropped, so ``True`` holds between the points too, to twice the rounding.
+    Once the least is below ``floor`` (which then reads 0), a cell left of the
+    witness is settled only when also the bound shows it holds no point within
+    1e-9 of the least or the Newton step from its higher end crosses it, and is
+    split at that Newton point when it falls inside; a cell with an end within
+    1e-9 of the least that is no descent's end is not held to this. The witness
+    is the smallest ``p`` within 1e-9 of the least among the start points, the
+    ends of descents and the points of the least. Past ``CHI_POINT_CAP`` exact
+    points, a ``False`` verdict keeps the witness found so far; otherwise
+    :class:`ResourceLimitError` names the spread and the band.
     """
     positive("band", band)
     if not 0.0 < floor < 1.0:
@@ -288,7 +295,9 @@ def _min_modulus(rho: GroupDensity, band: float, floor: float = 0.0) -> tuple[fl
                           f"reaches half the floor {floor!r}")
     columns, grid = _columns(rho), np.linspace(0.0, band, START_POINTS)
     step = float(grid[1])
-    curvature = _curvature(rho, step)
+    curvature = _curvature(rho)
+    # past 40 / sqrt(v) a Gaussian's terms underflow to 0, in chi and in the bound alike
+    cuts = np.array([[40.0 / math.sqrt(c.variance)] for _, c in rho.components if c.variance] + [[math.inf]])
     with np.errstate(all="ignore"):  # an inf or NaN bound settles nothing
         vals, targets = _probe(columns, grid, step, rounding)
         least, points, found = float(vals.min()), grid.size, [(grid, vals, np.full(grid.size, True))]
@@ -296,18 +305,30 @@ def _min_modulus(rho: GroupDensity, band: float, floor: float = 0.0) -> tuple[fl
         cells = np.array([grid[:-1], vals[:-1], targets[:-1], grid[1:], vals[1:], targets[1:]])
         while cells.size:
             lo, f_lo, t_lo, hi, f_hi, t_hi = cells
-            width, left = (hi - lo) / step, f_lo <= f_hi
-            inward = np.where(left, t_lo - lo, hi - t_hi) / step  # the Newton step from the lower end
+            width, left = hi - lo, f_lo <= f_hi
+            inward = np.where(left, t_lo - lo, hi - t_hi)  # the Newton step from the lower end, into the cell
             bottom = np.sqrt(np.maximum(np.maximum(np.minimum(f_lo, f_hi) - rounding, 0.0) ** 2
-                                        - curvature(lo, hi) * (width * width / 8.0), 0.0))
+                                        - curvature(lo, hi) / 8.0, 0.0))
             stepping = (inward > 0.0) & (inward < width)
             settled = (bottom >= least - 2.0 * rounding) | (inward <= 0.0) & (bottom >= floor * (least >= floor))
-            keep = (stepping | ~settled) & (hi - lo > 1e-11 * band)
+            crossing = np.zeros(lo.size, dtype=bool)
+            if least < floor:  # a cell left of the witness may hold a smaller one
+                near = least + 1e-9
+                back = np.where(left, hi - t_hi, t_lo - lo)  # the Newton step from the higher end, into the cell
+                passing = (f_lo <= near) & (t_lo != lo) | (f_hi <= near) & (t_hi != hi)  # no descent ends there
+                before = (lo < _witness(found, least)) & ~passing
+                settled &= ~before | (bottom >= near - 2.0 * rounding) | (back >= width)
+                crossing = before & ~settled & (back > 0.0) & (back < width)
+            keep = stepping | ~settled
             if not keep.any():
                 break
-            split = np.where(stepping, np.where(left, t_lo, t_hi), lo + 0.5 * (hi - lo))[keep]
+            middle = np.minimum(lo + 0.5 * width, np.where(cuts > lo, cuts, math.inf).min(0))
+            split = np.where(stepping, np.where(left, t_lo, t_hi),
+                             np.where(crossing, np.where(left, t_hi, t_lo), middle))[keep]
             points += split.size
             if points > CHI_POINT_CAP:  # columns[1] holds -1j * mean
+                if least < floor:  # the verdict stands, with the witness found so far
+                    break
                 raise ResourceLimitError(f"the invertibility test at band {band!r} and density spread "
                                          f"{float(np.ptp(columns[1].imag))!r} exceeds {CHI_POINT_CAP} chi points")
             modulus, target = _probe(columns, split, step, rounding)
@@ -315,8 +336,14 @@ def _min_modulus(rho: GroupDensity, band: float, floor: float = 0.0) -> tuple[fl
             found.append((split, modulus, target == split))  # the ends of descents
             cells = np.concatenate((cells[:, keep], cells[:, keep]), axis=1)
             cells[3:, :split.size] = cells[:3, split.size:] = split, modulus, target
+    return least, _witness(found, least)
+
+
+def _witness(found: list[tuple[np.ndarray, np.ndarray, np.ndarray]], least: float) -> float:
+    """The smallest ``p`` within 1e-9 of ``least`` among the start points, the ends of descents and
+    the points of the least, from ``(points, |chi|, ends)`` triples."""
     p, m, end = (np.concatenate(z) for z in zip(*found))
-    return least, float(p[(m <= least + 1e-9) & (end | (m == least))].min())
+    return float(p[(m <= least + 1e-9) & (end | (m == least))].min())
 
 
 def _probe(columns: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray, unit: float,
@@ -328,12 +355,13 @@ def _probe(columns: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray, un
     conj, modulus = chi.conj(), np.abs(chi)
     drift = (conj * slope).real  # half of d|chi|^2/dp, and below half of d^2|chi|^2/dp^2, in `unit`
     convex = (slope.conj() * slope + conj * bend).real
-    flat = drift * drift <= convex * rounding * (2.0 * modulus + rounding)  # the step lowers |chi|^2 by rounding
+    # the Newton step lowers |chi|^2, by g^2 / 2h for the derivatives g and h of |chi|^2, within its rounding
+    flat = drift * drift <= convex * rounding * (2.0 * modulus + rounding)
     return modulus, np.where(convex > 0.0, np.where(flat, x, x - drift / convex * unit), np.nan)
 
 
-def _curvature(rho: GroupDensity, unit: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """A bound on ``|d^2 |chi|^2 / dp^2|`` over each cell ``0 <= lo <= p <= hi``, in the unit ``unit``.
+def _curvature(rho: GroupDensity) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """A bound on ``(hi - lo)^2 |d^2 |chi|^2 / dp^2|`` over each cell ``0 <= lo <= p <= hi``.
 
     ``|chi|^2`` sums ``T_j conj(T_k)`` over pairs of components, ``T = w exp(-i m p - v p^2 / 2)``, and
     ignores a common phase, so means ``m`` are taken from the Diracs' weighted mean (all components'
@@ -342,23 +370,33 @@ def _curvature(rho: GroupDensity, unit: float) -> Callable[[np.ndarray, np.ndarr
     |T_j| |T_k''|``, by ``|T| <= w e0``, ``|T'| <= w (|m| e0 + e1)`` and ``|T''| <= w (m^2 e0 + 2 |m| e1
     + e2 + v e0)``, with ``e0``, ``e1``, ``e2`` the largest values over the cell of ``E = exp(-v p^2 / 2)``,
     ``v p E`` and ``v^2 p^2 E``: at ``lo``, ``1 / sqrt(v)`` and ``sqrt(2 / v)`` held to the cell. Means and
-    ``sqrt(v)`` are scaled to ``unit`` before squaring; where ``E`` underflows to 0, as ``chi``'s terms
-    do, so do the terms it bounds. The returned function takes the cells' ends; the rest is formed once.
+    ``sqrt(v)`` are taken in units of the cell's width before squaring, which keeps the bound in range at
+    any scale; where ``E`` underflows to 0, as ``chi``'s terms do, so do the terms it bounds. The
+    returned function takes the cells' ends; the rest is formed once.
     """
-    weights, means, roots = np.array([(w, c.mean * unit, math.sqrt(c.variance)) for w, c in rho.components]).T
+    weights, means, roots = np.array([(w, c.mean, math.sqrt(c.variance)) for w, c in rho.components]).T
     dirac = roots == 0.0
     means = np.abs(means - np.average(means, weights=weights * dirac if dirac.any() else weights))
-    d0, d1, d2 = (float(weights[dirac] @ means[dirac] ** k) for k in range(3))
+    d0, dirac_w, dirac_m = float(weights[dirac].sum()), weights[dirac], means[dirac, None]
     w, m, root = weights[~dirac], means[~dirac, None], roots[~dirac, None]  # the Gaussians, one row each
-    rate = root * unit  # sqrt(v) in `unit`
 
     def bound(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        width = hi - lo
+        shift = dirac_m * width  # the Diracs' |m| in units of the width
+        d1, d2 = dirac_w @ shift, dirac_w @ (shift * shift)
+        mean, rate = m * width, root * width  # the Gaussians' |m| and sqrt(v) in units of the width
         y0, top = root * lo, root * hi  # y = sqrt(v) p: E, v p E and v^2 p^2 E peak at y = 0, 1 and sqrt(2)
-        y1, y2 = (np.minimum(np.maximum(y0, peak), top) for peak in (1.0, math.sqrt(2.0)))
-        e0, e1, e2 = (np.exp(-0.5 * y * y) for y in (y0, y1, y2))
-        e1, e2, ev = (np.where(e > 0.0, r * e, 0.0) for r, e in ((rate * y1, e1), ((rate * y2) ** 2, e2),
-                                                                   (rate * rate, e0)))
-        g0, g1, g2 = (w @ g for g in (e0, m * e0 + e1, m * m * e0 + 2.0 * m * e1 + e2 + ev))
+        y1 = np.minimum(np.maximum(y0, 1.0), top)
+        y2 = np.minimum(np.maximum(y0, math.sqrt(2.0)), top)
+        e0 = np.exp(-0.5 * y0 * y0)
+        e1 = np.exp(-0.5 * y1 * y1)
+        e2 = np.exp(-0.5 * y2 * y2)
+        e1 = np.where(e1 > 0.0, rate * y1 * e1, 0.0)
+        e2 = np.where(e2 > 0.0, (rate * y2) ** 2 * e2, 0.0)
+        ev = np.where(e0 > 0.0, rate * rate * e0, 0.0)
+        g0 = w @ e0
+        g1 = w @ (mean * e0 + e1)
+        g2 = w @ (mean * mean * e0 + 2.0 * mean * e1 + e2 + ev)
         return 2.0 * ((d0 + g0) * (d2 + g2) + g1 * (g1 + 2.0 * d1))
 
     return bound

@@ -348,7 +348,7 @@ class TestDemoCommand:
     def test_semigroup_past_the_cap_exits_2(self, tmp_path, capsys, monkeypatch):
         density_file = tmp_path / "states.txt"
         density_file.write_text(self.NARROW_DIP)
-        monkeypatch.setattr(ga, "CHI_POINT_CAP", 500)
+        monkeypatch.setattr(ga, "CHI_POINT_CAP", 100)  # the verdict takes 128 points
         code, _, err = run_cli(
             ["demo", "semigroup", "--densities", str(density_file), "--out", str(tmp_path)], capsys
         )

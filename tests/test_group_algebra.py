@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from conftest import symmetric_scan_minimum
+
 from mixedframes import (
     DiracComponent,
     DomainError,
@@ -444,6 +446,17 @@ class TestInvertibility:
         witness = is_invertible(rho, band=10.0, floor=1e-3)[1]
         assert abs(witness - math.pi / 2.5) <= 1e-10
 
+    def test_double_zero_witness_is_as_close_as_the_rounding_allows(self):
+        # the semigroup demo's two_point_antipode: |chi| = cos^2(1.25 p) has a double zero at pi / 2.5
+        # and is (1.25 d)^2 at a distance d from it; the stop rule ends the descent once |chi| is
+        # within 3.5 times chi's rounding 4 eps (3 components + 1 + largest phase 10), where the
+        # quadratic model's decrease (2/3) |chi|^2 meets the rounding of |chi|^2
+        two_point = mix([(0.5, make_delta(0.0)), (0.5, make_delta(2.5))])
+        rho = convolve(two_point, antipode(two_point))
+        witness = is_invertible(rho, band=4.0, floor=1e-3)[1]
+        rounding = 4.0 * sys.float_info.epsilon * (3 + 1 + 2.5 * 4.0)
+        assert abs(witness - math.pi / 2.5) <= math.sqrt(3.5 * rounding) / 1.25
+
     @pytest.mark.parametrize("gap", [1e7, 1e-6, 1e-300])
     def test_stop_rule_scales_with_the_band(self, monkeypatch, gap):
         # the zero at pi / gap, in a band of 10 / gap: the descent stops where a step would
@@ -463,28 +476,61 @@ class TestInvertibility:
         samples = np.abs(characteristic_function(rho, np.linspace(0.0, 10.0, 10001)))
         assert samples.min() > 0.9
         verdict, witness = is_invertible(rho, band=10.0, floor=0.5)
-        # once the least is below the floor the search stops; the witness is one of those zeros
-        odd = round(witness * a / math.pi)
-        assert verdict is False and odd % 2 == 1 and abs(witness - odd * math.pi / a) <= 1e-10
+        # a start point reads 0.0098 at 625 pi / a; the cells left of it still lead to the first zero
+        assert verdict is False and abs(witness - math.pi / a) <= 1e-10
 
     def test_work_past_the_cap_is_refused(self, monkeypatch):
-        rho = mix([(0.5, make_delta(0.0)), (0.5, make_delta(2e3 * math.pi * (1.0 + 1e-5)))])
+        # a = 2 pi 6400 (1 + 1e-6) aliases with the start step 10 / 64: every start point reads
+        # |chi| >= 0.97, and the dips to 0 lie between them
+        rho = mix([(0.5, make_delta(0.0)), (0.5, make_delta(2.0 * math.pi * 6400.0 * (1.0 + 1e-6)))])
+        assert np.abs(characteristic_function(rho, np.linspace(0.0, 10.0, ga.START_POINTS))).min() > 0.97
         monkeypatch.setattr(ga, "CHI_POINT_CAP", 100)
-        named = r"band 10\.0 and density spread 6283\.2\d* exceeds 100 chi points"
+        named = r"band 10\.0 and density spread 40212\.4\d* exceeds 100 chi points"
         with pytest.raises(ResourceLimitError, match=named):
             is_invertible(rho, band=10.0, floor=0.5)
 
-    @pytest.mark.parametrize("rho, band, floor, budget", [
-        (mix([(0.5, make_delta(0.0)), (0.5, make_delta(2e3 * math.pi * (1.0 + 1e-5)))]), 10.0, 0.5, 200),
-        (convolve(NARROW_DIP, antipode(NARROW_DIP)), 10.0, 1e-3, 800),
-        (mix([(0.5, make_delta(0.0)), (0.5, make_gaussian(0.0, 1.0))]), 1e3, 1e-3, 100),
-        (mix([(0.5, make_delta(0.0)), (0.5, make_gaussian(0.0, 1.0))]), 1e5, 1e-3, 100),
+    def test_witness_search_stops_at_the_cap(self, monkeypatch):
+        # the least is below the floor at a start point, so the verdict is False from the start;
+        # past the cap the search for a smaller witness stops, with the witness found so far
+        a = 2e3 * math.pi * (1.0 + 1e-5)
+        rho = mix([(0.5, make_delta(0.0)), (0.5, make_delta(a))])
+        monkeypatch.setattr(ga, "CHI_POINT_CAP", 100)
+        least, witness = ga._min_modulus(rho, 10.0, 0.5)
+        assert least < 0.5 and abs(abs(characteristic_function(rho, witness)) - least) <= 1e-9
+
+    @pytest.mark.parametrize("rho, band, floor", [
+        # |chi(pi)| = 2.5e-4, in a cell narrower than 1e-11 of the band
+        (mix([(0.5, make_delta(0.0)), (0.5, make_gaussian(1.0, 1e-4))]), 1e11, 1e-3),
+        # |chi(30.75)| = 0.0052
+        (GroupDensity(((0.34762076778621737, GaussianComponent(-4.410326010716788, 0.3129654721233401)),
+                       (0.42576448207271456, GaussianComponent(-1.727255070523284, 0.0013825706043256406)),
+                       (0.22661475014106802, DiracComponent(2.25683961272821)))), 129541581524.52911,
+         0.012180732771164238),
+        # the Gaussian's cut-off at p = 158 parts the dip near p = 0 from the Diracs' band
+        (GroupDensity(((0.4144050511382425, DiracComponent(-379.5139154378404)),
+                       (0.24045105405372913, DiracComponent(-67.06789283390191)),
+                       (0.3451438948080284, GaussianComponent(-215.31338561622914, 0.06446119032769683)))),
+         59003.80425609709, 0.13308346395253004),
     ])
-    def test_exact_chi_points_stay_within_budget(self, monkeypatch, rho, band, floor, budget):
-        # a scan of 10,001 samples took 40,975 and 115,813 exact points on the two dips;
-        # a point whose Newton step would lower |chi|^2 by rounding alone ends its descent
+    def test_dip_near_zero_of_a_wide_band_is_found(self, rho, band, floor):
+        verdict, witness = is_invertible(rho, band=band, floor=floor)
+        assert verdict is False and abs(characteristic_function(rho, witness)) < floor
+
+    @pytest.mark.parametrize("rho, band, floor, verdict, budget", [
+        (mix([(0.5, make_delta(0.0)), (0.5, make_delta(2e3 * math.pi * (1.0 + 1e-5)))]), 10.0, 0.5, False, 400),
+        (convolve(NARROW_DIP, antipode(NARROW_DIP)), 10.0, 1e-3, False, 40000),
+        (mix([(0.5, make_delta(0.0)), (0.5, make_gaussian(0.0, 1.0))]), 1e3, 1e-3, True, 100),
+        (mix([(0.5, make_delta(0.0)), (0.5, make_gaussian(0.0, 1.0))]), 1e5, 1e-3, True, 100),
+        (mix([(0.5, make_delta(0.0)), (0.5, make_gaussian(0.0, 1.0))]), 1e160, 1e-3, True, 150),
+        (mix([(0.3, make_delta(0.0)), (0.7, make_gaussian(0.0, 1e300))]), 1e6, 1e-3, True, 150),
+    ])
+    def test_exact_chi_points_stay_within_budget(self, monkeypatch, rho, band, floor, verdict, budget):
+        # the two dips between start points take most of their points finding the first witness;
+        # a point whose Newton step would lower |chi|^2 by rounding alone ends its descent; and a
+        # Gaussian far below the start step is parted from its first cell at its cut-off
+        # 40 / sqrt(v), past which its terms are 0
         calls = _count_chi_calls(monkeypatch)
-        is_invertible(rho, band=band, floor=floor)
+        assert is_invertible(rho, band=band, floor=floor)[0] is verdict
         assert calls[1] <= budget
 
     @pytest.mark.parametrize("rho, band", [
@@ -498,11 +544,12 @@ class TestInvertibility:
             is_invertible(rho, band=band, floor=0.5)
 
     def test_curvature_bound_is_tight_near_zero(self):
-        # |chi|^2 = exp(-p^2) bends by 2 at p = 0; letting v p grow to the band's end gave 804
-        bound = ga._curvature(make_gaussian(0.0, 1.0), 1.0)(np.array([0.0]), np.array([10.0 / 64]))
-        assert 2.0 <= bound[0] <= 8.0
+        # |chi|^2 = exp(-p^2) bends by 2 at p = 0; a bound that let v p grow to the band's end read 804
+        # the bound comes in units of the cell's width: M h^2 for the cell's width h
+        bound = ga._curvature(make_gaussian(0.0, 1.0))(np.array([0.0]), np.array([10.0 / 64]))
+        assert 2.0 <= bound[0] / (10.0 / 64) ** 2 <= 8.0
         twin = GroupDensity(((0.5, DiracComponent(0.5)), (0.5, DiracComponent(0.5))))  # a Dirac with itself
-        assert ga._curvature(twin, 1.0)(np.array([0.0]), np.array([1.0]))[0] == 0.0
+        assert ga._curvature(twin)(np.array([0.0]), np.array([1.0]))[0] == 0.0
 
     def test_flat_tail_is_settled_from_its_start_points(self, monkeypatch):
         # the least is exact chi at a start point, and no cell of the plateau is split
@@ -568,29 +615,10 @@ def _library_products(rng, count):
     return products
 
 
-def _dense_least(rho, band):
-    """Least |chi| over [0, band] from 20,001 uniform samples, each local minimum of them
-    rescanned in 12 levels of 65 points about the least point of the level before. A minimum
-    whose second difference is below 1e-9, such as one on a tail flat to rounding, is not: |chi|
-    dips below its samples there by about an eighth of that."""
-    grid = np.linspace(0.0, band, 20001)
-    vals = np.abs(characteristic_function(rho, grid))
-    best = vals.min()
-    bend = vals[:-2] + vals[2:] - 2.0 * vals[1:-1]
-    for i in np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]) & (bend > 1e-9)) + 1:
-        a, b = grid[i - 1], grid[i + 1]
-        for _ in range(12):
-            p = np.linspace(a, b, 65)
-            v = np.abs(characteristic_function(rho, p))
-            j = int(np.argmin(v))
-            best, a, b = min(best, v[j]), p[max(j - 1, 0)], p[min(j + 1, 64)]
-    return best
-
-
 @pytest.mark.parametrize("rho", [*_library_products(np.random.default_rng(30), 60), FLAT_TAIL])
 def test_least_matches_a_dense_reference(rho):
     least, witness = ga._min_modulus(rho, 10.0)
-    reference = _dense_least(rho, 10.0)
+    reference = symmetric_scan_minimum(rho, 10.0, flat=1e-9)
     assert abs(least - reference) <= 1e-9
     assert abs(abs(characteristic_function(rho, witness)) - least) <= 1e-9
     assert is_invertible(rho, 10.0, 1e-3)[0] == (reference >= 1e-3)

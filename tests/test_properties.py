@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.optimize import minimize_scalar
 from scipy.special import jv
+
+from conftest import symmetric_scan_minimum
 
 from mixedframes import group_algebra as ga, quantum_system as qs
 from mixedframes.cli import DEFAULTS, main
@@ -249,39 +250,6 @@ def scanned_densities(draw, kinds=None):
     return band, ga.GroupDensity(tuple((w / total, c) for w, c in raw))
 
 
-def _nested_rescan(f, a, b, points=65, levels=12):
-    """Least f on [a, b]: each level samples ``points`` points and keeps the
-    two cells around the least, so the bracket shrinks 32-fold per level."""
-    best = np.inf
-    for _ in range(levels):
-        p = np.linspace(a, b, points)
-        vals = f(p)
-        j = int(np.argmin(vals))
-        best = min(best, vals[j])
-        a, b = p[max(j - 1, 0)], p[min(j + 1, points - 1)]
-    return best
-
-
-def _symmetric_scan_minimum(rho, band):
-    """Reference min |chi| over |p| <= band: a 20,001-point scan of [-band, band],
-    then per local minimum of the scan one bounded Brent search (scipy) and a
-    nested dense rescan of the same bracket. Brent stops once its bracket is
-    below sqrt(eps)*|p|, which leaves |chi| near 1e-9 beside a simple zero;
-    the rescan resolves the bracket down to a few ulps of p."""
-
-    def abs2(p):
-        return np.abs(ga.characteristic_function(rho, p)) ** 2
-
-    grid = np.linspace(-band, band, 20001)
-    vals = abs2(grid)
-    best = min(vals[0], vals[-1])
-    for i in np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1:
-        res = minimize_scalar(lambda p: float(abs2(p)), bounds=(grid[i - 1], grid[i + 1]),
-                              method="bounded", options={"xatol": 1e-10})
-        best = min(best, res.fun, _nested_rescan(abs2, grid[i - 1], grid[i + 1]))
-    return math.sqrt(max(best, 0.0))
-
-
 # Brent alone stopped at |chi| = 1.64e-9 here; the test's Newton refinement reaches 5.6e-17
 BRENT_SHORT_OF_A_ZERO = (
     10.0,
@@ -301,7 +269,7 @@ def test_min_modulus_matches_the_brent_reference(case, floor):
     assume(not ga.is_pure(rho))
     verdict, witness = ga.is_invertible(rho, band, floor)  # returning guards the stopping rule
     least, _ = ga._min_modulus(rho, band)
-    reference = _symmetric_scan_minimum(rho, band)
+    reference = symmetric_scan_minimum(rho, band)
     assert abs(least - reference) <= 1e-9
     if abs(reference - floor) > 1e-9:
         assert verdict == (reference >= floor)
@@ -381,16 +349,15 @@ def test_curvature_bound_holds_over_its_interval(kinds, data, start, width):
     """``_curvature`` bounds |d^2 |chi|^2 / dp^2| over each cell ``[lo, hi]``, for Diracs
     alone, Gaussians alone and both, with cells as narrow as a point and as wide as the band."""
     band, rho = data.draw(scanned_densities(kinds))
-    unit = band / (ga.START_POINTS - 1)
     lo = np.array([start * band, 0.0])
     hi = lo + np.array([width * (band - lo[0]), band])
-    bound = ga._curvature(rho, unit)(lo, hi) / (unit * unit)
+    bound = ga._curvature(rho)(lo, hi)  # in units of each cell's width
     # the reference rounds in its terms, which |chi'|^2 + |chi''| bounds
     terms = math.fsum(w * (abs(c.mean) + c.variance * band) for w, c in rho.components) ** 2 + math.fsum(
         w * ((abs(c.mean) + c.variance * band) ** 2 + c.variance) for w, c in rho.components)
     for a, b, most in zip(lo, hi, bound):
         reference = np.max(np.abs(_modulus2_second_derivative(rho, np.linspace(a, b, 2001))))
-        assert reference <= most * (1.0 + 1e-12) + 64.0 * np.finfo(float).eps * terms
+        assert reference * (b - a) ** 2 <= most * (1.0 + 1e-12) + 64.0 * np.finfo(float).eps * terms * (b - a) ** 2
 
 
 @st.composite
@@ -862,6 +829,8 @@ EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, -1e300)
 # is a tied local minimum (15-18 s once, with one scalar search per minimum)
 @example(("demo", "semigroup"), {"a2": 1e-9})
 @example(("demo", "semigroup"), {"a2": 1e-12})
+# a Dirac gap of 1e300, whose square overflows unless the curvature bound scales it to a cell's width first
+@example(("demo", "semigroup"), {"a2": 1e300})
 # a builtin ValueError the fuzzing found: rounding leaves v0 +- 8.5 spreads non-uniform
 @example(("demo", "galilei-boost"), {"v0": 1e300})
 def test_cli_exits_0_or_2_on_any_float_flag(command, values):
