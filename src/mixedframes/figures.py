@@ -252,7 +252,7 @@ def _default_band(label: str, rho: ga.GroupDensity) -> float:
     # every Dirac gap (canonical locations are distinct) and the Gaussian standard deviations
     scales = [b - a for a, b in zip(locs, locs[1:])]
     scales += [math.sqrt(c.variance) for _, c in rho.components if c.variance > 0.0]
-    return positive(f"the scan band of {label}", 10.0 / min(scales) if scales else 10.0)
+    return positive(f"the band of {label}", 10.0 / min(scales) if scales else 10.0)
 
 
 def _demo_semigroup(params: dict, extra_densities: list[ga.GroupDensity]) -> Artifact:

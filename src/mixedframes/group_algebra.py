@@ -197,36 +197,35 @@ def characteristic_function(rho: GroupDensity, p: np.ndarray) -> np.ndarray:
     the largest phase ``mean * p`` is finite, which also rejects NaN and
     infinite points with :class:`DomainError`.
     """
-    p = np.asarray(p, dtype=float)
-    _largest_phase(rho, float(np.abs(p).max(initial=0.0)))
-    return _chi(_columns(rho), p)
+    p, columns = np.asarray(p, dtype=float), _columns(rho)
+    _largest_phase(columns, float(np.abs(p).max(initial=0.0)))
+    return _chi(columns, p)
 
 
-def _largest_phase(rho: GroupDensity, widest: float) -> float:
-    """``max |mean| * widest``, or :class:`DomainError` unless it is finite."""
-    far = max(abs(c.mean) for _, c in rho.components)
+def _largest_phase(columns: np.ndarray, widest: float) -> float:
+    """``max |mean| * widest`` from :func:`_columns`, or :class:`DomainError` unless it is finite."""
+    far = float(np.abs(columns[1]).max())
     phase = far * widest  # Python floats: inf or NaN without a numpy warning
     if not math.isfinite(phase):  # the message is formatted only to raise
         finite(f"phase location*p at location {far!r} and |p| {widest!r}", phase)
     return phase
 
 
-def _columns(rho: GroupDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The weights, phase factors ``-1j * mean`` and decay factors ``0.5 * variance``
-    of the components, one entry per component, for :func:`_chi`."""
-    weights, means, variances = np.array([(w, c.mean, c.variance) for w, c in rho.components]).T
-    return weights, -1j * means, 0.5 * variances
+def _columns(rho: GroupDensity) -> np.ndarray:
+    """The weights, means and variances of the components: three rows, one column per component."""
+    return np.array([(w, c.mean, c.variance) for w, c in rho.components]).T
 
 
-def _chi(columns: tuple[np.ndarray, np.ndarray, np.ndarray], p: np.ndarray, scale: float = 0.0):
+def _chi(columns: np.ndarray, p: np.ndarray, scale: float = 0.0):
     """chi at float points ``p`` whose phases are finite, from :func:`_columns`.
 
-    With a nonzero ``scale`` ``s``, also ``s chi'`` and ``s^2 chi''`` at ``p``
-    from the same exponentials: the derivatives in the unit ``s``, which keeps
-    them in range at any scale of ``p``. Where a decayed term's rate overflows
-    they are NaN, and the caller ignores the warning.
+    With a nonzero ``scale`` ``s``, also ``s chi'`` and ``s^2 chi''`` at ``p`` from the same
+    exponentials: the derivatives in the unit ``s``, which keeps them in range at any scale of ``p``.
+    Where a decayed term's rate overflows they are NaN, and the caller ignores the warning. Every
+    sum adds the rows in component order, so a point's bits do not depend on the points beside it.
     """
-    weights, phases, decays = (x.reshape((-1,) + (1,) * p.ndim) for x in columns)
+    weights, means, variances = (x.reshape((-1,) + (1,) * p.ndim) for x in columns)
+    phases, decays = -1j * means, 0.5 * variances
     terms = phases * p
     # a decay that overflows to inf gives exp(-inf) = 0, the right value
     with np.errstate(over="ignore"):
@@ -239,9 +238,9 @@ def _chi(columns: tuple[np.ndarray, np.ndarray, np.ndarray], p: np.ndarray, scal
     if not scale:
         return values
     rates = (phases - 2.0 * decays * p) * scale  # s d/dp of each exponent, s (-i mean - variance p)
-    variances = 2.0 * decays * scale * scale  # 0 for a Dirac, also where scale * scale overflows
+    spreads = 2.0 * decays * scale * scale  # s^2 variance: 0 for a Dirac, also where scale * scale overflows
     slopes = rates * terms
-    return values, slopes.sum(0), (rates * slopes - variances * terms).sum(0)
+    return values, sum(slopes), sum(rates * slopes - spreads * terms)
 
 
 def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, float | None]:
@@ -272,9 +271,10 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
     split at that Newton point when it falls inside; a cell with an end within
     1e-9 of the least that is no descent's end is not held to this. The witness
     is the smallest ``p`` within 1e-9 of the least among the start points, the
-    ends of descents and the points of the least. Past ``CHI_POINT_CAP`` exact
-    points, a ``False`` verdict keeps the witness found so far; otherwise
-    :class:`ResourceLimitError` names the spread and the band.
+    ends of descents and the points of the least. Past a sixteenth of
+    ``CHI_POINT_CAP`` exact points, a ``False`` verdict keeps the witness found
+    so far; past ``CHI_POINT_CAP``, :class:`ResourceLimitError` names the spread
+    and the band.
     """
     positive("band", band)
     if not 0.0 < floor < 1.0:
@@ -288,17 +288,17 @@ def is_invertible(rho: GroupDensity, band: float, floor: float) -> tuple[bool, f
 def _min_modulus(rho: GroupDensity, band: float, floor: float = 0.0) -> tuple[float, float]:
     """Least ``|chi|`` over ``0 <= p <= band`` and its witness, the least refined as far as the
     verdict at ``floor`` needs; see :func:`is_invertible`."""
-    phase = _largest_phase(rho, band)
-    rounding = 4.0 * sys.float_info.epsilon * (len(rho.components) + 1 + phase)  # of exact |chi|
+    columns = _columns(rho)
+    phase = _largest_phase(columns, band)
+    rounding = 4.0 * sys.float_info.epsilon * (columns.shape[1] + 1 + phase)  # of exact |chi|
     if 2.0 * rounding >= floor > 0.0:
         raise DomainError(f"chi's rounding {rounding!r} at band {band!r} and largest phase {phase!r} "
                           f"reaches half the floor {floor!r}")
-    columns, grid = _columns(rho), np.linspace(0.0, band, START_POINTS)
-    step = float(grid[1])
-    curvature = _curvature(rho)
-    # past 40 / sqrt(v) a Gaussian's terms underflow to 0, in chi and in the bound alike
-    cuts = np.array([[40.0 / math.sqrt(c.variance)] for _, c in rho.components if c.variance] + [[math.inf]])
+    grid = np.linspace(0.0, band, START_POINTS)
+    step, curvature = float(grid[1]), _curvature(columns)
     with np.errstate(all="ignore"):  # an inf or NaN bound settles nothing
+        # past 40 / sqrt(v) a Gaussian's terms underflow to 0, in chi and in the bound alike; a Dirac's is inf
+        cuts = 40.0 / np.sqrt(columns[2, :, None])
         vals, targets = _probe(columns, grid, step, rounding)
         least, points, found = float(vals.min()), grid.size, [(grid, vals, np.full(grid.size, True))]
         # a cell is a column: lo, |chi(lo)|, the Newton point from lo, and the same at hi
@@ -326,11 +326,11 @@ def _min_modulus(rho: GroupDensity, band: float, floor: float = 0.0) -> tuple[fl
             split = np.where(stepping, np.where(left, t_lo, t_hi),
                              np.where(crossing, np.where(left, t_hi, t_lo), middle))[keep]
             points += split.size
-            if points > CHI_POINT_CAP:  # columns[1] holds -1j * mean
+            if points > (CHI_POINT_CAP >> 4 if least < floor else CHI_POINT_CAP):
                 if least < floor:  # the verdict stands, with the witness found so far
                     break
                 raise ResourceLimitError(f"the invertibility test at band {band!r} and density spread "
-                                         f"{float(np.ptp(columns[1].imag))!r} exceeds {CHI_POINT_CAP} chi points")
+                                         f"{float(np.ptp(columns[1]))!r} exceeds {CHI_POINT_CAP} chi points")
             modulus, target = _probe(columns, split, step, rounding)
             least = min(least, float(modulus.min()))
             found.append((split, modulus, target == split))  # the ends of descents
@@ -346,12 +346,11 @@ def _witness(found: list[tuple[np.ndarray, np.ndarray, np.ndarray]], least: floa
     return float(p[(m <= least + 1e-9) & (end | (m == least))].min())
 
 
-def _probe(columns: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray, unit: float,
-           rounding: float) -> tuple[np.ndarray, np.ndarray]:
+def _probe(columns: np.ndarray, x: np.ndarray, unit: float, rounding: float) -> tuple[np.ndarray, np.ndarray]:
     """``|chi|`` at ``x`` and the Newton point of ``d|chi|^2/dp`` from each: NaN if not convex, ``x`` if flat."""
-    chunk = max(1, CHI_BATCH // columns[0].size)
-    chi, slope, bend = _chi(columns, x, unit) if x.size <= chunk else (np.concatenate(z) for z in zip(*(
-        _chi(columns, x[i:i + chunk], unit) for i in range(0, x.size, chunk))))
+    chunk = max(1, CHI_BATCH // columns.shape[1])
+    chi, slope, bend = (np.concatenate(z) for z in zip(*(_chi(columns, x[i:i + chunk], unit)
+                                                          for i in range(0, x.size, chunk))))
     conj, modulus = chi.conj(), np.abs(chi)
     drift = (conj * slope).real  # half of d|chi|^2/dp, and below half of d^2|chi|^2/dp^2, in `unit`
     convex = (slope.conj() * slope + conj * bend).real
@@ -360,7 +359,7 @@ def _probe(columns: tuple[np.ndarray, np.ndarray, np.ndarray], x: np.ndarray, un
     return modulus, np.where(convex > 0.0, np.where(flat, x, x - drift / convex * unit), np.nan)
 
 
-def _curvature(rho: GroupDensity) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def _curvature(columns: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """A bound on ``(hi - lo)^2 |d^2 |chi|^2 / dp^2|`` over each cell ``0 <= lo <= p <= hi``.
 
     ``|chi|^2`` sums ``T_j conj(T_k)`` over pairs of components, ``T = w exp(-i m p - v p^2 / 2)``, and
@@ -371,10 +370,10 @@ def _curvature(rho: GroupDensity) -> Callable[[np.ndarray, np.ndarray], np.ndarr
     + e2 + v e0)``, with ``e0``, ``e1``, ``e2`` the largest values over the cell of ``E = exp(-v p^2 / 2)``,
     ``v p E`` and ``v^2 p^2 E``: at ``lo``, ``1 / sqrt(v)`` and ``sqrt(2 / v)`` held to the cell. Means and
     ``sqrt(v)`` are taken in units of the cell's width before squaring, which keeps the bound in range at
-    any scale; where ``E`` underflows to 0, as ``chi``'s terms do, so do the terms it bounds. The
-    returned function takes the cells' ends; the rest is formed once.
+    any scale; where ``E`` underflows to 0, as ``chi``'s terms do, so do the terms it bounds. It takes
+    the :func:`_columns` of the density, and the returned function the cells' ends; the rest is formed once.
     """
-    weights, means, roots = np.array([(w, c.mean, math.sqrt(c.variance)) for w, c in rho.components]).T
+    weights, means, roots = columns[0], columns[1], np.sqrt(columns[2])
     dirac = roots == 0.0
     means = np.abs(means - np.average(means, weights=weights * dirac if dirac.any() else weights))
     d0, dirac_w, dirac_m = float(weights[dirac].sum()), weights[dirac], means[dirac, None]

@@ -237,8 +237,8 @@ def classifier_cases(rng: np.random.Generator) -> list[tuple[ga.GroupDensity, fl
 
 def check_invertibility_classifier() -> list[CheckResult]:
     cases = classifier_cases(np.random.default_rng(RNG_SEED + 2))
-    # 10,001 uniform samples of the band sit near multiples of 2 pi / a, where |chi| = |cos(a p / 2)|
-    # is near 1, so the zeros at odd multiples of pi / a fall between such samples
+    # kept as a False that a sampled test would miss: on 10,001 uniform samples of the band, |chi| =
+    # |cos(a p / 2)| stays near 1, and its zeros at odd multiples of pi / a fall between them
     a = 2e3 * math.pi * (1.0 + 1e-5)
     cases.append((ga.mix([(0.5, ga.make_delta(0.0)), (0.5, ga.make_delta(a))]), 10.0, False))
     wrong = sum(ga.is_invertible(rho, band=band, floor=1e-3)[0] != want for rho, band, want in cases)

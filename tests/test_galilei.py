@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -8,8 +9,11 @@ import numpy as np
 import pytest
 
 from mixedframes import (
+    DiracComponent,
     DomainError,
     GalileiParams,
+    GaussianComponent,
+    GroupDensity,
     MomentumGrid,
     PositionGrid,
     ResourceLimitError,
@@ -93,8 +97,10 @@ class TestOperators:
         residuals = commutator_residuals(ops, states)
         assert residuals["x_p"] < 1e-8
 
-    def test_galilei_brackets(self, ops_setup):
-        grid, _, ops = ops_setup
+    @pytest.mark.parametrize("mass", [1.0, 2.0])  # the Hamiltonian p^2 / 2m reads the mass
+    def test_galilei_brackets(self, ops_setup, mass):
+        grid, params, _ = ops_setup
+        ops = build_operators(grid, GalileiParams(mass=mass, time=params.time, hbar=params.hbar))
         states = [
             gaussian_wavepacket(grid, 1.0),
             gaussian_wavepacket(grid, 0.6, 1.5),
@@ -117,6 +123,25 @@ class TestBoostLabel:
         label = boost_pure_label(3.0, 2.0, GalileiParams(mass=1.0, time=1.0, hbar=1.0))
         assert label.momentum == pytest.approx(5.0, abs=0)
         assert label.phase == pytest.approx(TWO_PI - 1.5, abs=1e-14)
+
+    def test_phase_is_divided_by_hbar(self):
+        # -t (v p - m v^2 / 2) / hbar = -(6 - 4.5) / 2 at hbar = 2
+        label = boost_pure_label(3.0, 2.0, GalileiParams(mass=1.0, time=1.0, hbar=2.0))
+        assert label.phase == pytest.approx(TWO_PI - 0.75, abs=1e-14)
+
+    def test_phase_guard_reads_the_phase_over_hbar(self):
+        # t (v p - m v^2 / 2) is 1e308 less 5e7: over hbar = 2 it is finite, over hbar = 0.5 it is not;
+        # v p = 1.495e308 less m v^2 / 2 = 0.845e308 is finite, though their sum is not
+        params = GalileiParams(mass=1e-300, time=1.0, hbar=2.0)
+        assert boost_pure_label(1e154, 1e154, params).momentum == 1e154
+        with pytest.raises(DomainError, match="boost phase"):
+            boost_pure_label(1e154, 1e154, GalileiParams(mass=1e-300, time=1.0, hbar=0.5))
+        assert boost_pure_label(1.3e154, 1.15e154, GalileiParams(mass=1.0, time=1.0)).momentum == 2.45e154
+        # v p - m v^2 / 2 at v = -1.3e154 is -1.7976930e308 for p = 7.328408e153, and past the float range
+        # for 7.328409e153, though m v^2 / 2 taken 1e-6 smaller would bring it back
+        assert boost_pure_label(-1.3e154, 7.328408e153, GalileiParams(mass=1.0, time=1.0)).momentum < 0.0
+        with pytest.raises(DomainError, match="boost phase"):
+            boost_pure_label(-1.3e154, 7.328409e153, GalileiParams(mass=1.0, time=1.0))
 
     def test_momentum_composition(self):
         params = GalileiParams(mass=1.3, time=0.4)
@@ -147,12 +172,11 @@ class TestBCH:
     def test_small_sweep(self):
         grid = PositionGrid(512, 40.0)
         psi = gaussian_wavepacket(grid, 1.0)
-        for mass in (0.5, 2.0):
-            for time in (0.0, 1.0):
-                params = GalileiParams(mass=mass, time=time, hbar=1.0)
-                ops = build_operators(grid, params)
-                for v in (-2.0, 1.2):
-                    assert bch_residual(v, psi, ops) < 1e-6
+        # hbar 2 scales the spectral bound's |t| hbar max|k| up, past the position term
+        for mass, time, hbar in itertools.product((0.5, 2.0), (0.0, 1.0), (1.0, 2.0)):
+            ops = build_operators(grid, GalileiParams(mass=mass, time=time, hbar=hbar))
+            for v in (-2.0, 1.2):
+                assert bch_residual(v, psi, ops) < 1e-6
 
     def test_default_grid_size(self):
         grid = PositionGrid(4096, 40.0)
@@ -190,6 +214,27 @@ class TestBCH:
         with pytest.raises(ResourceLimitError, match=named):
             apply_boost_exponential(1e6, psi, ops)
 
+    def test_kick_at_the_grid_band_edge_is_accepted(self):
+        # |m v| / hbar = 2 k_max / 2 reaches the band edge exactly; one ulp more is past it
+        grid = PositionGrid(64, 20.0)
+        k_max = float(np.max(np.abs(grid.wavenumbers())))
+        ops = build_operators(grid, GalileiParams(mass=1.0, time=0.1, hbar=2.0))
+        psi = gaussian_wavepacket(grid, 1.0)
+        assert apply_boost_exponential(2.0 * k_max, psi, ops).norm() == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(DomainError, match="exceeds the grid band"):
+            apply_boost_exponential(math.nextafter(2.0 * k_max, math.inf), psi, ops)
+
+    def test_series_at_the_term_cap_runs(self, monkeypatch):
+        # at t = 0, R = m max|x| = 10, so |z| = |v| R / hbar = 20 at v = 2: a cap of 20 lets it run
+        grid = PositionGrid(64, 20.0)
+        ops = build_operators(grid, GalileiParams(mass=1.0, time=0.0, hbar=1.0))
+        psi = gaussian_wavepacket(grid, 1.0)
+        monkeypatch.setattr(galilei, "BOOST_SERIES_CAP", 20.0)
+        assert apply_boost_exponential(2.0, psi, ops).norm() == pytest.approx(1.0, abs=1e-9)
+        monkeypatch.setattr(galilei, "BOOST_SERIES_CAP", math.nextafter(20.0, 0.0))
+        with pytest.raises(ResourceLimitError, match="needs about 20 terms"):
+            apply_boost_exponential(2.0, psi, ops)
+
     @pytest.mark.parametrize("v", [math.nan, math.inf, 1e308])
     def test_nonfinite_phase_rejected(self, ops_setup, v):
         grid, _, ops = ops_setup
@@ -198,16 +243,17 @@ class TestBCH:
 
 
 class TestFringePhase:
-    def test_relative_phase_matches_label(self):
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    def test_relative_phase_matches_label(self, hbar):
         grid = PositionGrid(1024, 40.0)
-        params = GalileiParams(mass=1.0, time=0.7, hbar=1.0)
-        dk = TWO_PI / grid.extent
-        p_a, p_b = 16 * dk, -10 * dk
-        v = 24 * dk / params.mass
+        params = GalileiParams(mass=1.0, time=0.7, hbar=hbar)
+        dp = hbar * TWO_PI / grid.extent  # the momentum step hbar dk
+        p_a, p_b = 16 * dp, -10 * dp
+        v = 24 * dp / params.mass
+        # rolled by 7 points, so that each Fourier mode of the state carries its own phase
         psi = _normalized(
             grid,
-            momentum_bump(grid, p_a, params).amplitudes
-            + momentum_bump(grid, p_b, params).amplitudes,
+            np.roll(momentum_bump(grid, p_a, params).amplitudes + momentum_bump(grid, p_b, params).amplitudes, 7),
         )
         boosted = apply_boost_factored(v, psi, params)
         shift = params.mass * v
@@ -272,6 +318,44 @@ class TestFringePhase:
             expected = np.exp(1j * v * x) * psi.amplitudes * np.exp(-1j * 0.0 * v**2 / 2.0)
             assert np.array_equal(got, expected)
 
+    def test_factored_boost_guard_reads_the_phase_over_hbar(self):
+        # the boost reads m / hbar: at m = hbar = 1e160, t m v^2 / (2 hbar) is 0.5, as at m = hbar = 1,
+        # though t m v^2 (2 hbar) would overflow; at hbar = 1e-160 the phase itself overflows, and at
+        # hbar = 1/4 it is 2 m, past the largest float once m is one ulp above half of it
+        psi = gaussian_wavepacket(PositionGrid(64, 40.0), 1.0)
+        out = apply_boost_factored(1.0, psi, GalileiParams(mass=1e160, time=1.0, hbar=1e160))
+        unit = apply_boost_factored(1.0, psi, GalileiParams(mass=1.0, time=1.0, hbar=1.0))
+        assert np.max(np.abs(out.amplitudes - unit.amplitudes)) <= 1e-12
+        past = math.nextafter(sys.float_info.max / 2.0, math.inf)
+        for params in (GalileiParams(mass=1e160, time=1.0, hbar=1e-160), GalileiParams(mass=past, time=1.0, hbar=0.25)):
+            with pytest.raises(DomainError, match="boost phase"):
+                apply_boost_factored(1.0, psi, params)
+
+    def test_bump_sits_at_p_over_hbar_up_to_half_the_band(self):
+        # p = k_max at hbar = 2 puts the bump at k = k_max / 2 exactly, the largest accepted
+        grid = PositionGrid(64, 20.0)
+        k_max = math.pi / grid.spacing
+        params = GalileiParams(mass=1.0, time=0.0, hbar=2.0)
+        bump = momentum_bump(grid, k_max, params)
+        k = grid.wavenumbers()
+        assert k[np.argmax(np.abs(np.fft.fft(bump.amplitudes)))] == pytest.approx(0.5 * k_max)
+        with pytest.raises(DomainError, match="outside half the spectral band"):
+            momentum_bump(grid, math.nextafter(k_max, math.inf), params)
+
+    @pytest.mark.parametrize("weight, accepted", [(1e-12, True), (math.nextafter(1e-12, 0.0), False)])
+    def test_relative_phase_needs_weight_of_1e_12(self, weight, accepted):
+        # 0.5 + i (weight / 64) (-1)^j on 64 points of a box of 4 is normalized, and its Nyquist
+        # Fourier coefficient is i weight exactly: weight 1e-12 is enough, one ulp less is not
+        grid = PositionGrid(64, 4.0)
+        psi = WaveFunction(grid, 0.5 + 1j * (weight / 64) * (-1.0) ** np.arange(64))
+        nyquist = -math.pi / grid.spacing
+        params = GalileiParams(mass=1.0, time=0.0)
+        if accepted:
+            assert relative_boost_phase(psi, psi, nyquist, 0.0, params) == pytest.approx(-0.5 * math.pi)
+        else:
+            with pytest.raises(DomainError, match="no weight"):
+                relative_boost_phase(psi, psi, nyquist, 0.0, params)
+
     def test_factored_boost_preserves_norm(self):
         grid = PositionGrid(512, 40.0)
         params = GalileiParams(mass=0.7, time=1.3, hbar=1.0)
@@ -293,6 +377,30 @@ class TestBoostMixed:
         params = GalileiParams(mass=1.0, time=0.0)
         with pytest.raises(DomainError):
             boost_mixed(make_gaussian(0.0, 4.0), 0.0, params, np.linspace(-1, 1, 101))
+
+    @pytest.mark.parametrize("inside, accepted", [(1.0 - 1e-12, True), (math.nextafter(1.0 - 1e-12, 0.0), False)])
+    def test_truncation_guard_allows_1e_12_outside(self, inside, accepted):
+        # a Dirac on the grid holds `inside`, and a Gaussian far off it the rest, whose erf terms
+        # cancel exactly: the grid holds 1 - 1e-12 of the mass, the least the guard accepts, or one ulp less
+        rho = GroupDensity(((inside, DiracComponent(0.0)), (1.0 - inside, GaussianComponent(1e3, 1.0))))
+        params, v_grid = GalileiParams(mass=1.0, time=0.0), np.linspace(-4.0, 4.0, 2001)
+        if accepted:
+            assert float(np.sum(boost_mixed(rho, 0.0, params, v_grid).weights)) > 0.0
+        else:
+            with pytest.raises(DomainError, match="truncates more than 1e-12"):
+                boost_mixed(rho, 0.0, params, v_grid)
+
+    @pytest.mark.parametrize("k, accepted", [(1_000_005_001, True), (999_999_501, False)])
+    def test_spacing_guard_allows_half_the_grid_norm_tolerance(self, k, accepted):
+        # at p = 2^52 + 2^40, m = k + 1/2 and v = -1, 0, 1, p - m and p + m round half to even one
+        # unit apart more than 2 m: the grid spacing reads k + 1 against m dv = k + 1/2, off by 1 / (2k + 1),
+        # which is 4.99998e-10 inside 0.5 GRID_NORM_TOL for the first k and 5.0000026e-10 past it for the second
+        p, params, v_grid = 2.0**52 + 2.0**40, GalileiParams(mass=k + 0.5, time=0.0), np.linspace(-1.0, 1.0, 3)
+        if accepted:
+            assert boost_mixed(make_delta(0.0), p, params, v_grid).grid.spacing == k + 1
+        else:
+            with pytest.raises(DomainError, match="too large for the momentum step"):
+                boost_mixed(make_delta(0.0), p, params, v_grid)
 
     def test_thermal_boost_matches_thermal_state(self):
         temperature, mass, v0 = 1.4, 0.8, 1.9

@@ -498,6 +498,19 @@ class TestInvertibility:
         least, witness = ga._min_modulus(rho, 10.0, 0.5)
         assert least < 0.5 and abs(abs(characteristic_function(rho, witness)) - least) <= 1e-9
 
+    def test_witness_search_takes_a_sixteenth_of_the_cap(self, monkeypatch):
+        # three Diracs: the verdict is False from the start points on, and the first witness lies near
+        # p = 91; at band 1e8 the cells left of the witness found so far would take 754,064 exact chi points
+        rho = GroupDensity(((0.42, DiracComponent(1.91)), (0.40, DiracComponent(-4.25)),
+                            (0.18, DiracComponent(-0.48))))
+        for band in (1e4, 1e6):
+            verdict, witness = is_invertible(rho, band=band, floor=0.003)
+            assert verdict is False and abs(witness - 91.218363) <= 1e-6
+        calls = _count_chi_calls(monkeypatch)
+        verdict, witness = is_invertible(rho, band=1e8, floor=0.003)
+        assert calls[1] <= 1 << 16
+        assert verdict is False and abs(characteristic_function(rho, witness)) < 0.003
+
     @pytest.mark.parametrize("rho, band, floor", [
         # |chi(pi)| = 2.5e-4, in a cell narrower than 1e-11 of the band
         (mix([(0.5, make_delta(0.0)), (0.5, make_gaussian(1.0, 1e-4))]), 1e11, 1e-3),
@@ -546,10 +559,10 @@ class TestInvertibility:
     def test_curvature_bound_is_tight_near_zero(self):
         # |chi|^2 = exp(-p^2) bends by 2 at p = 0; a bound that let v p grow to the band's end read 804
         # the bound comes in units of the cell's width: M h^2 for the cell's width h
-        bound = ga._curvature(make_gaussian(0.0, 1.0))(np.array([0.0]), np.array([10.0 / 64]))
+        bound = ga._curvature(ga._columns(make_gaussian(0.0, 1.0)))(np.array([0.0]), np.array([10.0 / 64]))
         assert 2.0 <= bound[0] / (10.0 / 64) ** 2 <= 8.0
         twin = GroupDensity(((0.5, DiracComponent(0.5)), (0.5, DiracComponent(0.5))))  # a Dirac with itself
-        assert ga._curvature(twin)(np.array([0.0]), np.array([1.0]))[0] == 0.0
+        assert ga._curvature(ga._columns(twin))(np.array([0.0]), np.array([1.0]))[0] == 0.0
 
     def test_flat_tail_is_settled_from_its_start_points(self, monkeypatch):
         # the least is exact chi at a start point, and no cell of the plateau is split
@@ -622,6 +635,18 @@ def test_least_matches_a_dense_reference(rho):
     assert abs(least - reference) <= 1e-9
     assert abs(abs(characteristic_function(rho, witness)) - least) <= 1e-9
     assert is_invertible(rho, 10.0, 1e-3)[0] == (reference >= 1e-3)
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+def test_chi_chunks_leave_the_bits_unchanged(monkeypatch, batch):
+    """A ``CHI_BATCH`` of 1 gives every ``_chi`` call one point, and 64 gives 2 to 64 (a product
+    has at most 27 components); the least and the witness keep the bits of one call a round."""
+    aliased = mix([(0.5, make_delta(0.0)), (0.5, make_delta(2e3 * math.pi * (1.0 + 1e-5)))])
+    cases = [(rho, 10.0, 1e-3) for rho in _library_products(np.random.default_rng(38), 8)]
+    cases.append((aliased, 10.0, 0.5))
+    whole = [tuple(map(float.hex, ga._min_modulus(*case))) for case in cases]
+    monkeypatch.setattr(ga, "CHI_BATCH", batch)
+    assert [tuple(map(float.hex, ga._min_modulus(*case))) for case in cases] == whole
 
 
 def test_median_product_takes_at_most_12_chi_rounds(monkeypatch):

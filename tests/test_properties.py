@@ -351,7 +351,7 @@ def test_curvature_bound_holds_over_its_interval(kinds, data, start, width):
     band, rho = data.draw(scanned_densities(kinds))
     lo = np.array([start * band, 0.0])
     hi = lo + np.array([width * (band - lo[0]), band])
-    bound = ga._curvature(rho)(lo, hi)  # in units of each cell's width
+    bound = ga._curvature(ga._columns(rho))(lo, hi)  # in units of each cell's width
     # the reference rounds in its terms, which |chi'|^2 + |chi''| bounds
     terms = math.fsum(w * (abs(c.mean) + c.variance * band) for w, c in rho.components) ** 2 + math.fsum(
         w * ((abs(c.mean) + c.variance * band) ** 2 + c.variance) for w, c in rho.components)

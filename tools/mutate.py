@@ -76,9 +76,14 @@ def mutate(source: str, index: int) -> str:
 
 
 def run_suite(tree: Path, timeout: float) -> bool | None:
-    """True if the Tier-1 suite passes in ``tree``, None if it times out."""
+    """True if the Tier-1 suite passes in ``tree``, None if it times out.
+
+    Hypothesis draws from seed 0, so every run of a sweep meets the same
+    examples: with fresh draws, a mutant can be killed in one sweep by a random
+    example and survive the next, and kill counts move between runs.
+    """
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
     try:
         result = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
