@@ -19,7 +19,8 @@ from .errors import DomainError
 
 def gaussian_kernel(x: np.ndarray, mean: float, variance: float) -> np.ndarray:
     """The unnormalized Gaussian exp(-(x - mean)^2 / (2 variance))."""
-    return np.exp(-((x - mean) ** 2) / (2.0 * variance))
+    with np.errstate(over="ignore"):  # an exponent of -inf gives exp(-inf) = 0, the exact value
+        return np.exp(-((x - mean) ** 2) / (2.0 * variance))
 
 
 def norm_pdf(x: np.ndarray, mean: float, variance: float) -> np.ndarray:

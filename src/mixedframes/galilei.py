@@ -183,9 +183,8 @@ def boost_pure_label(v: float, p: float, params: GalileiParams) -> MomentumEigen
     """
     v, p = finite("boost velocity", v), finite("momentum", p)
     t, m, hbar = params.time, params.mass, params.hbar
-    # v * v is inf where v**2 raises OverflowError; v**2 keeps the phase's rounding
-    finite(f"boost phase t*(v*p - m*v*v/2)/hbar at v={v!r}", t * (v * p - m * (v * v) / 2.0) / hbar)
-    phase = -t * (v * p - m * v**2 / 2.0) / hbar
+    # m*v halved before the last factor v: m*v*v can overflow where the phase is finite
+    phase = finite(f"boost phase -t*(v*p - m*v/2*v)/hbar at v={v!r}", -t * (v * p - m * v / 2.0 * v) / hbar)
     return MomentumEigenLabel(p + m * v, phase)
 
 
@@ -195,12 +194,13 @@ def apply_boost_factored(v: float, psi: WaveFunction, params: GalileiParams) -> 
     The momentum-space phase exp(-i t v p / hbar) is the translation by -t v,
     so |t v| must stay below half the box, as for :func:`translate`.
     """
-    x = psi.grid.points()
     m, t, hbar = params.mass, params.time, params.hbar
-    # v * v is inf where v**2 raises OverflowError; v**2 keeps the phase's rounding
-    finite(f"boost phase t*m*v*v/(2*hbar) at v={v!r}", t * m * (v * v) / (2.0 * hbar))
+    # v * v is inf where v**2 raises OverflowError
+    phase = finite(f"boost phase t*m*v*v/(2*hbar) at v={v!r}", t * m * (v * v) / (2.0 * hbar))
+    kick = m * v / hbar  # the wavenumber m*v/hbar first: m*v*x can overflow where the phase cannot
+    finite(f"position phase m*v*x/hbar at |x| = extent/2 at v={v!r}", kick * (psi.grid.extent / 2.0))
     shifted = translate(psi, -t * v).amplitudes
-    amps = np.exp(1j * m * v * x / hbar) * shifted * np.exp(-1j * t * m * v**2 / (2.0 * hbar))
+    amps = np.exp(1j * (kick * psi.grid.points())) * shifted * np.exp(-1j * phase)
     return WaveFunction(psi.grid, amps)
 
 
@@ -298,13 +298,12 @@ def relative_boost_phase(
     if original.grid != boosted.grid:
         raise GridMismatchError("states live on different grids")
     k = original.grid.wavenumbers()
-    i_from = int(np.argmin(np.abs(k - p_from / params.hbar)))
-    i_to = int(np.argmin(np.abs(k - p_to / params.hbar)))
-    before = np.fft.fft(original.amplitudes)[i_from]
-    after = np.fft.fft(boosted.amplitudes)[i_to]
-    if abs(before) < 1e-12:
-        raise DomainError(f"original state has no weight at momentum {p_from}")
-    return float(np.angle(after / before))
+    modes = []  # the Fourier coefficient before and after, each read from a mode that holds weight
+    for name, state, p in (("original", original, p_from), ("boosted", boosted, p_to)):
+        modes.append(np.fft.fft(state.amplitudes)[int(np.argmin(np.abs(k - p / params.hbar)))])
+        if abs(modes[-1]) < 1e-12:
+            raise DomainError(f"{name} state has no weight at momentum {p}")
+    return float(np.angle(modes[1] / modes[0]))
 
 
 def boost_mixed(

@@ -205,10 +205,8 @@ def characteristic_function(rho: GroupDensity, p: np.ndarray) -> np.ndarray:
 def _largest_phase(columns: np.ndarray, widest: float) -> float:
     """``max |mean| * widest`` from :func:`_columns`, or :class:`DomainError` unless it is finite."""
     far = float(np.abs(columns[1]).max())
-    phase = far * widest  # Python floats: inf or NaN without a numpy warning
-    if not math.isfinite(phase):  # the message is formatted only to raise
-        finite(f"phase location*p at location {far!r} and |p| {widest!r}", phase)
-    return phase
+    # Python floats: inf or NaN without a numpy warning
+    return finite(f"phase location*p at location {far!r} and |p| {widest!r}", far * widest)
 
 
 def _columns(rho: GroupDensity) -> np.ndarray:

@@ -169,9 +169,7 @@ def _packet_profile(grid: PositionGrid, alpha: float, center: float) -> np.ndarr
             f"packet width {alpha} does not fit the box: need 8*alpha < extent={grid.extent}"
         )
     # alpha * alpha underflows to 0 or overflows to inf (where alpha**2 would raise)
-    width = positive(f"4*alpha^2 (alpha={alpha})", 4.0 * alpha * alpha)
-    with np.errstate(over="ignore"):  # an exponent of -inf gives exp(-inf) = 0, the exact value
-        return np.exp(-((grid.points() - center) ** 2) / width)
+    return gaussian_kernel(grid.points(), center, positive(f"2*alpha^2 (alpha={alpha})", 2.0 * alpha * alpha))
 
 
 def gaussian_wavepacket(grid: PositionGrid, alpha: float, center: float = 0.0) -> WaveFunction:

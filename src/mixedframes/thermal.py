@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .analytic import gaussian_kernel
 from .errors import DomainError, Frozen, NormalizationError, finite, integer, positive
 
 GRID_NORM_TOL = 1e-9
@@ -37,9 +38,7 @@ class ThermalParameters(Frozen):
         positive("beta", beta)
         positive("mass", mass)
         self._set(beta, mass, constants)
-        variance = self.momentum_variance
-        if not (variance > 0.0 and math.isfinite(variance)):  # the repr is formatted only to fail
-            positive(f"m*hbar/beta of {self}", variance)
+        positive(f"m*hbar/beta of {self}", self.momentum_variance)
 
     @property
     def momentum_variance(self) -> float:
@@ -57,11 +56,8 @@ class MomentumGrid(Frozen):
         positive("p_max", p_max)
         finite("center", center)
         self._set(n, p_max, center)
-        spacing, outermost = self.spacing, abs(center) + p_max
-        if not (spacing > 0.0 and math.isfinite(spacing)):  # the repr is formatted only to fail
-            positive(f"spacing 2*p_max/(n_points-1) of {self}", spacing)
-        if not math.isfinite(outermost):
-            finite(f"outermost point |center|+p_max of {self}", outermost)
+        positive(f"spacing 2*p_max/(n_points-1) of {self}", self.spacing)
+        finite(f"outermost point |center|+p_max of {self}", abs(center) + p_max)
 
     @property
     def spacing(self) -> float:
@@ -160,11 +156,7 @@ def maxwell_boltzmann_density(
     mkt = mass * constants.k_boltzmann * T
     # the product and its reciprocal can underflow or overflow
     norm = positive("1/(2 pi m k_B T)", 1.0 / positive("2 pi m k_B T", 2.0 * np.pi * mkt))
-    p = np.asarray(p_grid, dtype=float)
-    # an exponent that overflows to inf gives exp(-inf) = 0, the right value
-    with np.errstate(over="ignore"):
-        exponent = p * p / (2.0 * mkt)
-    return np.sqrt(norm) * np.exp(-exponent)
+    return np.sqrt(norm) * gaussian_kernel(np.asarray(p_grid, dtype=float), 0.0, mkt)
 
 
 def thermal_state(tp: ThermalParameters, p_grid: MomentumGrid) -> MomentumMixture:

@@ -143,6 +143,12 @@ class TestBoostLabel:
         with pytest.raises(DomainError, match="boost phase"):
             boost_pure_label(-1.3e154, 7.328409e153, GalileiParams(mass=1.0, time=1.0))
 
+    def test_phase_is_finite_where_m_v_squared_is_not(self):
+        # at v = p = 1e154 and m = 2 the phase -t (v p - m v^2 / 2) is exactly 0, though m v^2 overflows
+        label = boost_pure_label(1e154, 1e154, GalileiParams(mass=2.0, time=1.0))
+        assert label.phase == 0.0
+        assert label.momentum == 3e154
+
     def test_momentum_composition(self):
         params = GalileiParams(mass=1.3, time=0.4)
         first = boost_pure_label(0.7, 2.0, params)
@@ -330,6 +336,38 @@ class TestFringePhase:
         for params in (GalileiParams(mass=1e160, time=1.0, hbar=1e-160), GalileiParams(mass=past, time=1.0, hbar=0.25)):
             with pytest.raises(DomainError, match="boost phase"):
                 apply_boost_factored(1.0, psi, params)
+
+    def test_factored_boost_forms_the_wavenumber_before_the_position(self):
+        # m v x reaches 2e308 on a box of 40, but m v / hbar is 1e7 and the phases stay finite
+        psi = gaussian_wavepacket(PositionGrid(64, 40.0), 1.0)
+        out = apply_boost_factored(1.0, psi, GalileiParams(mass=1e307, time=1.0, hbar=1e300))
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_position_phase_guard_at_half_the_extent(self, above):
+        # m v / hbar = (max / 8) 2 / 0.5 = max / 2 times |x| = extent / 2 = 2 is the largest float
+        # exactly; one ulp more mass and it overflows, where exp(i m v x / hbar) was NaN
+        psi = gaussian_wavepacket(PositionGrid(64, 4.0), 0.4)
+        mass = sys.float_info.max / 8.0
+        params = GalileiParams(mass=math.nextafter(mass, math.inf) if above else mass, time=0.5, hbar=0.5)
+        if above:
+            with pytest.raises(DomainError, match="position phase"):
+                apply_boost_factored(2.0, psi, params)
+        else:
+            assert apply_boost_factored(2.0, psi, params).norm() == pytest.approx(1.0, abs=1e-12)
+
+    def test_relative_phase_needs_weight_after_the_boost(self):
+        # verify's two-bump state at n = 256: p_to = 1000 is past the band edge 20.1, and the
+        # nearest mode, k = 19.95, holds 1.7e-14 after the boost
+        grid = PositionGrid(256, 40.0)
+        params = GalileiParams(mass=1.0, time=0.7, hbar=1.0)
+        dk = TWO_PI / grid.extent
+        psi = _normalized(grid, momentum_bump(grid, 16 * dk, params).amplitudes
+                          + momentum_bump(grid, -10 * dk, params).amplitudes)
+        boosted = apply_boost_factored(24 * dk, psi, params)
+        relative_boost_phase(psi, boosted, 16 * dk, 40 * dk, params)
+        with pytest.raises(DomainError, match="boosted state has no weight at momentum 1000"):
+            relative_boost_phase(psi, boosted, 16 * dk, 1000.0, params)
 
     def test_bump_sits_at_p_over_hbar_up_to_half_the_band(self):
         # p = k_max at hbar = 2 puts the bump at k = k_max / 2 exactly, the largest accepted

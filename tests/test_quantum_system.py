@@ -1,6 +1,8 @@
 import math
 import re
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -88,10 +90,34 @@ class TestWavepacket:
         assert gaussian_wavepacket(grid, math.nextafter(5.0, 0.0)).norm() == pytest.approx(1.0, abs=1e-12)
 
 
+    def test_kernel_overflow_gives_zero_without_warning(self):
+        # (1e200)^2 overflows to inf, and exp(-inf) = 0 is the exact value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = analytic.gaussian_kernel(np.array([1e200, 0.0]), 0.0, 1.0)
+        assert kernel.tolist() == [0.0, 1.0]
+
     def test_underflowing_width_rejected(self, grid):
         # alpha**2 underflows to zero; the packet was all NaN
         with pytest.raises(DomainError):
             gaussian_wavepacket(grid, 1e-300)
+
+    def test_norm_within_norm_tol_of_one(self):
+        # on 64 points of spacing 1 a constant c has grid norm 8c exactly: the largest
+        # norm 1 + k eps within NORM_TOL = 1e-9 passes, the next does not
+        grid = PositionGrid(64, 64.0)
+        eps = sys.float_info.epsilon
+        inside = 1.0 + math.floor(1e-9 / eps) * eps
+        assert WaveFunction(grid, np.full(64, inside / 8.0)).norm() == inside
+        with pytest.raises(NormalizationError, match="norm is"):
+            WaveFunction(grid, np.full(64, (inside + eps) / 8.0))
+
+    def test_normalizes_down_to_a_norm_of_1e_150(self):
+        # grid norm 8c of a constant c on 64 points of spacing 1: 1e-150 is enough, one ulp less is not
+        grid = PositionGrid(64, 64.0)
+        assert quantum_system._normalized(grid, np.full(64, 1e-150 / 8.0)).amplitudes[0] == 0.125
+        with pytest.raises(DomainError, match="amplitudes vanish"):
+            quantum_system._normalized(grid, np.full(64, math.nextafter(1e-150, 0.0) / 8.0))
 
     def test_nan_amplitudes_rejected(self, grid):
         with pytest.raises(NormalizationError):
@@ -281,12 +307,25 @@ class TestActMixed:
         out = act_mixed(make_gaussian(0.0, 1.0), pure_state(psi), quad_order=16)
         assert len(out.weights) == 16
 
+    def test_comb_takes_variances_up_to_the_largest_float_over_128(self):
+        # the comb's kernel divides (8 sigma)^2 by 2 sigma^2, and 2 (8 sigma)^2 = 128 v is the
+        # largest float at v = max / 128; one ulp more and it overflows
+        edge = sys.float_info.max / 128.0
+        nodes, weights = quantum_system._node_comb(GaussianComponent(0.0, edge), 16)
+        assert np.all(np.isfinite(nodes)) and float(weights.sum()) == pytest.approx(1.0)
+        with pytest.raises(DomainError, match="too wide for the node comb"):
+            quantum_system._node_comb(GaussianComponent(0.0, math.nextafter(edge, math.inf)), 16)
+
     def test_term_cap(self, grid):
         psi = gaussian_wavepacket(grid, 0.75)
         rho = mix([(0.5, make_gaussian(0.0, 1.0)), (0.5, make_gaussian(1.0, 1.0))])
         # 2 * 2049 terms, two over TERM_CAP = 4096
         with pytest.raises(ResourceLimitError):
             act_mixed(rho, pure_state(psi), quad_order=2049)
+        # offsets times input terms: 2048 offsets on two terms reach the cap exactly, 2049 pass it
+        assert len(act_mixed(make_gaussian(0.0, 1.0), mixture_of_two(grid), quad_order=2048).weights) == 4096
+        with pytest.raises(ResourceLimitError, match="4098 terms"):
+            act_mixed(make_gaussian(0.0, 1.0), mixture_of_two(grid), quad_order=2049)
 
     # 1e9 is rejected as a type, before the term count could reject its size
     @pytest.mark.parametrize("order", [20.0, 16.5, math.nan, 1e9, "64", None])
@@ -348,6 +387,28 @@ class TestPositionDensity:
     def test_nan_values_rejected(self, grid):
         with pytest.raises(NormalizationError):
             PositionDensity(grid, np.full(grid.n_points, np.nan))
+
+    @pytest.mark.parametrize("low, accepted", [(-1e-12, True), (math.nextafter(-1e-12, -math.inf), False)])
+    def test_values_down_to_minus_1e_12(self, low, accepted):
+        # rounding may leave a density value just below zero: -1e-12 passes, one ulp lower does not
+        grid = PositionGrid(64, 64.0)
+        values = np.full(64, 1.0 / 64.0)
+        values[:2] = low, 2.0 / 64.0 - low
+        if accepted:
+            assert PositionDensity(grid, values).values[0] == low
+        else:
+            with pytest.raises(NormalizationError, match="nonnegative"):
+                PositionDensity(grid, values)
+
+    def test_integral_within_density_integral_tol_of_one(self):
+        # on 64 points of spacing 1 a constant c integrates to 64c exactly: the largest
+        # integral 1 + k eps within DENSITY_INTEGRAL_TOL = 1e-8 passes, the next does not
+        grid = PositionGrid(64, 64.0)
+        eps = sys.float_info.epsilon
+        inside = 1.0 + math.floor(1e-8 / eps) * eps
+        assert grid.integrate(PositionDensity(grid, np.full(64, inside / 64.0)).values) == inside
+        with pytest.raises(NormalizationError, match="integrates to"):
+            PositionDensity(grid, np.full(64, (inside + eps) / 64.0))
 
 
 class TestChannelOutput:
@@ -562,6 +623,19 @@ class TestBlockPass:
 class TestPurity:
     def test_single_term_is_pure(self, grid):
         assert purity(pure_state(gaussian_wavepacket(grid, 0.75))) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("edge, outward", [(1e-100, 0.0), (1e100, math.inf)])
+    def test_spacing_range_includes_its_ends(self, edge, outward):
+        # 64 points over 64 spacings: a spacing of exactly 1e-100 or 1e100 is accepted, one ulp outside is not
+        for spacing, accepted in ((edge, True), (math.nextafter(edge, outward), False)):
+            grid = PositionGrid(64, 64.0 * spacing)
+            assert grid.spacing == spacing
+            state = pure_state(gaussian_wavepacket(grid, 4.0 * spacing))
+            if accepted:
+                assert purity(state) == pytest.approx(1.0, abs=1e-12)
+            else:
+                with pytest.raises(DomainError, match="grid spacing"):
+                    purity(state)
 
     def test_orthogonal_half_mixture(self, grid):
         far = mix_state(grid, [(0.5, (0.3, -6.0)), (0.5, (0.3, 6.0))])
